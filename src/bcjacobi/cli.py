@@ -106,7 +106,10 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
             [complex(x[0], x[1]) if isinstance(x, list) else x for x in config["r"]],
             dtype=complex if mode == "complex" else float,
         )
-        rep = invert_factorization(r, config["T"])
+        T = config["T"]
+        if r.size < 2 * T - 1:
+            raise BCError(f"invert needs at least 2T-1 = {2 * T - 1} entries in 'r', got {r.size}")
+        rep = invert_factorization(r, T)
         report = {
             "a0": _fmt(rep.a0),
             "a": [_fmt(x) for x in rep.a],

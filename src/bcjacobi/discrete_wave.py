@@ -173,12 +173,15 @@ def connecting_from_response(r, T: int) -> np.ndarray:
     r = _as_response(r)
     if r.size < 2 * T - 1:
         raise ValueError(f"need at least 2T-1 = {2 * T - 1} response entries")
-    # cum[m] = r_m + r_{m+2} + ... summed down from the top index 2T-2
+    # diagonal i - j = m holds the running sums of r_m, r_{m+2}, ..., r_{2T-2-m},
+    # longest first; cumulative sums avoid the cancellation of prefix-sum differences.
+    # The sums run sequentially (error ~ T eps), not pairwise like np.sum, which
+    # trades some accuracy on long diagonals for O(T^2) work; it can shift the
+    # block at which a borderline response is refused.
     C = np.empty((T, T), dtype=r.dtype)
-    for i in range(1, T + 1):
-        for j in range(1, i + 1):
-            ks = np.arange(T - i + 1)  # i >= j here
-            C[i - 1, j - 1] = C[j - 1, i - 1] = np.sum(r[(i - j) + 2 * ks])
+    for m in range(T):
+        idx = np.arange(T - m)
+        C[idx + m, idx] = C[idx, idx + m] = np.cumsum(r[m : 2 * T - 1 - m : 2])[::-1]
     return r[0] * C
 
 

@@ -7,8 +7,8 @@ connecting matrix C_T = J C^T J, then
     b_k = det C_{k+1,k}/det C_k - det C_{k,k-1}/det C_{k-1},
 
 where C_{k+1,k} replaces the last column of C_k by column k+1 entries.  All
-ratios come from unpivoted LDL^t pivots and triangular solves; raw
-determinants are only reported as diagnostics.
+ratios come from unpivoted LDL^t pivots and the subdiagonal of the unit
+factor; raw determinants are only reported as diagnostics.
 """
 
 from __future__ import annotations
@@ -153,16 +153,11 @@ def invert_factorization(r, T: int) -> InversionReport:
         dets = np.cumprod(ds / D**2)
     a_sq = (ds[1:] / ds[:-1]) * (D[:-1] / D[1:]) ** 2
     a_rec = np.sqrt(a_sq)  # principal root; the positive one in real mode
-    # partial sums S_k = sum_{j<=k} b_j = last component of C_k^{-1} (column k+1),
-    # solved in the scaled space with the shared LDL factors
-    S = np.zeros(T, dtype=C.dtype)
-    for k in range(1, T):
-        y = D[:k] * C[:k, k]
-        x = np.linalg.solve(L[:k, :k], y)
-        x /= ds[:k]
-        x = np.linalg.solve(L[:k, :k].T, x)
-        S[k] = D[k - 1] * x[-1]
-    b_rec = np.diff(np.concatenate([[0.0], S[1:]]))
+    # partial sums S_k = sum_{j<=k} b_j = last entry of C_k^{-1} C[:k, k]
+    # = diag(D[:k]) L_k^{-t} L[k, :k]^t / D[k]; L_k^{-t} is unit upper triangular,
+    # so S_k = D[k-1] L[k, k-1] / D[k]
+    S = D[:-1] / D[1:] * np.diagonal(L, -1)
+    b_rec = np.diff(S, prepend=0.0)
     if mode == "real":
         a0, a_rec, b_rec, dets = a0.real, a_rec.real, b_rec.real, dets.real
     rep = InversionReport(
@@ -235,13 +230,19 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
     pivot machinery as `invert_factorization` (an LDL^t sweep of the reversed
     matrix visits exactly the nested blocks), so a response that passes here
     never makes the inversion refuse and vice versa.  Smallest singular
-    values of the nested blocks are attached as diagnostics.
+    values of the nested blocks are attached as diagnostics.  A real block is
+    symmetric, so its smallest singular value is its smallest |eigenvalue|
+    (`eigvalsh`); a complex block is complex-symmetric but not Hermitian, so
+    it takes the singular values themselves (`svd`).
     """
     r = _as_response(r)
     if r.size < 2 * T - 1:
         raise ValueError(f"need at least 2T-1 = {2 * T - 1} response entries")
     C = reverse_order(connecting_from_response(r, T))
-    sigmas = [float(np.linalg.svd(C[:k, :k], compute_uv=False)[-1]) for k in range(1, T + 1)]
+    if np.iscomplexobj(C):
+        sigmas = [float(np.linalg.svd(C[:k, :k], compute_uv=False)[-1]) for k in range(1, T + 1)]
+    else:
+        sigmas = [float(np.min(np.abs(np.linalg.eigvalsh(C[:k, :k])))) for k in range(1, T + 1)]
     diag = {"min_singular_values": sigmas}
     if mode == "real":
         if np.iscomplexobj(r) and np.any(r.imag != 0):

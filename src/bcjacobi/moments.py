@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .core import JacobiSpec, SpectralMeasure, spectral_measure
-from .discrete_wave import connecting_from_response, _as_response
+from .discrete_wave import connecting_from_response, _as_response, reverse_order
 from .errors import NotRealizableError
 from .inverse_bc import invert_factorization
 
@@ -198,7 +198,7 @@ def truncated_moment_naive(s, N: int, extension=None):
         raise NotRealizableError("s_0 must be positive")
     mass = s[0]
     sn = s / mass
-    r = moments_to_response(sn[: 2 * N - 1])
+    r = moments_to_response(sn[: 2 * N])
     if N == 1:
         a_rec = np.zeros(0)
         b_rec = np.zeros(0)
@@ -206,7 +206,7 @@ def truncated_moment_naive(s, N: int, extension=None):
         report = invert_factorization(r, N)
         a_rec, b_rec = report.a.real, report.b.real
     if s.size >= 2 * N:
-        b_last = _match_last_diagonal(a_rec, b_rec, sn[2 * N - 1])
+        b_last = _last_partial_sum(r, N) - np.sum(b_rec)
     else:
         b_last = 0.0
     a_full = a_rec
@@ -221,17 +221,18 @@ def truncated_moment_naive(s, N: int, extension=None):
     return spec, SpectralMeasure(tuple(zip(mu.lambdas, mass * mu.weights)))
 
 
-def _match_last_diagonal(a: np.ndarray, b: np.ndarray, s_last: float) -> float:
-    """Solve (A(b_N)^{2N-1})_{11} = s_{2N-1} for b_N; linear with slope prod a^2."""
-    N = b.size + 1
-    A0 = np.zeros((N, N))
-    if N > 1:
-        A0[: N - 1, : N - 1] = np.diag(b)
-        A0[np.arange(N - 1), np.arange(1, N)] = a
-        A0[np.arange(1, N), np.arange(N - 1)] = a
-    base = np.linalg.matrix_power(A0, 2 * N - 1)[0, 0]
-    slope = np.prod(a**2) if a.size else 1.0
-    return (s_last - base) / slope
+def _last_partial_sum(r: np.ndarray, N: int) -> float:
+    """S_N = b_1 + ... + b_N from the normalized response r_0..r_{2N-1}.
+
+    S_N is the last entry of C_N^{-1} c, with c the first N entries of column
+    N + 1 of the reversed connecting matrix C_{N+1}.  Entry (i, j) of that
+    matrix reaches r_{i+j-2}, so C_N and c stop at r_{2N-1} and the zero pad
+    for r_{2N} only enters the unused corner.  The solve keeps b_N as
+    accurate as the other b_k; matching (A^{2N-1})_{11} = s_{2N-1} instead
+    would subtract two numbers of size |A|^{2N-1} and divide by prod a_k^2.
+    """
+    C = reverse_order(connecting_from_response(np.append(r[: 2 * N], 0.0), N + 1))
+    return float(np.linalg.solve(C[:N, :N], C[:N, N])[-1])
 
 
 def _nested_verdicts(mats, tol: float):

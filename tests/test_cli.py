@@ -57,6 +57,17 @@ def test_invert_scenario_counterexample(tmp_path):
         run_scenario(config, tmp_path)
 
 
+def test_invert_scenario_short_response(tmp_path, capsys):
+    config = {"command": "invert", "r": [1.0, 0.0, 0.0], "T": 3}
+    with pytest.raises(BCError, match="2T-1"):
+        run_scenario(config, tmp_path)
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_schema_validation(tmp_path):
     with pytest.raises(BCError):
         run_scenario({"command": "invert", "T": 3}, tmp_path)  # missing r

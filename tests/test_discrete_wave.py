@@ -188,6 +188,31 @@ def test_connecting_symmetric():
     assert np.array_equal(C, C.T)
 
 
+def _connecting_reference(r, T):
+    """Oracle: the entrywise double loop C_ij = r_0 sum_{k=0}^{T-max(i,j)} r_{|i-j|+2k}."""
+    C = np.empty((T, T), dtype=r.dtype)
+    for i in range(1, T + 1):
+        for j in range(1, i + 1):
+            ks = np.arange(T - i + 1)  # i >= j here
+            C[i - 1, j - 1] = C[j - 1, i - 1] = np.sum(r[(i - j) + 2 * ks])
+    return r[0] * C
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_connecting_matches_entrywise_reference(dtype):
+    rng = np.random.default_rng(11)
+    for T in range(1, 41):
+        for extra in (0, 3):  # entries beyond r_{2T-2} must be ignored
+            r = rng.normal(size=2 * T - 1 + extra).astype(dtype)
+            if dtype is complex:
+                r += 1j * rng.normal(size=r.size)
+            # each entry sums at most T terms, then takes the r_0 factor
+            tol = 8 * T * np.finfo(float).eps * abs(r[0]) * np.max(np.abs(r))
+            C = connecting_from_response(r, T)
+            assert C.dtype == r.dtype
+            assert np.max(np.abs(C - _connecting_reference(r, T))) <= tol
+
+
 def test_connecting_spectral_representation():
     rng = np.random.default_rng(9)
     spec = random_spec(5, rng)

@@ -6,9 +6,12 @@ from bcjacobi.discrete_wave import (
     connecting_from_response,
     control_matrix,
     response_vector,
+    reverse_order,
 )
 from bcjacobi.errors import SingularBlockError
 from bcjacobi.inverse_bc import (
+    _equilibrate,
+    _ldl_pivots,
     characterize,
     invert_factorization,
     kappa_vector,
@@ -246,3 +249,60 @@ def test_characterize_complex_valid_response():
     spec = JacobiSpec(a0=1.0 + 0.1j, a=a, b=b, mode="complex")
     r = response_vector(spec, 2 * n - 1)
     assert characterize(r, n, mode="complex").admissible
+
+
+def _complex_spec(n, rng):
+    a = rng.uniform(0.5, 2, n - 1) + 1j * rng.uniform(-0.5, 0.5, n - 1)
+    b = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    return JacobiSpec(a0=1.0 + 0.2j, a=a, b=b, mode="complex")
+
+
+def _b_reference(r, T):
+    """Oracle: S_k = last component of C_k^{-1} c_k by two triangular solves per k.
+
+    Returns b and the condition number of the equilibrated C_T, which bounds
+    how far two backward-stable routes to S_k may differ.
+    """
+    C = reverse_order(connecting_from_response(r / r[0], T))
+    Cs, D = _equilibrate(C)
+    L, ds = _ldl_pivots(Cs)
+    S = np.zeros(T, dtype=C.dtype)
+    for k in range(1, T):
+        x = np.linalg.solve(L[:k, :k], D[:k] * C[:k, k])
+        x = np.linalg.solve(L[:k, :k].T, x / ds[:k])
+        S[k] = D[k - 1] * x[-1]
+    return np.diff(np.concatenate([[0.0], S[1:]])), np.linalg.cond(Cs)
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_partial_sums_match_triangular_solve_reference(mode):
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        n = int(rng.integers(2, 14))
+        spec = random_spec(n, rng) if mode == "real" else _complex_spec(n, rng)
+        r = response_vector(spec, 2 * n - 1).r
+        rep = invert_factorization(r, n)
+        b_ref, cond = _b_reference(r, n)
+        tol = n * np.finfo(float).eps * cond * max(1.0, np.max(np.abs(b_ref), initial=0.0))
+        assert np.max(np.abs(rep.b - b_ref), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_min_singular_values_match_svd_reference(mode):
+    rng = np.random.default_rng(22)
+    cases = []
+    for _ in range(6):
+        n = int(rng.integers(2, 14))
+        spec = random_spec(n, rng) if mode == "real" else _complex_spec(n, rng)
+        cases.append((response_vector(spec, 2 * n - 1).r, n))
+    # indefinite data: the smallest singular value comes from a negative eigenvalue
+    bad = rng.normal(size=15).astype(float if mode == "real" else complex)
+    bad[0] = 1.0
+    cases.append((bad, 8))
+    for r, T in cases:
+        C = reverse_order(connecting_from_response(r, T))
+        sigmas = characterize(r, T, mode=mode).diagnostics["min_singular_values"]
+        assert len(sigmas) == T
+        for k in range(1, T + 1):
+            sv = np.linalg.svd(C[:k, :k], compute_uv=False)
+            assert abs(sigmas[k - 1] - sv[-1]) <= 8 * k * np.finfo(float).eps * sv[0]

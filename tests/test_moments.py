@@ -8,8 +8,10 @@ from bcjacobi.core import (
     random_spec,
     spectral_measure,
 )
-from bcjacobi.discrete_wave import connecting_from_response
+from bcjacobi.discrete_wave import connecting_from_response, reverse_order
 from bcjacobi.errors import NotRealizableError
+from bcjacobi.heat import heat_response
+from bcjacobi.inverse_bc import _equilibrate, invert_factorization
 from bcjacobi.moments import (
     build_B,
     build_hankel_pair,
@@ -186,6 +188,22 @@ def test_truncated_routes_agree():
         assert np.allclose(mu_sp.weights, mu_nv.weights, atol=1e-8)
         assert np.allclose(mu_sp.lambdas, mu.lambdas, atol=1e-8)
         assert np.allclose(mu_sp.weights, mu.weights, atol=1e-8)
+
+
+def test_truncated_naive_last_diagonal_matches_longer_inversion():
+    # b_N of the order-N problem is b_N of the order-(N+1) factorization,
+    # whose partial sum S_N uses the same column of C_{N+1}
+    rng = np.random.default_rng(25)
+    for _ in range(12):
+        n = int(rng.integers(1, 11))
+        spec = random_spec(n + 1, rng)
+        s = heat_response(spec, 2 * n + 1)
+        rec, _ = truncated_moment_naive(s[: 2 * n], n)
+        r = moments_to_response(s / s[0])
+        ref = invert_factorization(r, n + 1).b[n - 1]
+        Cs, _ = _equilibrate(reverse_order(connecting_from_response(r, n + 1)))
+        tol = n * np.finfo(float).eps * np.linalg.cond(Cs) * max(1.0, abs(ref))
+        assert abs(rec.b[-1] - ref) <= tol
 
 
 def test_truncated_respects_mass():
