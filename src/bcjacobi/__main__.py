@@ -1,0 +1,8 @@
+"""`python -m bcjacobi ...`: the same front end as the `bcjacobi` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

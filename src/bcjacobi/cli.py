@@ -41,6 +41,11 @@ def _fmt(x) -> str:
     return repr(float(np.real(x)))
 
 
+def _plain_floats(x):
+    """A check metric (a number or a list of numbers) as JSON floats."""
+    return [float(v) for v in x] if isinstance(x, list) else float(x)
+
+
 def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -66,6 +71,13 @@ def _spec_from_config(config: dict, rng) -> JacobiSpec:
     if isinstance(spec_obj, dict):
         return JacobiSpec.from_json(spec_obj)
     raise BCError("config needs 'spec': JacobiSpec JSON, 'free', or 'random'")
+
+
+def _time_grid(T, M) -> ct.TimeGrid:
+    try:
+        return ct.TimeGrid(float(T), int(M))
+    except (TypeError, ValueError) as exc:
+        raise BCError(f"bad time grid T={T}, M={M}: {exc}") from None
 
 
 def run_scenario(config: dict, out_dir: Path) -> dict:
@@ -209,13 +221,15 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
     elif command == "string":
         _require(config, {"N_values": list}, command)
+        if not config["N_values"] or not all(isinstance(N, int) and N >= 2 for N in config["N_values"]):
+            raise BCError(f"string needs N_values of integers >= 2, got {config['N_values']}")
         psi_cfg = dict(config.get("psi", {"kind": "gauss", "center": 0.45, "sigma": 0.1}))
         psi, dpsi = ct.psi_preset(psi_cfg.pop("kind", "gauss"), **psi_cfg)
         t_star = float(config.get("field_time", 0.5))
         rows = []
         for N in config["N_values"]:
-            grid = ct.TimeGrid(float(config.get("T", 1.0)), int(config.get("M", max(1000, 8 * N))))
-            out = ct.corrected_response(int(N), grid, psi=psi, field_time=t_star)
+            grid = _time_grid(config.get("T", 1.0), config.get("M", max(1000, 8 * N)))
+            out = ct.corrected_response(N, grid, psi=psi, field_time=t_star)
             rows.append(
                 (N, out["pair_raw"], abs(out["pair_raw"] - psi(0.0)),
                  out["pair_corrected"], abs(out["pair_corrected"] - dpsi(0.0)),
@@ -232,10 +246,12 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     elif command == "contjacobi":
         _require(config, {"N": int}, command)
         N = config["N"]
+        if N < 1:
+            raise BCError(f"contjacobi needs N >= 1, got {N}")
+        grid = _time_grid(config.get("T", 2.0), config.get("M", 800))
         masses = rng.uniform(0.7, 1.3, N) / (N + 1)
         lengths = rng.uniform(0.7, 1.3, N + 1) / (N + 1)
         spec = ct.string_system(ct.StringSpec(masses=masses, lengths=lengths))["spec"]
-        grid = ct.TimeGrid(float(config.get("T", 2.0)), int(config.get("M", 800)))
         r = ct.response_function(spec, grid.doubled())
         rec, _ = ct.recover_matrix_continuous(r, N, grid)
         err = max(
@@ -338,7 +354,8 @@ def main(argv=None) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             report = [
-                {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed": r.elapsed}
+                {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed": r.elapsed,
+                 "metrics": {k: _plain_floats(v) for k, v in r.metrics.items()}}
                 for r in results
             ]
             (out / "verify_report.json").write_text(json.dumps(report, indent=2))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.linalg import eigh, eigvalsh, hankel, toeplitz
 
 from .core import JacobiSpec, eig_spectral_data
 from .errors import BCError, NotRealizableError
@@ -69,19 +70,8 @@ class TimeGrid:
 
     @property
     def simpson_weights(self) -> np.ndarray:
-        """Composite Simpson weights (trapezoid patch on the last interval
-        when M is odd)."""
-        w = np.zeros(self.M + 1)
-        m = self.M if self.M % 2 == 0 else self.M - 1
-        if m >= 2:
-            w[0] += self.dt / 3.0
-            w[m] += self.dt / 3.0
-            w[1:m:2] += 4.0 * self.dt / 3.0
-            w[2:m:2] += 2.0 * self.dt / 3.0
-        if m < self.M:
-            w[-2] += 0.5 * self.dt
-            w[-1] += 0.5 * self.dt
-        return w
+        """Composite Simpson weights, trapezoid patch on the last interval if M is odd."""
+        return _simpson_weights(self.M, self.dt)
 
     def doubled(self) -> "TimeGrid":
         """Grid on [0, 2T] with the same spacing."""
@@ -140,37 +130,35 @@ def wave_kernel(lam: float, tau: np.ndarray, derivative: bool = False) -> np.nda
     return np.ones_like(tau) if derivative else tau.copy()
 
 
-def _simpson_rows(M: int, dt: float) -> list[np.ndarray]:
-    """Quadrature weights over t_0..t_j for each j; composite Simpson with a
-    trapezoid patch on the last interval when j is odd."""
-    rows = [np.zeros(1)]
-    for j in range(1, M + 1):
-        w = np.zeros(j + 1)
-        n_simp = j if j % 2 == 0 else j - 1
-        if n_simp >= 2:
-            w[0] += dt / 3.0
-            w[n_simp] += dt / 3.0
-            w[1:n_simp:2] += 4.0 * dt / 3.0
-            w[2:n_simp:2] += 2.0 * dt / 3.0
-        if n_simp < j:
-            w[-2] += 0.5 * dt
-            w[-1] += 0.5 * dt
-        rows.append(w)
-    return rows
+def _simpson_weights(j: int, dt: float) -> np.ndarray:
+    """Quadrature weights over t_0..t_j: composite Simpson with a trapezoid
+    patch on the last interval when j is odd."""
+    w = np.zeros(j + 1)
+    m = j if j % 2 == 0 else j - 1
+    if m >= 2:
+        w[0] += dt / 3.0
+        w[m] += dt / 3.0
+        w[1:m:2] += 4.0 * dt / 3.0
+        w[2:m:2] += 2.0 * dt / 3.0
+    if m < j:
+        w[-2] += 0.5 * dt
+        w[-1] += 0.5 * dt
+    return w
 
 
-def _mode_convolutions(lam: np.ndarray, f: np.ndarray, grid: TimeGrid, derivative=False):
-    """h_k(t_j) = int_0^{t_j} f(tau) S_k(t_j - tau) dtau for every mode k."""
-    t = grid.nodes
-    M = grid.M
-    rows = _simpson_rows(M, grid.dt)
-    out = np.zeros((lam.size, M + 1))
-    for k, lk in enumerate(lam):
-        Sfull = wave_kernel(lk, t, derivative=derivative)
-        for j in range(1, M + 1):
-            # S_k(t_j - tau_i) = Sfull[j - i]
-            out[k, j] = rows[j] @ (f[: j + 1] * Sfull[j::-1])
-    return out
+def _simpson_convolution(f: np.ndarray, k: np.ndarray, dt: float) -> np.ndarray:
+    """c_j = int_0^{t_j} f(tau) k(t_j - tau) dtau by `_simpson_weights(j, dt)`
+    for every j: one direct (not FFT, so each entry rounds like one dot
+    product) convolution with the interior pattern dt/3 (1, 4, 2, 4, ...),
+    then a patch of the last one (even j) or two (odd j) weights of row j."""
+    n = f.size
+    p = _simpson_weights(2 * n, dt)[:n]  # the rule's interior pattern
+    c = np.convolve(p * f, k)[:n]
+    fk0 = f * k[0]
+    c[2::2] -= (dt / 3.0) * fk0[2::2]
+    c[1::2] += (dt / 6.0) * f[0:-1:2] * k[1] - (5.0 * dt / 6.0) * fk0[1::2]
+    c[0] = 0.0
+    return c
 
 
 def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
@@ -186,8 +174,11 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
     if f.size != grid.M + 1:
         raise ValueError("control must be sampled on the grid")
     data = eig_spectral_data(spec)
-    h = _mode_convolutions(data.eigenvalues, f, grid) / data.omegas[:, None]
-    hdot = _mode_convolutions(data.eigenvalues, f, grid, derivative=True) / data.omegas[:, None]
+    h, hdot = (
+        np.array([_simpson_convolution(f, wave_kernel(lk, grid.nodes, derivative=d), grid.dt)
+                  for lk in data.eigenvalues]) / data.omegas[:, None]
+        for d in (False, True)
+    )
     return Trajectory(u=(data.phi_vectors @ h).T, udot=(data.phi_vectors @ hdot).T, grid=grid)
 
 
@@ -212,12 +203,17 @@ def connecting_dynamic(r: ResponseFunctionSamples, grid: TimeGrid) -> np.ndarray
     """
     if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
         raise ValueError("response must be sampled on [0, 2T] with the grid spacing")
-    vals = r.values
-    dt = grid.dt
-    P = np.concatenate([[0.0], np.cumsum(0.5 * dt * (vals[1:] + vals[:-1]))])
-    i = np.arange(grid.M + 1)
-    I, J = np.meshgrid(i, i, indexing="ij")
-    return 0.5 * (P[2 * grid.M - I - J] - P[np.abs(I - J)])
+    P = np.concatenate([[0.0], np.cumsum(0.5 * grid.dt * (r.values[1:] + r.values[:-1]))])
+    return _kernel_matrix(P, grid.M)
+
+
+def _kernel_matrix(P: np.ndarray, M: int) -> np.ndarray:
+    """K[i, j] = 1/2 (P[2M - i - j] - P[|i - j|]) for i, j = 0..M, from the
+    antiderivative P of r sampled at t_0..t_2M: a Hankel minus a Toeplitz."""
+    K = hankel(P[2 * M : M - 1 : -1], P[M::-1])  # column P[2M - i], last row P[M - j]
+    K -= toeplitz(P[: M + 1])
+    K *= 0.5
+    return K
 
 
 def connecting_spectral(spec: JacobiSpec, grid: TimeGrid) -> np.ndarray:
@@ -230,9 +226,11 @@ def connecting_spectral(spec: JacobiSpec, grid: TimeGrid) -> np.ndarray:
 def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid) -> tuple:
     """Recover the N x N block and the special controls f_1..f_N from r on [0, 2T].
 
-    The connecting operator is restricted to its numerical range by a
-    truncated SVD at rank N (threshold 1e-8 sigma_1); the first control solves
-    (C f_1)(t) = r(T - t), and the recursion
+    The connecting operator is restricted to its numerical range by the top N
+    eigenpairs of the symmetric kernel sqrt(w) K sqrt(w), computed alone;
+    eigenvalue N must exceed 1e-8 times the largest, else NotRealizableError
+    names the numerical rank.  The first control solves (C f_1)(t) = r(T - t),
+    and the recursion
 
         b_n = -((C f_n)'', f_n),   a_n C f_{n+1} = -(C f_n)'' - b_n C f_n - a_{n-1} C f_{n-1}
 
@@ -242,30 +240,35 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
 
     Returns (spec, controls) with controls[n] the recovered f_{n+1} samples.
     """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got {N}")
     if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
         raise ValueError("response must be sampled on [0, 2T] with the grid spacing")
     M = grid.M
     # fourth-order antiderivative and quadrature weights: the recovery divides
-    # by sigma_N of the kernel, so the O(dt^2) trapezoid budget of
+    # by eigenvalue N of the kernel, so the O(dt^2) trapezoid budget of
     # connecting_dynamic would be amplified past the coefficient tolerance
     P = np.concatenate([[0.0], cumulative_simpson(r.values, dx=grid.dt)])
-    i = np.arange(M + 1)
-    I, J = np.meshgrid(i, i, indexing="ij")
-    K = 0.5 * (P[2 * M - I - J] - P[np.abs(I - J)])
     w = grid.simpson_weights
     sw = np.sqrt(w)
-    B = sw[:, None] * K * sw[None, :]
-    U, sv, _ = np.linalg.svd(B)
-    if N > sv.size or sv[N - 1] <= 1e-8 * sv[0]:
-        rank = int(np.sum(sv > 1e-8 * sv[0]))
+    B = _kernel_matrix(P, M)
+    B *= sw[:, None]
+    B *= sw[None, :]
+    if N <= M + 1:
+        sig, U = eigh(B, subset_by_index=[M + 1 - N, M])
+        sig, U = sig[::-1], U[:, ::-1]
+    if N > M + 1 or sig[N - 1] <= 1e-8 * sig[0]:
+        # singular values are the |eigenvalues|: count them as a full SVD would
+        sv = np.abs(eigvalsh(B))
+        rank = int(np.sum(sv > 1e-8 * sv.max()))
         raise NotRealizableError(
             f"mode {N} of the connecting operator sits at the noise floor "
             f"(numerical rank {rank}): the data does not support rank {N}"
         )
 
     def c_solve(y):
-        z = U[:, :N].T @ (sw * y)
-        return (U[:, :N] @ (z / sv[:N])) / sw
+        z = U.T @ (sw * y)
+        return (U @ (z / sig)) / sw
 
     def quad(x, y):
         return float(np.sum(w * x * y))
@@ -410,10 +413,7 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
     w = grid.trapezoid_weights
     # u_1(t) = sqrt(N) * w_1(t); control gain in the symmetrized system
     kern = sum((1.0 / ok) * wave_kernel(lk, t) for lk, ok in zip(lam, om))
-    rows = _simpson_rows(grid.M, grid.dt)
-    conv = np.zeros(grid.M + 1)
-    for j in range(1, grid.M + 1):
-        conv[j] = rows[j] @ (f[: j + 1] * kern[j::-1])
+    conv = _simpson_convolution(f, kern, grid.dt)
     u1 = np.sqrt(N) * sysd["gain"] * conv
     u0 = f
     corrected = (u1 - u0) * N
@@ -430,10 +430,9 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
         j_star = int(round(field_time / grid.dt))
         j_star = min(max(j_star, 0), grid.M)
         # all channels at t*: u = M^{-1/2} D w; D is the sign conjugation
-        h_star = np.zeros(lam.size)
-        for k, lk in enumerate(lam):
-            Sk = wave_kernel(lk, t[j_star] - t[: j_star + 1])
-            h_star[k] = rows[j_star] @ (f[: j_star + 1] * Sk) / om[k]
+        wf = _simpson_weights(j_star, grid.dt) * f[: j_star + 1]
+        tau = t[j_star] - t[: j_star + 1]
+        h_star = np.array([wave_kernel(lk, tau) @ wf for lk in lam]) / om
         signs = (-1.0) ** np.arange(lam.size)  # undo the conjugation, channel 1 positive
         w_state = data.phi_vectors @ h_star * sysd["gain"]
         u_state = np.sqrt(N) * signs * w_state

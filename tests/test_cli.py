@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcjacobi
 from bcjacobi.cli import main, run_scenario
 from bcjacobi.errors import BCError
 
@@ -119,3 +124,44 @@ def test_moments_scenario(tmp_path):
     rows = (tmp_path / "measure.csv").read_text().splitlines()[1:]
     lams = sorted(float(r.split(",")[0]) for r in rows)
     assert lams == pytest.approx([-1.0, 1.0], abs=1e-10)
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "contjacobi", "N": 0},
+    {"command": "contjacobi", "N": -2},
+    {"command": "contjacobi", "N": 2, "M": 1},
+    {"command": "contjacobi", "N": 2, "M": [800]},
+    {"command": "string", "N_values": [25], "T": None},
+    {"command": "string", "N_values": [0]},
+    {"command": "string", "N_values": [1]},
+    {"command": "string", "N_values": [25, 1]},
+    {"command": "string", "N_values": []},
+    {"command": "string", "N_values": [25, "x"]},
+])
+def test_continuous_scenarios_reject_bad_sizes(tmp_path, capsys, config):
+    with pytest.raises(BCError):
+        run_scenario(config, tmp_path / "direct")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_report_carries_metrics(tmp_path, capsys):
+    assert main(["verify", "--filter", "free", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert [r["name"] for r in report] == ["free-identity"]
+    metrics = report[0]["metrics"]
+    assert set(metrics) == {"response_err", "connecting_err"}
+    assert all(isinstance(v, float) and v <= 1e-12 for v in metrics.values())
+
+
+def test_python_m_bcjacobi_verify():
+    src = str(Path(bcjacobi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcjacobi", "verify", "--filter", "free"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "1/1 checks passed" in proc.stdout

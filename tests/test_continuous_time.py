@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from bcjacobi.continuous_time import (
     ResponseFunctionSamples,
     StringSpec,
     TimeGrid,
+    _kernel_matrix,
+    _simpson_convolution,
     connecting_dynamic,
     connecting_spectral,
     corrected_response,
@@ -17,6 +20,9 @@ from bcjacobi.continuous_time import (
     wave_kernel,
 )
 from bcjacobi.core import JacobiSpec, eig_spectral_data, random_spec
+from bcjacobi.errors import NotRealizableError
+
+EPS = np.finfo(float).eps
 
 
 def string_family(N, rng):
@@ -259,3 +265,186 @@ def test_dynamic_kernel_rank_characterization():
     # range is well-conditioned
     assert sv[N - 1] > 1e-8 * sv[0] >= sv[N] / 10
     assert sv[0] / sv[N - 1] < 1e8
+
+
+# ---------------------------------------------------------------- oracles
+# The per-row Simpson loop and the full-SVD recovery that the convolution and
+# the top-N eigensolve replaced, kept as references.
+
+
+def _simpson_rows_reference(M, dt):
+    """Quadrature weights over t_0..t_j for each j; composite Simpson with a
+    trapezoid patch on the last interval when j is odd."""
+    rows = [np.zeros(1)]
+    for j in range(1, M + 1):
+        w = np.zeros(j + 1)
+        n_simp = j if j % 2 == 0 else j - 1
+        if n_simp >= 2:
+            w[0] += dt / 3.0
+            w[n_simp] += dt / 3.0
+            w[1:n_simp:2] += 4.0 * dt / 3.0
+            w[2:n_simp:2] += 2.0 * dt / 3.0
+        if n_simp < j:
+            w[-2] += 0.5 * dt
+            w[-1] += 0.5 * dt
+        rows.append(w)
+    return rows
+
+
+def _convolution_reference(f, k, dt):
+    """c_j = rows[j] @ (f[:j+1] * k[j::-1]), one dot product per node.  With
+    |f| and |k| it returns sum |terms|, the scale of each entry's rounding."""
+    rows = _simpson_rows_reference(f.size - 1, dt)
+    c = np.zeros(f.size)
+    for j in range(1, f.size):
+        c[j] = rows[j] @ (f[: j + 1] * k[j::-1])
+    return c
+
+
+def _solve_reference(spec, f, grid, absolute=False):
+    """u of solve_second_order by the per-row loop (or its rounding scale)."""
+    data = eig_spectral_data(spec)
+    mag = np.abs if absolute else (lambda x: x)
+    h = np.array([
+        _convolution_reference(mag(f), mag(wave_kernel(lk, grid.nodes)), grid.dt)
+        for lk in data.eigenvalues
+    ]) / mag(data.omegas)[:, None]
+    return (mag(data.phi_vectors) @ h).T
+
+
+def _kernel_meshgrid(P, M):
+    i = np.arange(M + 1)
+    I, J = np.meshgrid(i, i, indexing="ij")
+    return 0.5 * (P[2 * M - I - J] - P[np.abs(I - J)])
+
+
+def _weighted_kernel_svd(r, grid):
+    P = np.concatenate([[0.0], cumulative_simpson(r.values, dx=grid.dt)])
+    K = _kernel_meshgrid(P, grid.M)
+    w = grid.simpson_weights
+    sw = np.sqrt(w)
+    U, sv, _ = np.linalg.svd(sw[:, None] * K * sw[None, :])
+    return U, sv, w, sw
+
+
+def _recover_svd_reference(r, N, grid):
+    """recover_matrix_continuous with the full dense SVD of the kernel."""
+    M = grid.M
+    U, sv, w, sw = _weighted_kernel_svd(r, grid)
+    assert sv[N - 1] > 1e-8 * sv[0]
+
+    def c_solve(y):
+        z = U[:, :N].T @ (sw * y)
+        return (U[:, :N] @ (z / sv[:N])) / sw
+
+    lam = r.lambdas
+    S_basis = np.array([wave_kernel(lk, grid.T - grid.nodes) for lk in lam])
+    f = c_solve(r.values[M::-1])
+    a, b = np.zeros(N - 1), np.zeros(N)
+    g_prev = None
+    for n in range(1, N + 1):
+        coeff = (S_basis * w[None, :]) @ f * r.weights
+        g = S_basis.T @ coeff
+        g_dd = S_basis.T @ (-lam * coeff)
+        b[n - 1] = -np.sum(w * g_dd * f)
+        if n < N:
+            h = -g_dd - b[n - 1] * g
+            if n >= 2:
+                h = h - a[n - 2] * g_prev
+            v = c_solve(h)
+            a[n - 1] = np.sqrt(np.sum(w * h * v))
+            f = v / a[n - 1]
+        g_prev = g
+    return a, b
+
+
+def test_simpson_convolution_matches_row_loop():
+    rng = np.random.default_rng(60)
+    for M in range(2, 42):
+        f, k = rng.standard_normal((2, M + 1))
+        dt = rng.uniform(0.01, 1.0)
+        c = _simpson_convolution(f, k, dt)
+        ref = _convolution_reference(f, k, dt)
+        scale = _convolution_reference(np.abs(f), np.abs(k), dt)
+        assert c[0] == 0.0
+        assert np.all(np.abs(c - ref) <= 8 * M * EPS * scale), M
+
+
+def test_kernel_matrix_bit_identical_to_meshgrid():
+    rng = np.random.default_rng(61)
+    for M in (2, 3, 10, 41):
+        P = rng.standard_normal(2 * M + 1)
+        assert np.array_equal(_kernel_matrix(P, M), _kernel_meshgrid(P, M))
+    spec = random_spec(3, rng)
+    grid = TimeGrid(1.0, 40)
+    r = response_function(spec, grid.doubled())
+    P = np.concatenate([[0.0], np.cumsum(0.5 * grid.dt * (r.values[1:] + r.values[:-1]))])
+    assert np.array_equal(connecting_dynamic(r, grid), _kernel_meshgrid(P, grid.M))
+
+
+def test_solve_second_order_matches_row_loop():
+    rng = np.random.default_rng(62)
+    for M in (40, 41, 400):
+        spec = string_family(4, rng)
+        grid = TimeGrid(2.0, M)
+        f = triangular_bump(grid, width=0.3) + rng.uniform(-0.1, 0.1, M + 1)
+        u = solve_second_order(spec, f, grid).u
+        ref = _solve_reference(spec, f, grid)
+        scale = _solve_reference(spec, f, grid, absolute=True)
+        assert np.all(np.abs(u - ref) <= 8 * M * EPS * scale)
+
+
+def test_corrected_response_matches_row_loop():
+    psi, _ = gauss_test_function(0.45, 0.1)
+    for N, M, t_star in ((10, 80, 0.5), (25, 201, 0.37)):
+        grid = TimeGrid(1.0, M)
+        out = corrected_response(N, grid, psi=psi, field_time=t_star)
+        sysd = string_system(StringSpec.uniform(N))
+        data = eig_spectral_data(sysd["spec"])
+        lam, om = data.eigenvalues, data.omegas
+        f, t = triangular_bump(grid), grid.nodes
+        kern = sum((1.0 / ok) * wave_kernel(lk, t) for lk, ok in zip(lam, om))
+        gain = np.sqrt(N) * sysd["gain"]
+        u1 = gain * _convolution_reference(f, kern, grid.dt)
+        scale = gain * _convolution_reference(f, np.abs(kern), grid.dt)
+        assert np.all(np.abs(out["u1"] - u1) <= 8 * M * EPS * scale)
+        j = int(round(t_star / grid.dt))
+        row = _simpson_rows_reference(M, grid.dt)[j]
+        terms = np.array([row * f[: j + 1] * wave_kernel(lk, t[j] - t[: j + 1]) for lk in lam]) / om[:, None]
+        signs = (-1.0) ** np.arange(lam.size)
+        u_state = gain * signs * (data.phi_vectors @ terms.sum(axis=1))
+        bound = gain * (np.abs(data.phi_vectors) @ np.abs(terms).sum(axis=1))
+        assert np.all(np.abs(out["field_values"][1:-1] - u_state) <= 8 * M * EPS * bound)
+
+
+def test_recover_matches_full_svd():
+    rng = np.random.default_rng(63)
+    grid = TimeGrid(2.0, 400)
+    for N in (2, 4, 6):
+        spec = string_family(N, rng)
+        r = response_function(spec, grid.doubled())
+        rec, _ = recover_matrix_continuous(r, N, grid)
+        a, b = _recover_svd_reference(r, N, grid)
+        assert np.max(np.abs(rec.b - b)) <= 1e-9
+        assert np.max(np.abs(rec.a - a), initial=0.0) <= 1e-9
+
+
+def test_recover_above_rank_names_svd_rank():
+    rng = np.random.default_rng(64)
+    spec = string_family(3, rng)
+    grid = TimeGrid(2.0, 200)
+    r = response_function(spec, grid.doubled())
+    _, sv, _, _ = _weighted_kernel_svd(r, grid)
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    N = rank + 1
+    with pytest.raises(NotRealizableError, match=f"numerical rank {rank}\\)"):
+        recover_matrix_continuous(r, N, grid)
+
+
+def test_recover_rejects_bad_rank():
+    grid = TimeGrid(2.0, 4)
+    r = response_function(string_family(2, np.random.default_rng(65)), grid.doubled())
+    with pytest.raises(ValueError, match="N >= 1"):
+        recover_matrix_continuous(r, 0, grid)
+    with pytest.raises(NotRealizableError, match="rank 6"):
+        recover_matrix_continuous(r, grid.M + 2, grid)
