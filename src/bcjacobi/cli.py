@@ -46,13 +46,6 @@ def _plain_floats(x):
     return [float(v) for v in x] if isinstance(x, list) else float(x)
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
 def _require(config: dict, keys: dict, command: str) -> None:
     """Minimal schema validation: required keys and their types."""
     for key, types in keys.items():
@@ -90,6 +83,13 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     files: list[str] = []
     summary: dict = {}
 
+    def emit_csv(name: str, header: list, rows) -> None:
+        with open(out_dir / name, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(x) for x in row) + "\n")
+        files.append(name)
+
     if command == "forward":
         _require(config, {"T": int}, command)
         spec = _spec_from_config(config, rng)
@@ -98,8 +98,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         bc = config.get("bc", "semi_infinite")
         field = (solve_semi_infinite if bc == "semi_infinite" else solve_finite_dirichlet)(spec, f, T)
         rows = [(n, t, field.u[n, t]) for n in range(field.u.shape[0]) for t in range(T + 1)]
-        _write_csv(out_dir / "field.csv", ["n", "t", "value"], rows)
-        files.append("field.csv")
+        emit_csv("field.csv", ["n", "t", "value"], rows)
         summary["front_value"] = float(np.real(field.u[min(T, field.u.shape[0] - 1), T]))
 
     elif command == "response":
@@ -107,8 +106,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         spec = _spec_from_config(config, rng)
         bc = config.get("bc", "semi_infinite")
         r = response_vector(spec, config["T"], bc=bc)
-        _write_csv(out_dir / "response.csv", ["t", "r_t"], list(enumerate(r.r)))
-        files.append("response.csv")
+        emit_csv("response.csv", ["t", "r_t"], list(enumerate(r.r)))
         summary["r0"] = float(np.real(r.r[0]))
 
     elif command == "invert":
@@ -143,8 +141,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         summary["coeff_error"] = rep.coeff_error
         summary["residual"] = rep.residual
         rows = list(zip(range(1, config["N"]), spec.a[: config["N"] - 1], rep.a))
-        _write_csv(out_dir / "roundtrip_a.csv", ["k", "a_true", "a_recovered"], rows)
-        files.append("roundtrip_a.csv")
+        emit_csv("roundtrip_a.csv", ["k", "a_true", "a_recovered"], rows)
 
     elif command == "moments":
         _require(config, {"s": list, "task": str}, command)
@@ -153,23 +150,20 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         if task == "truncated":
             _require(config, {"N": int}, command)
             spec, mu = truncated_moment_naive(s, config["N"])
-            _write_csv(out_dir / "measure.csv", ["lambda", "weight"], mu.atoms)
-            files.append("measure.csv")
+            emit_csv("measure.csv", ["lambda", "weight"], mu.atoms)
             summary["n_atoms"] = len(mu.atoms)
         elif task == "solvability":
             _require(config, {"N": int}, command)
             kind = config.get("kind", "hamburger")
             rows = solvability(s, kind, config["N"])
             header = list(rows[0].keys())
-            _write_csv(out_dir / "solvability.csv", header, [[row[h] for h in header] for row in rows])
-            files.append("solvability.csv")
+            emit_csv("solvability.csv", header, [[row[h] for h in header] for row in rows])
             summary["all_solvable"] = all(row["solvable"] for row in rows)
         elif task == "indeterminacy":
             _require(config, {"N": int}, command)
             table = indeterminacy_sequences(s, config["N"])
             rows = zip(table["N"], table["gamma_form"], table["delta_form"], table["L"])
-            _write_csv(out_dir / "indeterminacy.csv", ["N", "gamma_form", "delta_form", "L"], rows)
-            files.append("indeterminacy.csv")
+            emit_csv("indeterminacy.csv", ["N", "gamma_form", "delta_form", "L"], rows)
             summary["hamburger_trend"] = table["hamburger_trend"]
             summary["stieltjes_trend"] = table["stieltjes_trend"]
         else:
@@ -192,8 +186,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
             for k in range(st.spec.n):
                 a_k = st.spec.a[k] if k < st.spec.n - 1 else ""
                 rows.append((t, k + 1, a_k, st.spec.b[k], delta))
-        _write_csv(out_dir / "toda.csv", ["t", "k", "a_k", "b_k", "oracle_delta"], rows)
-        files.append("toda.csv")
+        emit_csv("toda.csv", ["t", "k", "a_k", "b_k", "oracle_delta"], rows)
         summary["worst_oracle_delta"] = worst
 
     elif command == "weyl":
@@ -235,12 +228,11 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
                  out["pair_corrected"], abs(out["pair_corrected"] - dpsi(0.0)),
                  out["pair_field"], abs(out["pair_field"] - psi(t_star)))
             )
-        _write_csv(
-            out_dir / "string_pairings.csv",
+        emit_csv(
+            "string_pairings.csv",
             ["N", "raw", "raw_err", "corrected", "corrected_err", "field", "field_err"],
             rows,
         )
-        files.append("string_pairings.csv")
         summary["final_raw_err"] = rows[-1][2]
 
     elif command == "contjacobi":
@@ -259,8 +251,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
             float(np.max(np.abs(rec.b - spec.b))),
         )
         rows = list(zip(range(1, N + 1), spec.b, rec.b))
-        _write_csv(out_dir / "contjacobi_b.csv", ["k", "b_true", "b_recovered"], rows)
-        files.append("contjacobi_b.csv")
+        emit_csv("contjacobi_b.csv", ["k", "b_true", "b_recovered"], rows)
         summary["recovery_error"] = err
 
     elif command == "graph":
@@ -273,26 +264,25 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
             for j in range(arr.shape[0]):
                 for t in range(arr.shape[1]):
                     rows.append((ei, j, t, arr[j, t]))
-        _write_csv(out_dir / "graph_field.csv", ["edge", "node", "t", "value"], rows)
-        _write_csv(out_dir / "graph_energy.csv", ["t", "kinetic", "potential", "total"], log)
-        files += ["graph_field.csv", "graph_energy.csv"]
+        emit_csv("graph_field.csv", ["edge", "node", "t", "value"], rows)
+        emit_csv("graph_energy.csv", ["t", "kinetic", "potential", "total"], log)
         summary["final_energy"] = float(log[-1, 3]) if len(log) else 0.0
 
     elif command == "heat":
         _require(config, {"T": int}, command)
         spec = _spec_from_config(config, rng)
+        if spec.mode != "real":
+            raise BCError("heat is defined for real blocks; got a complex spec")
         task = config.get("task", "forward")
         if task == "forward":
             s = heat_response(spec, config["T"])
-            _write_csv(out_dir / "heat_response.csv", ["t", "s_t"], list(enumerate(s)))
-            files.append("heat_response.csv")
+            emit_csv("heat_response.csv", ["t", "s_t"], list(enumerate(s)))
             summary["s0"] = float(s[0])
         elif task == "invert":
             _require(config, {"s": list, "N": int}, command)
             rec = invert_heat(np.asarray(config["s"], dtype=float), config["N"])
             rows = list(zip(range(1, rec.n + 1), rec.b))
-            _write_csv(out_dir / "heat_recovered_b.csv", ["k", "b_k"], rows)
-            files.append("heat_recovered_b.csv")
+            emit_csv("heat_recovered_b.csv", ["k", "b_k"], rows)
             summary["N"] = rec.n
         else:
             raise BCError(f"unknown heat task {task!r}")
@@ -300,8 +290,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     elif command == "measure":
         spec = _spec_from_config(config, rng)
         mu = spectral_measure(spec)
-        _write_csv(out_dir / "measure.csv", ["lambda", "weight"], mu.atoms)
-        files.append("measure.csv")
+        emit_csv("measure.csv", ["lambda", "weight"], mu.atoms)
         summary["n_atoms"] = len(mu.atoms)
 
     else:

@@ -155,12 +155,7 @@ def chebyshev_u(t: int, lam) -> complex:
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0 * lam if isinstance(lam, complex) else 0.0
-    prev, cur = 0.0, 1.0
-    for _ in range(t - 1):
-        prev, cur = cur, lam * cur - prev
-    return cur
+    return chebyshev_values(t, lam)[t]
 
 
 def chebyshev_values(t_max: int, lam) -> np.ndarray:

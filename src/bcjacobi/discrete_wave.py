@@ -74,12 +74,18 @@ def _as_response(r) -> np.ndarray:
     return r.r if isinstance(r, ResponseVector) else np.atleast_1d(np.asarray(r))
 
 
-def _step_field(spec: JacobiSpec, f: np.ndarray, T: int, n_active: int) -> np.ndarray:
+def _step_field(
+    spec: JacobiSpec, f: np.ndarray, T: int, n_active: int, order: int = 2
+) -> np.ndarray:
     """Run the recurrence on nodes 1..n_active with a zero wall at n_active+1.
 
     Returns u of shape (n_active + 2, T + 1); row 0 carries the control
-    (f_t for t < len(f), 0 afterwards).
+    (f_t for t < len(f), 0 afterwards).  order=2 is the wave recurrence;
+    order=1 drops the u_{t-1} term and gives the heat system
+    v_{t+1} = A v_t, which is defined for real blocks only.
     """
+    if order == 1 and spec.mode != "real":
+        raise ValueError("heat stepping is defined for real blocks")
     f = np.atleast_1d(np.asarray(f))
     dt = complex if (spec.mode == "complex" or np.iscomplexobj(f)) else float
     u = np.zeros((n_active + 2, T + 1), dtype=dt)
@@ -90,7 +96,7 @@ def _step_field(spec: JacobiSpec, f: np.ndarray, T: int, n_active: int) -> np.nd
     a_l = aa[0:n_active].astype(dt)
     b_c = b[0:n_active].astype(dt)
     for t in range(T):
-        prev = u[1 : n_active + 1, t - 1] if t >= 1 else 0.0
+        prev = u[1 : n_active + 1, t - 1] if order == 2 and t >= 1 else 0.0
         u[1 : n_active + 1, t + 1] = (
             a_r * u[2 : n_active + 2, t]
             + a_l * u[0:n_active, t]

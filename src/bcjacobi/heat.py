@@ -5,7 +5,8 @@
 
 One application of the matrix per step makes the delta response the moment
 sequence of the block's spectral measure (a_0 = 1 here, as in the source
-system), so inversion routes through the moment machinery.
+system), so inversion routes through the moment machinery.  Stepping is
+defined for real blocks only; a complex block raises ValueError.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JacobiSpec
-from .discrete_wave import _as_response, delta_control
+from .discrete_wave import _as_response, _step_field, delta_control
 from .errors import SpecTooShortError
-from .moments import truncated_moment_naive
+from .moments import _reversed_hankel, truncated_moment_naive
 
 __all__ = [
     "HeatField",
@@ -37,32 +38,15 @@ class HeatField:
     f: np.ndarray
 
 
-def _heat_step_field(spec: JacobiSpec, f: np.ndarray, T: int, n_active: int) -> np.ndarray:
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    v = np.zeros((n_active + 2, T + 1))
-    v[0, : min(f.size, T + 1)] = f[: T + 1]
-    aa = np.concatenate([[spec.a0], spec.a])
-    a_r = np.array([aa[n] if n < aa.size else 0.0 for n in range(1, n_active + 1)])
-    a_l = aa[0:n_active]
-    b_c = spec.b[0:n_active]
-    for t in range(T):
-        v[1 : n_active + 1, t + 1] = (
-            a_r * v[2 : n_active + 2, t] + a_l * v[0:n_active, t] + b_c * v[1 : n_active + 1, t]
-        )
-    return v
-
-
 def solve_heat(spec: JacobiSpec, f, T: int) -> HeatField:
     """Explicit stepping through time T on nodes 1..T (finite speed makes
     the zero wall at n = T + 1 exact)."""
-    if spec.mode != "real":
-        raise ValueError("heat stepping is defined for real blocks")
     f = np.atleast_1d(np.asarray(f, dtype=float))
     if f.size != T:
         raise ValueError(f"control must have length T = {T}")
     if spec.n < T:
         raise SpecTooShortError(f"block size {spec.n} < T = {T}")
-    return HeatField(v=_heat_step_field(spec, f, T, T), f=f)
+    return HeatField(v=_step_field(spec, f, T, T, order=1), f=f)
 
 
 def heat_response(spec: JacobiSpec, T: int) -> np.ndarray:
@@ -76,7 +60,7 @@ def heat_response(spec: JacobiSpec, T: int) -> np.ndarray:
     depth = (T + 1) // 2
     if spec.n < depth:
         raise SpecTooShortError(f"response of length {T} needs block size >= {depth}")
-    v = _heat_step_field(spec, delta_control(T), T, depth)
+    v = _step_field(spec, delta_control(T), T, depth, order=1)
     return v[1, 1 : T + 1]
 
 
@@ -88,11 +72,8 @@ def heat_control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
     """
     if spec.n < T:
         raise SpecTooShortError(f"control matrix at horizon {T} needs block size >= {T}")
-    v = _heat_step_field(spec, delta_control(T), T, T)
-    V = np.empty((T, T))
-    for s in range(T):
-        V[:, s] = v[1 : T + 1, T - s]
-    return V
+    v = _step_field(spec, delta_control(T), T, T, order=1)
+    return v[1 : T + 1, T:0:-1]
 
 
 def heat_connecting(s, T: int) -> np.ndarray:
@@ -103,8 +84,7 @@ def heat_connecting(s, T: int) -> np.ndarray:
     s = _as_response(s)
     if s.size < 2 * T - 1:
         raise ValueError(f"need 2T-1 = {2 * T - 1} entries")
-    i = np.arange(1, T + 1)
-    return s[2 * T - i[:, None] - i[None, :]]
+    return _reversed_hankel(s, T)
 
 
 def invert_heat(s, N: int) -> JacobiSpec:

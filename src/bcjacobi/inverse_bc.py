@@ -13,7 +13,7 @@ factor; raw determinants are only reported as diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -122,6 +122,28 @@ def _ldl_pivots(C: np.ndarray):
     return L, d
 
 
+def _pivot_sweep(r: np.ndarray, T: int):
+    """LDL^t of the equilibrated reversed connecting matrix C_T built from r.
+
+    Returns (L, d, D): the unit factor and pivots of Cs = D C_T D and the
+    scaling D.  The sweep visits the nested blocks C_1, ..., C_T in order and
+    raises SingularBlockError at the first one that is not invertible.  Every
+    pivot-based verdict and every determinant ratio runs through here, so
+    two callers given the same r cannot disagree.
+    """
+    Cs, D = _equilibrate(reverse_order(connecting_from_response(r, T)))
+    L, d = _ldl_pivots(Cs)
+    return L, d, D
+
+
+def _leading_eigvalsh(C: np.ndarray) -> list:
+    """eigvalsh(C[:k, :k]) for k = 1..T, ascending within each block.
+
+    One dense eigensolve per block, O(T^4) in total.
+    """
+    return [np.linalg.eigvalsh(C[:k, :k]) for k in range(1, C.shape[0] + 1)]
+
+
 def invert_factorization(r, T: int) -> InversionReport:
     """Recover a_0, a_1..a_{T-1}, b_1..b_{T-1} from r_0..r_{2T-2}.
 
@@ -142,10 +164,7 @@ def invert_factorization(r, T: int) -> InversionReport:
         raise SingularBlockError("r_0 = a_0 vanishes")
     if mode == "real" and a0 < 0:
         raise SingularBlockError("r_0 = a_0 must be positive in real mode")
-    rn = rv / a0
-    C = reverse_order(connecting_from_response(rn, T))
-    Cs, D = _equilibrate(C)
-    L, ds = _ldl_pivots(Cs)
+    L, ds, D = _pivot_sweep(rv / a0, T)
     if mode == "real" and np.any(ds.real <= 0):
         raise SingularBlockError("C_T is not positive definite: data is not a response vector")
     # true pivots d_k = ds_k / D_k^2; ratios and determinants carry the D factors
@@ -167,10 +186,7 @@ def invert_factorization(r, T: int) -> InversionReport:
     used = rv[: 2 * T - 1]
     resim = response_vector(rep.recovered, 2 * T - 1, bc="semi_infinite").r
     residual = float(np.max(np.abs(resim - used)) / max(np.max(np.abs(used)), 1e-300))
-    return InversionReport(
-        a0=a0, a=a_rec, b=b_rec, determinants=dets, residual=residual, mode=mode,
-        a_sq=a_sq if mode == "complex" else None,
-    )
+    return replace(rep, residual=residual)
 
 
 def kappa_vector(T: int, lam) -> np.ndarray:
@@ -226,11 +242,12 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
     """Decide whether r_0..r_{2T-2} is a response vector of some system.
 
     Real mode: C^T positive definite.  Complex mode: every nested block
-    C^{T-k}, k = 0..T-1, invertible.  Both verdicts run through the same
-    pivot machinery as `invert_factorization` (an LDL^t sweep of the reversed
-    matrix visits exactly the nested blocks), so a response that passes here
-    never makes the inversion refuse and vice versa.  Smallest singular
-    values of the nested blocks are attached as diagnostics.  A real block is
+    C^{T-k}, k = 0..T-1, invertible.  The verdict is the pivot sweep of
+    `invert_factorization` on the same normalized data r / r_0 (an LDL^t
+    sweep of the reversed matrix visits exactly the nested blocks), so a
+    response that passes here never makes the inversion refuse and vice
+    versa.  Smallest singular values of the nested blocks of the
+    unnormalized C^T are attached as diagnostics.  A real block is
     symmetric, so its smallest singular value is its smallest |eigenvalue|
     (`eigvalsh`); a complex block is complex-symmetric but not Hermitian, so
     it takes the singular values themselves (`svd`).
@@ -242,31 +259,29 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
     if np.iscomplexobj(C):
         sigmas = [float(np.linalg.svd(C[:k, :k], compute_uv=False)[-1]) for k in range(1, T + 1)]
     else:
-        sigmas = [float(np.min(np.abs(np.linalg.eigvalsh(C[:k, :k])))) for k in range(1, T + 1)]
+        sigmas = [float(np.min(np.abs(ev))) for ev in _leading_eigvalsh(C)]
     diag = {"min_singular_values": sigmas}
     if mode == "real":
         if np.iscomplexobj(r) and np.any(r.imag != 0):
             return CharacterizationResult(False, mode, "complex entries in real mode", diag)
         if r[0].real <= 0:
             return CharacterizationResult(False, mode, "r_0 = a_0 is not positive", diag)
-        try:
-            Cs, _ = _equilibrate(C.real / r[0].real)
-            _, ds = _ldl_pivots(Cs)
-        except SingularBlockError as exc:
-            return CharacterizationResult(False, mode, str(exc), diag)
-        if np.any(ds.real <= 0):
-            return CharacterizationResult(False, mode, "C^T is not positive definite", diag)
-        return CharacterizationResult(True, mode, "C^T positive definite", diag)
-    if mode != "complex":
+        rn = r.real / r[0].real
+    elif mode == "complex":
+        if r[0] == 0:
+            return CharacterizationResult(False, mode, "r_0 = a_0 vanishes", diag)
+        rn = r.astype(complex) / r[0]
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if r[0] == 0:
-        return CharacterizationResult(False, mode, "r_0 = a_0 vanishes", diag)
     try:
-        Cs, _ = _equilibrate(C.astype(complex) / r[0])
-        _ldl_pivots(Cs)
+        _, ds, _ = _pivot_sweep(rn, T)
     except SingularBlockError as exc:
         return CharacterizationResult(False, mode, str(exc), diag)
-    return CharacterizationResult(True, mode, "all nested blocks are isomorphisms", diag)
+    if mode == "complex":
+        return CharacterizationResult(True, mode, "all nested blocks are isomorphisms", diag)
+    if np.any(ds.real <= 0):
+        return CharacterizationResult(False, mode, "C^T is not positive definite", diag)
+    return CharacterizationResult(True, mode, "C^T positive definite", diag)
 
 
 @dataclass(frozen=True)
@@ -281,10 +296,8 @@ def schrodinger_check(r, T: int, tol: float = 1e-8) -> SchrodingerResult:
     r = _as_response(r)
     if abs(r[0] - 1.0) > tol:
         return SchrodingerResult(False, np.zeros(0), "r_0 != 1")
-    C = reverse_order(connecting_from_response(r, T))
-    Cs, D = _equilibrate(C)
     try:
-        _, ds = _ldl_pivots(Cs)
+        _, ds, D = _pivot_sweep(r, T)
     except SingularBlockError:
         return SchrodingerResult(False, np.zeros(0), "a leading block is singular")
     dets = np.cumprod(ds / D**2).real
@@ -334,7 +347,4 @@ def roundtrip_report(spec: JacobiSpec, T: int) -> InversionReport:
     b_err = np.abs(rep.b - b_true) / np.maximum(np.abs(b_true), 1.0)
     a0_err = abs(rep.a0 - spec.a0) / abs(spec.a0)
     coeff_error = float(max(a_err.max(initial=0.0), b_err.max(initial=0.0), a0_err))
-    return InversionReport(
-        a0=rep.a0, a=rep.a, b=rep.b, determinants=rep.determinants,
-        residual=rep.residual, mode=rep.mode, a_sq=rep.a_sq, coeff_error=coeff_error,
-    )
+    return replace(rep, coeff_error=coeff_error)

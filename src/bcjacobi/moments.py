@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import JacobiSpec, SpectralMeasure, spectral_measure
+from .core import JacobiSpec, SpectralMeasure, chebyshev_values, spectral_measure
 from .discrete_wave import connecting_from_response, _as_response, reverse_order
 from .errors import NotRealizableError
-from .inverse_bc import invert_factorization
+from .inverse_bc import invert_factorization, response_matrix
 
 __all__ = [
     "HankelPair",
@@ -110,15 +110,18 @@ def response_to_moments(r) -> np.ndarray:
     return s.astype(float)
 
 
+def _reversed_hankel(s: np.ndarray, N: int) -> np.ndarray:
+    """N x N Hankel matrix with entries s_{2N-i-j}, i, j = 1..N (needs 2N-1 entries)."""
+    i = np.arange(1, N + 1)
+    return s[2 * N - i[:, None] - i[None, :]]
+
+
 def build_hankel_pair(s, N: int, ordering: str = "reversed") -> HankelPair:
     """Hankel matrices S^N_0 (needs 2N-1 moments) and S^N_1 (needs 2N)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.size < 2 * N:
         raise ValueError(f"need 2N = {2 * N} moments for the shifted Hankel")
-    i = np.arange(1, N + 1)
-    S0 = s[2 * N - i[:, None] - i[None, :]]
-    S1 = s[2 * N - i[:, None] - i[None, :] + 1]
-    pair = HankelPair(S0, S1, "reversed")
+    pair = HankelPair(_reversed_hankel(s, N), _reversed_hankel(s[1:], N), "reversed")
     return pair if ordering == "reversed" else pair.flipped()
 
 
@@ -269,9 +272,7 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     rows = []
     for N in range(1, N_max + 1):
         if kind == "hamburger":
-            i = np.arange(1, N + 1)
-            S0 = s[2 * N - i[:, None] - i[None, :]]
-            checks = {"S0": S0}
+            checks = {"S0": _reversed_hankel(s, N)}
         else:
             pair = build_hankel_pair(s, N)
             checks = {"S0": pair.s0, "S1": pair.s1}
@@ -319,13 +320,10 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
     if s.size < 2 * N_max - 1:
         raise ValueError(f"need 2N_max-1 = {2 * N_max - 1} moments")
     r = moments_to_response(s[: 2 * N_max - 1])
-    # T_t(0) and T_t'(0) by the recurrences at lambda = 0
-    tvals = np.zeros(N_max + 1)
+    # T_t(0), and T_t'(0) by differentiating the recurrence at lambda = 0
+    tvals = chebyshev_values(N_max, 0.0)
     dvals = np.zeros(N_max + 1)
-    if N_max >= 1:
-        tvals[1] = 1.0
     for t in range(1, N_max):
-        tvals[t + 1] = -tvals[t - 1]
         dvals[t + 1] = tvals[t] - dvals[t - 1]
     gamma_form = np.full(N_max, np.nan)
     delta_form = np.full(N_max, np.nan)
@@ -339,11 +337,9 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
             gamma_form[N - 1] = float(gam @ x)
             delta_form[N - 1] = float(dlt @ np.linalg.solve(CN, dlt))
             # L_N = ((C^N)^{-1} (R^N)^* Gamma_N, e1) / ((C^N)^{-1} Gamma_N, e1);
-            # R^N is the shifted convolution r*(.)_{.-1}, the same operator
-            # whose adjoint enters the Krein equation (Gamma_N is kappa^N(0)).
-            R = np.zeros((N, N))
-            for i in range(1, N):
-                R[i, :i] = r[i - 1 :: -1]
+            # R^N is the response operator whose adjoint enters the Krein
+            # equation (Gamma_N is kappa^N(0)).
+            R = response_matrix(r, N)
             num = np.linalg.solve(CN, R.T @ gam)[0]
             den = x[0]
             l_seq[N - 1] = num / den if den != 0 else np.nan

@@ -35,8 +35,9 @@ from .discrete_wave import (
 )
 from .errors import SingularBlockError
 from .heat import heat_connecting, heat_control_matrix, heat_response
-from .inverse_bc import invert_factorization, roundtrip_report
+from .inverse_bc import _pivot_sweep, invert_factorization, roundtrip_report
 from .moments import (
+    _reversed_hankel,
     lambda_matrix_tilde,
     moments_to_response,
     response_to_moments,
@@ -124,13 +125,9 @@ def check_discrete_roundtrip(seed: int = 20240) -> CheckResult:
 
 def _pivot_range_proxy(spec, N: int) -> float:
     """Data-only conditioning proxy: min scaled pivot of the equilibrated C."""
-    from .inverse_bc import _equilibrate, _ldl_pivots
-
     r = response_vector(spec, 2 * N - 1).r
-    C = reverse_order(connecting_from_response(r / r[0], N))
-    Cs, _ = _equilibrate(C)
     try:
-        _, ds = _ldl_pivots(Cs)
+        _, ds, _ = _pivot_sweep(r / r[0], N)
     except SingularBlockError:
         return 0.0
     return float(np.min(np.abs(ds)))
@@ -218,8 +215,7 @@ def check_moment_bridge(seed: int = 13) -> CheckResult:
         # the identity is exact; verify it in extended precision so the
         # verification arithmetic does not dominate the 1e-9 budget
         Lt = lambda_matrix_tilde(N).astype(np.longdouble)
-        i = np.arange(1, N + 1)
-        S0 = s[2 * N - i[:, None] - i[None, :]].astype(np.longdouble)
+        S0 = _reversed_hankel(s, N).astype(np.longdouble)
         prod = (Lt @ S0 @ Lt.T).astype(float)
         worst_bridge = max(worst_bridge, float(np.max(np.abs(C - prod))))
         mu_sp = truncated_moment_spectral(s, N)

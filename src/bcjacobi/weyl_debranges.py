@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JacobiSpec, chebyshev_values, eig_spectral_data
-from .discrete_wave import _as_response
+from .discrete_wave import _as_response, connecting_from_response, reverse_order
 from .errors import BCError, PoleError
+from .inverse_bc import _leading_eigvalsh
 
 __all__ = [
     "WeylEvaluation",
@@ -151,6 +152,19 @@ def weyl_series(
     )
 
 
+def _refined_solve(A: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+    """Solve A x = rhs plus one step of iterative refinement.
+
+    The refinement keeps the residual at rounding level for moderately
+    ill-conditioned A.  A singular A raises BCError naming the matrix.
+    """
+    try:
+        x = np.linalg.solve(A, rhs)
+        return x + np.linalg.solve(A, rhs - A @ x)
+    except np.linalg.LinAlgError as exc:
+        raise BCError(f"{name} is singular") from exc
+
+
 def debranges_kernel(C_T: np.ndarray, z, T: int) -> DeBrangesElement:
     """Reproducing-kernel coefficients: solve C_T j = (T_1(z),...,T_T(z))^*.
 
@@ -163,12 +177,7 @@ def debranges_kernel(C_T: np.ndarray, z, T: int) -> DeBrangesElement:
     if C_T.shape != (T, T):
         raise ValueError("C_T must be T x T")
     rhs = np.conj(chebyshev_values(T, complex(z))[1:])
-    try:
-        j = np.linalg.solve(C_T, rhs)
-        j = j + np.linalg.solve(C_T, rhs - C_T @ j)
-    except np.linalg.LinAlgError as exc:
-        raise BCError("C_T is singular") from exc
-    return DeBrangesElement(coeffs=j)
+    return DeBrangesElement(coeffs=_refined_solve(C_T, rhs, "C_T"))
 
 
 def debranges_kernel_hankel(S_T: np.ndarray, z, T: int) -> np.ndarray:
@@ -181,9 +190,7 @@ def debranges_kernel_hankel(S_T: np.ndarray, z, T: int) -> np.ndarray:
     if S_T.shape != (T, T):
         raise ValueError("S_T must be T x T")
     zc = np.conj(complex(z))
-    rhs = zc ** np.arange(T)
-    f = np.linalg.solve(S_T, rhs)
-    return f + np.linalg.solve(S_T, rhs - S_T @ f)
+    return _refined_solve(S_T, zc ** np.arange(T), "S_T")
 
 
 def debranges_inner(C_T: np.ndarray, F: DeBrangesElement, G: DeBrangesElement):
@@ -204,16 +211,8 @@ def beta_sequences(r, N_max: int):
     Returns (beta_min, beta_max); raw sequences for limit-point/limit-circle
     diagnostics (heuristic only; the theorems involve true limits).
     """
-    from .discrete_wave import connecting_from_response, reverse_order
-
     rv = _as_response(r)
     if rv.size < 2 * N_max - 1:
         raise ValueError(f"need 2N_max-1 = {2 * N_max - 1} response entries")
-    C = reverse_order(connecting_from_response(rv, N_max))
-    beta_min = np.empty(N_max)
-    beta_max = np.empty(N_max)
-    for N in range(1, N_max + 1):
-        ev = np.linalg.eigvalsh(C[:N, :N])
-        beta_min[N - 1] = ev[0]
-        beta_max[N - 1] = ev[-1]
-    return beta_min, beta_max
+    evs = _leading_eigvalsh(reverse_order(connecting_from_response(rv, N_max)))
+    return np.array([ev[0] for ev in evs]), np.array([ev[-1] for ev in evs])

@@ -73,6 +73,17 @@ def test_invert_scenario_short_response(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_heat_scenario_rejects_complex_spec(tmp_path, capsys):
+    spec = {"a0": 1.0, "a": [1.0], "b": [[0.0, 0.2], 0.0], "mode": "complex"}
+    config = {"command": "heat", "spec": spec, "T": 3}
+    with pytest.raises(BCError, match="real blocks"):
+        run_scenario(config, tmp_path / "direct")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_schema_validation(tmp_path):
     with pytest.raises(BCError):
         run_scenario({"command": "invert", "T": 3}, tmp_path)  # missing r

@@ -45,6 +45,31 @@ def test_chebyshev_matches_oracle_many():
         assert chebyshev_u(t, lam) == pytest.approx(brute_chebyshev(t, lam), rel=1e-12, abs=1e-12)
 
 
+def test_chebyshev_u_matches_scalar_loop():
+    # oracle: the scalar two-term loop.  Real lambda runs the same float
+    # operations, so the values are equal.  numpy's array complex multiply
+    # may fuse a*c - b*d where Python's scalar one rounds twice, so complex
+    # lambda is held to the rounding bound of the recurrence: a step error
+    # delta_k reaches T_t as delta_k T_{t-k}, with |delta_k| <= 4 eps
+    # (|lambda| |T_k| + |T_{k-1}|).
+    eps = np.finfo(float).eps
+    for lam in (0.37, -2.6, 1.9 + 0.4j, -0.3 - 1.7j):
+        vals = [0.0 * lam, 1.0]
+        for _ in range(11):
+            vals.append(lam * vals[-1] - vals[-2])
+        for t in range(13):
+            if isinstance(lam, float):
+                assert chebyshev_u(t, lam) == vals[t]
+            else:
+                bound = sum(
+                    4 * eps * (abs(lam) * abs(vals[k]) + abs(vals[k - 1])) * abs(vals[t - k])
+                    for k in range(1, t)
+                )
+                assert abs(chebyshev_u(t, lam) - vals[t]) <= bound
+    with pytest.raises(ValueError):
+        chebyshev_u(-1, 0.5)
+
+
 def test_chebyshev_values_table():
     lam = 0.37
     vals = chebyshev_values(12, lam)

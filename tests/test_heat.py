@@ -107,3 +107,50 @@ def test_invert_heat_roundtrip():
         rec = invert_heat(s, n)
         assert np.max(np.abs(rec.a - spec.a)) <= 1e-8 if n > 1 else True
         assert np.max(np.abs(rec.b - spec.b)) <= 1e-8
+
+
+def _heat_step_reference(spec, f, T, n_active):
+    """Oracle: the dedicated first-order stepper the heat module used to carry."""
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    v = np.zeros((n_active + 2, T + 1))
+    v[0, : min(f.size, T + 1)] = f[: T + 1]
+    aa = np.concatenate([[spec.a0], spec.a])
+    a_r = np.array([aa[n] if n < aa.size else 0.0 for n in range(1, n_active + 1)])
+    a_l = aa[0:n_active]
+    b_c = spec.b[0:n_active]
+    for t in range(T):
+        v[1 : n_active + 1, t + 1] = (
+            a_r * v[2 : n_active + 2, t] + a_l * v[0:n_active, t] + b_c * v[1 : n_active + 1, t]
+        )
+    return v
+
+
+def test_shared_stepper_matches_heat_reference():
+    rng = np.random.default_rng(65)
+    for _ in range(20):
+        n = int(rng.integers(1, 16))
+        spec = random_spec(n, rng, a0=float(rng.uniform(0.5, 2.0)))
+        T = int(rng.integers(1, n + 1))
+        f = rng.normal(size=T)
+        assert np.array_equal(solve_heat(spec, f, T).v, _heat_step_reference(spec, f, T, T))
+        L = 2 * n
+        depth = (L + 1) // 2
+        assert np.array_equal(
+            heat_response(spec, L), _heat_step_reference(spec, delta_control(L), L, depth)[1, 1:]
+        )
+        v = _heat_step_reference(spec, delta_control(T), T, T)
+        V = np.empty((T, T))
+        for s in range(T):
+            V[:, s] = v[1 : T + 1, T - s]
+        assert np.array_equal(heat_control_matrix(spec, T), V)
+
+
+def test_heat_rejects_complex_blocks():
+    # a complex block used to lose its imaginary parts with only a warning
+    spec = JacobiSpec(a0=1.0, a=[1.0], b=[0.2j, 0.0], mode="complex")
+    with pytest.raises(ValueError, match="real blocks"):
+        heat_response(spec, 3)
+    with pytest.raises(ValueError, match="real blocks"):
+        heat_control_matrix(spec, 2)
+    with pytest.raises(ValueError, match="real blocks"):
+        solve_heat(spec, delta_control(2), 2)

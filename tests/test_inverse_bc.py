@@ -232,6 +232,24 @@ def test_perturbed_response_fails_characterization():
     assert not res.admissible
 
 
+def test_characterize_agrees_with_inversion():
+    # both verdicts run one pivot sweep on r / r_0; when characterize scaled
+    # C(r) by 1/r_0 instead, 8 of these 800 cases disagreed (e.g. seed 41 at
+    # T = 24 admitted but refused, seed 147 at T = 22 refused but inverted)
+    for T in (22, 24):
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            a0 = rng.uniform(0.3, 3.0)
+            spec = random_spec(T, rng, a0=a0)
+            r = response_vector(spec, 2 * T - 1)
+            try:
+                invert_factorization(r, T)
+                inverts = True
+            except SingularBlockError:
+                inverts = False
+            assert characterize(r, T).admissible == inverts, (seed, T)
+
+
 def test_invert_horizon_one():
     spec = JacobiSpec(a0=2.5, a=[1.0], b=[0.3, 0.0])
     r = response_vector(spec, 1)

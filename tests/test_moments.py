@@ -97,6 +97,17 @@ def test_hankel_pair_orderings():
             assert pair.s0[i, j] == s[4 - i - j]
 
 
+def test_hankel_pair_matches_index_form():
+    # oracle: the inline index form s_{2N-i-j} (+1 for the shifted matrix)
+    rng = np.random.default_rng(33)
+    for N in range(1, 12):
+        s = rng.normal(size=2 * N + int(rng.integers(0, 3)))
+        i = np.arange(1, N + 1)
+        pair = build_hankel_pair(s, N)
+        assert np.array_equal(pair.s0, s[2 * N - i[:, None] - i[None, :]])
+        assert np.array_equal(pair.s1, s[2 * N - i[:, None] - i[None, :] + 1])
+
+
 def test_build_B_scalar():
     # B^1 = (r_1) = s_1 via the moments map
     s = np.array([1.0, 0.37])

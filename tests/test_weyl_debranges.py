@@ -216,6 +216,13 @@ def test_hankel_kernel_route():
     assert np.polynomial.polynomial.polyval(lam, f) == pytest.approx(j(lam), rel=1e-8)
 
 
+def test_kernels_reject_singular_matrix():
+    with pytest.raises(BCError, match="C_T is singular"):
+        debranges_kernel(np.zeros((3, 3)), 0.2j, 3)
+    with pytest.raises(BCError, match="S_T is singular"):
+        debranges_kernel_hankel(np.ones((3, 3)), 0.2j, 3)
+
+
 def test_beta_sequences_free():
     r = response_vector(free_spec(20), 2 * 12 - 1)
     lo, hi = beta_sequences(r, 12)
