@@ -41,6 +41,35 @@ def _fmt(x) -> str:
     return repr(float(np.real(x)))
 
 
+def _column_strings(col):
+    """One CSV column as strings, each exactly as `_fmt` formats it.
+
+    Integer, bool and float arrays convert once with `tolist`; `str` of a
+    Python int/bool and `repr` of a Python float are what `_fmt` returns for
+    the numpy scalars.  Everything else (complex arrays, extended-precision
+    floats, lists of mixed type) goes through `_fmt` value by value: a mixed
+    list must never pass through `np.asarray`, which would print an int as
+    `1.0` or turn every value into a string.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind in "iub":
+            return map(str, col.tolist())
+        if col.dtype.kind == "f" and col.dtype.itemsize <= 8:
+            return map(repr, col.tolist())
+    return map(_fmt, col)
+
+
+def _csv_lines(header: list, columns):
+    """Header line, then one line per row of the equal-length columns.
+
+    Lazy, so a caller that writes the lines streams the rows instead of
+    holding every formatted value at once.
+    """
+    yield ",".join(header) + "\n"
+    for row in zip(*map(_column_strings, columns), strict=True):
+        yield ",".join(row) + "\n"
+
+
 def _plain_floats(x):
     """A check metric (a number or a list of numbers) as JSON floats."""
     return [float(v) for v in x] if isinstance(x, list) else float(x)
@@ -53,6 +82,15 @@ def _require(config: dict, keys: dict, command: str) -> None:
             raise BCError(f"config for {command!r} is missing key {key!r}")
         if not isinstance(config[key], types):
             raise BCError(f"config key {key!r} must be {types}, got {type(config[key]).__name__}")
+
+
+def _finite_number(x) -> bool:
+    """An int or float (not a bool) that is finite as a float.
+
+    The comparison is exact for Python ints, so an int beyond the float
+    range fails it instead of overflowing; NaN fails every comparison.
+    """
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _spec_from_config(config: dict, rng) -> JacobiSpec:
@@ -83,11 +121,9 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     files: list[str] = []
     summary: dict = {}
 
-    def emit_csv(name: str, header: list, rows) -> None:
+    def emit_csv(name: str, header: list, columns) -> None:
         with open(out_dir / name, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.writelines(_csv_lines(header, columns))
         files.append(name)
 
     if command == "forward":
@@ -97,8 +133,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         f = np.asarray(config.get("control", [1.0] + [0.0] * (T - 1)), dtype=float)
         bc = config.get("bc", "semi_infinite")
         field = (solve_semi_infinite if bc == "semi_infinite" else solve_finite_dirichlet)(spec, f, T)
-        rows = [(n, t, field.u[n, t]) for n in range(field.u.shape[0]) for t in range(T + 1)]
-        emit_csv("field.csv", ["n", "t", "value"], rows)
+        n, t = np.indices(field.u.shape).reshape(2, -1)
+        emit_csv("field.csv", ["n", "t", "value"], [n, t, field.u.ravel()])
         summary["front_value"] = float(np.real(field.u[min(T, field.u.shape[0] - 1), T]))
 
     elif command == "response":
@@ -106,7 +142,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         spec = _spec_from_config(config, rng)
         bc = config.get("bc", "semi_infinite")
         r = response_vector(spec, config["T"], bc=bc)
-        emit_csv("response.csv", ["t", "r_t"], list(enumerate(r.r)))
+        emit_csv("response.csv", ["t", "r_t"], [np.arange(r.r.size), r.r])
         summary["r0"] = float(np.real(r.r[0]))
 
     elif command == "invert":
@@ -140,8 +176,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         rep = roundtrip_report(spec, config["N"])
         summary["coeff_error"] = rep.coeff_error
         summary["residual"] = rep.residual
-        rows = list(zip(range(1, config["N"]), spec.a[: config["N"] - 1], rep.a))
-        emit_csv("roundtrip_a.csv", ["k", "a_true", "a_recovered"], rows)
+        k = np.arange(1, config["N"])
+        emit_csv("roundtrip_a.csv", ["k", "a_true", "a_recovered"], [k, spec.a[: k.size], rep.a])
 
     elif command == "moments":
         _require(config, {"s": list, "task": str}, command)
@@ -150,20 +186,20 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         if task == "truncated":
             _require(config, {"N": int}, command)
             spec, mu = truncated_moment_naive(s, config["N"])
-            emit_csv("measure.csv", ["lambda", "weight"], mu.atoms)
+            emit_csv("measure.csv", ["lambda", "weight"], [mu.lambdas, mu.weights])
             summary["n_atoms"] = len(mu.atoms)
         elif task == "solvability":
             _require(config, {"N": int}, command)
             kind = config.get("kind", "hamburger")
             rows = solvability(s, kind, config["N"])
             header = list(rows[0].keys())
-            emit_csv("solvability.csv", header, [[row[h] for h in header] for row in rows])
+            emit_csv("solvability.csv", header, [[row[h] for row in rows] for h in header])
             summary["all_solvable"] = all(row["solvable"] for row in rows)
         elif task == "indeterminacy":
             _require(config, {"N": int}, command)
             table = indeterminacy_sequences(s, config["N"])
-            rows = zip(table["N"], table["gamma_form"], table["delta_form"], table["L"])
-            emit_csv("indeterminacy.csv", ["N", "gamma_form", "delta_form", "L"], rows)
+            header = ["N", "gamma_form", "delta_form", "L"]
+            emit_csv("indeterminacy.csv", header, [table[h] for h in header])
             summary["hamburger_trend"] = table["hamburger_trend"]
             summary["stieltjes_trend"] = table["stieltjes_trend"]
         else:
@@ -171,23 +207,31 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
     elif command == "toda":
         _require(config, {"times": list}, command)
+        times, dt = config["times"], config.get("dt", 1e-3)
+        if not times or not all(_finite_number(t) for t in times):
+            raise BCError(f"toda needs a non-empty list of finite numbers as 'times', got {times}")
+        if not (_finite_number(dt) and dt > 0):
+            raise BCError(f"toda needs a finite 'dt' > 0, got {dt!r}")
         spec = _spec_from_config(config, rng)
-        dt = float(config.get("dt", 1e-3))
-        rows = []
-        worst = 0.0
-        for t in config["times"]:
-            st = toda_solve(spec, float(t))
-            oracle = toda_ode_oracle(spec, float(t), dt)
-            delta = max(
+        states = [toda_solve(spec, float(t)) for t in times]
+        oracles = toda_ode_oracle(spec, times, dt)
+        deltas = [
+            max(
                 float(np.max(np.abs(st.spec.a - oracle.a), initial=0.0)),
                 float(np.max(np.abs(st.spec.b - oracle.b))),
             )
-            worst = max(worst, delta)
-            for k in range(st.spec.n):
-                a_k = st.spec.a[k] if k < st.spec.n - 1 else ""
-                rows.append((t, k + 1, a_k, st.spec.b[k], delta))
-        emit_csv("toda.csv", ["t", "k", "a_k", "b_k", "oracle_delta"], rows)
-        summary["worst_oracle_delta"] = worst
+            for st, oracle in zip(states, oracles)
+        ]
+        n = spec.n
+        columns = [
+            [t for t in times for _ in range(n)],
+            np.tile(np.arange(1, n + 1), len(times)),
+            [x for st in states for x in (*st.spec.a, "")],
+            np.concatenate([st.spec.b for st in states]),
+            np.repeat(deltas, n),
+        ]
+        emit_csv("toda.csv", ["t", "k", "a_k", "b_k", "oracle_delta"], columns)
+        summary["worst_oracle_delta"] = max(deltas)
 
     elif command == "weyl":
         _require(config, {"lambda": list}, command)
@@ -231,7 +275,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         emit_csv(
             "string_pairings.csv",
             ["N", "raw", "raw_err", "corrected", "corrected_err", "field", "field_err"],
-            rows,
+            list(zip(*rows)),
         )
         summary["final_raw_err"] = rows[-1][2]
 
@@ -250,8 +294,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
             float(np.max(np.abs(rec.a - spec.a), initial=0.0)),
             float(np.max(np.abs(rec.b - spec.b))),
         )
-        rows = list(zip(range(1, N + 1), spec.b, rec.b))
-        emit_csv("contjacobi_b.csv", ["k", "b_true", "b_recovered"], rows)
+        k = np.arange(1, N + 1)
+        emit_csv("contjacobi_b.csv", ["k", "b_true", "b_recovered"], [k, spec.b, rec.b])
         summary["recovery_error"] = err
 
     elif command == "graph":
@@ -259,13 +303,13 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         graph = GraphSpec.from_json(config["graph"])
         controls = {k: np.asarray(v, dtype=float) for k, v in config.get("controls", {}).items()}
         field, log = simulate(graph, controls, config["T"])
-        rows = []
-        for ei, arr in enumerate(field.u):
-            for j in range(arr.shape[0]):
-                for t in range(arr.shape[1]):
-                    rows.append((ei, j, t, arr[j, t]))
-        emit_csv("graph_field.csv", ["edge", "node", "t", "value"], rows)
-        emit_csv("graph_energy.csv", ["t", "kinetic", "potential", "total"], log)
+        per_edge = [
+            (np.full(arr.size, ei), *np.indices(arr.shape).reshape(2, -1), arr.ravel())
+            for ei, arr in enumerate(field.u)
+        ]
+        columns = [np.concatenate(col) for col in zip(*per_edge)]
+        emit_csv("graph_field.csv", ["edge", "node", "t", "value"], columns)
+        emit_csv("graph_energy.csv", ["t", "kinetic", "potential", "total"], log.T)
         summary["final_energy"] = float(log[-1, 3]) if len(log) else 0.0
 
     elif command == "heat":
@@ -276,13 +320,12 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         task = config.get("task", "forward")
         if task == "forward":
             s = heat_response(spec, config["T"])
-            emit_csv("heat_response.csv", ["t", "s_t"], list(enumerate(s)))
+            emit_csv("heat_response.csv", ["t", "s_t"], [np.arange(s.size), s])
             summary["s0"] = float(s[0])
         elif task == "invert":
             _require(config, {"s": list, "N": int}, command)
             rec = invert_heat(np.asarray(config["s"], dtype=float), config["N"])
-            rows = list(zip(range(1, rec.n + 1), rec.b))
-            emit_csv("heat_recovered_b.csv", ["k", "b_k"], rows)
+            emit_csv("heat_recovered_b.csv", ["k", "b_k"], [np.arange(1, rec.n + 1), rec.b])
             summary["N"] = rec.n
         else:
             raise BCError(f"unknown heat task {task!r}")
@@ -290,7 +333,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     elif command == "measure":
         spec = _spec_from_config(config, rng)
         mu = spectral_measure(spec)
-        emit_csv("measure.csv", ["lambda", "weight"], mu.atoms)
+        emit_csv("measure.csv", ["lambda", "weight"], [mu.lambdas, mu.weights])
         summary["n_atoms"] = len(mu.atoms)
 
     else:

@@ -6,7 +6,8 @@
 One application of the matrix per step makes the delta response the moment
 sequence of the block's spectral measure (a_0 = 1 here, as in the source
 system), so inversion routes through the moment machinery.  Stepping is
-defined for real blocks only; a complex block raises ValueError.
+defined for real blocks and real controls only; a complex block or control
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ class HeatField:
 def solve_heat(spec: JacobiSpec, f, T: int) -> HeatField:
     """Explicit stepping through time T on nodes 1..T (finite speed makes
     the zero wall at n = T + 1 exact)."""
-    f = np.atleast_1d(np.asarray(f, dtype=float))
+    f = np.atleast_1d(np.asarray(f))
+    if np.iscomplexobj(f):
+        raise ValueError("the heat system takes a real control")
+    f = f.astype(float)
     if f.size != T:
         raise ValueError(f"control must have length T = {T}")
     if spec.n < T:

@@ -9,6 +9,7 @@ independent oracle.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,27 +113,56 @@ def toda_solve(spec0: JacobiSpec, t: float) -> TodaState:
     return TodaState(spec=spec_t, measure=mu_t, t=float(t))
 
 
-def _toda_rhs(a: np.ndarray, b: np.ndarray):
-    """Lattice ODE right-hand sides with the a_{N,0} = a_{N,N} = 0 convention."""
-    a_ext = np.concatenate([[0.0], a, [0.0]])  # a_ext[n] = a_n, boundary zeros
-    da = a * (b[1:] - b[:-1])
-    db = 2.0 * (a_ext[1:] ** 2 - a_ext[:-1] ** 2)
-    return da, db
+def _toda_rhs(y: np.ndarray, n: int) -> np.ndarray:
+    """Lattice ODE right-hand sides with the a_{N,0} = a_{N,N} = 0 convention.
+
+    y holds one state per row: a_1..a_{n-1}, then b_1..b_n.
+    """
+    a, b = y[:, : n - 1], y[:, n - 1 :]
+    sq = np.zeros((y.shape[0], n + 1))
+    np.square(a, out=sq[:, 1:-1])  # sq[:, k] = a_k^2, boundary zeros
+    dy = np.empty_like(y)
+    np.multiply(a, b[:, 1:] - b[:, :-1], out=dy[:, : n - 1])
+    np.multiply(2.0, sq[:, 1:] - sq[:, :-1], out=dy[:, n - 1 :])
+    return dy
 
 
-def toda_ode_oracle(spec0: JacobiSpec, t: float, dt: float) -> JacobiSpec:
-    """Classical fixed-step RK4 on the 2N-1 coupled lattice equations."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    a = spec0.a.copy().astype(float)
-    b = spec0.b.copy().astype(float)
-    n_steps = max(1, int(round(abs(t) / dt)))
-    h = t / n_steps
-    for _ in range(n_steps):
-        k1a, k1b = _toda_rhs(a, b)
-        k2a, k2b = _toda_rhs(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-        k3a, k3b = _toda_rhs(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-        k4a, k4b = _toda_rhs(a + h * k3a, b + h * k3b)
-        a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        b = b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-    return JacobiSpec(a0=spec0.a0, a=a, b=b)
+def toda_ode_oracle(
+    spec0: JacobiSpec, t: float | Sequence[float], dt: float
+) -> JacobiSpec | list[JacobiSpec]:
+    """Classical fixed-step RK4 on the 2N-1 coupled lattice equations.
+
+    t is one time or a sequence of times; a sequence returns one JacobiSpec
+    per time, in input order, from a single integration.  Time t_i takes
+    n_i = max(1, round(|t_i| / dt)) steps of h_i = t_i / n_i, one state row
+    per time.  The rows are sorted by step count, so the rows still stepping
+    are always a leading slice, and each row is bit-identical to integrating
+    its time alone.
+    """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    n_steps = np.array([max(1, round(abs(ti) / dt)) for ti in times.tolist()], dtype=np.int64)
+    order = np.argsort(-n_steps, kind="stable")
+    n_sorted = n_steps[order]
+    h = (times[order] / n_sorted)[:, None]
+    n = spec0.n
+    y = np.tile(np.concatenate([spec0.a, spec0.b]).astype(float), (times.size, 1))
+    done = 0
+    for active in range(times.size, 0, -1):
+        # rows [:active] all have at least n_sorted[active - 1] steps
+        yy, hh = y[:active], h[:active]
+        half, sixth = 0.5 * hh, hh / 6.0
+        for _ in range(n_sorted[active - 1] - done):
+            k1 = _toda_rhs(yy, n)
+            k2 = _toda_rhs(yy + half * k1, n)
+            k3 = _toda_rhs(yy + half * k2, n)
+            k4 = _toda_rhs(yy + hh * k3, n)
+            yy += sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        done = n_sorted[active - 1]
+    specs = [None] * times.size
+    for row, i in enumerate(order):
+        specs[i] = JacobiSpec(a0=spec0.a0, a=y[row, : n - 1], b=y[row, n - 1 :])
+    return specs if np.ndim(t) else specs[0]

@@ -278,9 +278,9 @@ def check_toda(seed: int = 17) -> CheckResult:
         # which is the conditioning of the time-t inverse step
         spec0 = random_spec(N, rng, a_range=(0.3, 0.8), b_range=(-0.5, 0.5))
         eig0 = eig_spectral_data(spec0).eigenvalues
-        for t in (-2.0, -0.6, 0.5, 2.0):
+        times = (-2.0, -0.6, 0.5, 2.0)
+        for t, oracle in zip(times, toda_ode_oracle(spec0, times, 1e-3)):
             st = toda_solve(spec0, t)
-            oracle = toda_ode_oracle(spec0, t, 1e-3)
             worst_oracle = max(
                 worst_oracle,
                 float(np.max(np.abs(st.spec.a - oracle.a))),

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 import bcjacobi
-from bcjacobi.cli import main, run_scenario
+from bcjacobi.cli import _csv_lines, _fmt, main, run_scenario
+from bcjacobi.core import JacobiSpec, random_spec
+from bcjacobi.discrete_wave import solve_semi_infinite
 from bcjacobi.errors import BCError
+from bcjacobi.graph_wave import GraphSpec, simulate
+from bcjacobi.toda import toda_ode_oracle, toda_solve
 
 
 def test_response_scenario(tmp_path):
@@ -176,3 +180,93 @@ def test_python_m_bcjacobi_verify():
     )
     assert proc.returncode == 0, proc.stderr
     assert "1/1 checks passed" in proc.stdout
+
+
+def _row_csv(header, rows) -> bytes:
+    """The row-at-a-time formatter the column-wise emitter replaced (reference)."""
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("spec", [
+    "random",
+    {"a0": 1.0, "a": [0.5, [1.0, 0.25]], "b": [[0.0, -0.5], 0.0, [2.0, 0.0]], "mode": "complex"},
+])
+def test_forward_csv_matches_row_formatter(tmp_path, spec):
+    config = {"command": "forward", "spec": spec, "N": 6, "T": 2, "seed": 5,
+              "control": [1.0, -0.5]}
+    run_scenario(config, tmp_path)
+    spec_obj = random_spec(6, np.random.default_rng(5)) if spec == "random" else JacobiSpec.from_json(spec)
+    u = solve_semi_infinite(spec_obj, np.array([1.0, -0.5]), 2).u
+    rows = [(n, t, u[n, t]) for n in range(u.shape[0]) for t in range(3)]
+    assert (tmp_path / "field.csv").read_bytes() == _row_csv(["n", "t", "value"], rows)
+
+
+def test_graph_csv_matches_row_formatter(tmp_path):
+    graph = GraphSpec.star(3, 4)
+    control = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    config = {"command": "graph", "graph": graph.to_json(), "T": 5, "controls": {"b0": control}}
+    run_scenario(config, tmp_path)
+    field, log = simulate(graph, {"b0": np.asarray(control)}, 5)
+    rows = [(ei, j, t, arr[j, t]) for ei, arr in enumerate(field.u)
+            for j in range(arr.shape[0]) for t in range(arr.shape[1])]
+    assert (tmp_path / "graph_field.csv").read_bytes() == _row_csv(["edge", "node", "t", "value"], rows)
+    assert (tmp_path / "graph_energy.csv").read_bytes() == _row_csv(
+        ["t", "kinetic", "potential", "total"], log)
+
+
+def test_toda_csv_matches_row_formatter(tmp_path):
+    times = [0, 0.5, -0.25]  # the int prints as "0", as the config gave it
+    config = {"command": "toda", "spec": "random", "N": 3, "times": times, "seed": 2, "dt": 0.01}
+    run_scenario(config, tmp_path)
+    spec = random_spec(3, np.random.default_rng(2))
+    rows = []
+    for t in times:
+        st, oracle = toda_solve(spec, float(t)), toda_ode_oracle(spec, float(t), 0.01)
+        delta = max(float(np.max(np.abs(st.spec.a - oracle.a))), float(np.max(np.abs(st.spec.b - oracle.b))))
+        rows += [(t, k + 1, st.spec.a[k] if k < 2 else "", st.spec.b[k], delta) for k in range(3)]
+    assert (tmp_path / "toda.csv").read_bytes() == _row_csv(["t", "k", "a_k", "b_k", "oracle_delta"], rows)
+
+
+def test_csv_columns_of_every_kind_match_row_formatter():
+    columns = [
+        np.array([0, -3, 2**40], dtype=np.int64),
+        np.array([1, 2, 3], dtype=np.uint8),
+        np.array([True, False, True]),
+        np.array([-0.0, np.nan, 5e-324]),
+        np.array([np.inf, -np.inf, 0.1], dtype=np.float32),
+        np.array([0.1, 1, -2], dtype=np.longdouble),
+        np.array([1 + 2j, 3 + 0j, -0.0 - 1e-300j]),
+        [0.25, 7, ""],
+        ["x", True, np.float64(-0.0)],
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    text = "".join(_csv_lines(header, columns)).encode()
+    assert text == _row_csv(header, zip(*columns))
+    assert text.decode().splitlines()[1] == "0,1,True,-0.0,inf,0.1,1.0+2.0j,0.25,x"
+
+
+@pytest.mark.parametrize("bad", [
+    {"times": []},
+    {"times": ["x"]},
+    {"times": [0.5, True]},
+    {"times": [0.5, None]},
+    {"times": [1e400]},
+    {"times": [float("nan")]},
+    {"times": [10**400]},
+    {"dt": "a"},
+    {"dt": 0},
+    {"dt": -1e-3},
+    {"dt": 1e400},
+    {"dt": False},
+])
+def test_toda_scenario_rejects_malformed_input(tmp_path, capsys, bad):
+    config = {"command": "toda", "spec": {"a0": 1.0, "a": [1.0], "b": [0.0, 0.0]},
+              "times": [0.0, 0.5], **bad}
+    with pytest.raises(BCError):
+        run_scenario(config, tmp_path / "direct")
+    assert not (tmp_path / "direct" / "toda.csv").exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -154,3 +154,10 @@ def test_heat_rejects_complex_blocks():
         heat_control_matrix(spec, 2)
     with pytest.raises(ValueError, match="real blocks"):
         solve_heat(spec, delta_control(2), 2)
+
+
+def test_heat_rejects_complex_controls():
+    # a complex control used to lose its imaginary part with only a warning
+    for f in (np.array([1j, 0, 0]), [1j, 0, 0], np.array([1.0, 0, 0], dtype=complex)):
+        with pytest.raises(ValueError, match="real control"):
+            solve_heat(free_spec(4), f, 3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,55 @@ def test_weights_normalized_along_flow():
     mu = spectral_measure(random_spec(7, np.random.default_rng(34)))
     for t in (0.0, 0.5, 2.0, -3.0):
         assert abs(np.sum(moser_evolve(mu, t).weights) - 1.0) <= 1e-12
+
+
+def _rk4_one_time(spec0, t, dt):
+    """The per-time integration the batched oracle replaces (reference)."""
+
+    def rhs(a, b):
+        a_ext = np.concatenate([[0.0], a, [0.0]])
+        return a * (b[1:] - b[:-1]), 2.0 * (a_ext[1:] ** 2 - a_ext[:-1] ** 2)
+
+    a = spec0.a.copy().astype(float)
+    b = spec0.b.copy().astype(float)
+    n_steps = max(1, int(round(abs(t) / dt)))
+    h = t / n_steps
+    for _ in range(n_steps):
+        k1a, k1b = rhs(a, b)
+        k2a, k2b = rhs(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
+        k3a, k3b = rhs(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
+        k4a, k4b = rhs(a + h * k3a, b + h * k3b)
+        a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
+        b = b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
+    return a, b
+
+
+@pytest.mark.parametrize("N, seed", [(1, 0), (2, 1), (5, 2), (8, 3)])
+def test_batched_oracle_matches_per_time_loop(N, seed):
+    spec = random_spec(N, np.random.default_rng(seed), a_range=(0.3, 0.9), b_range=(-0.5, 0.5))
+    dt = 0.01
+    # 0, negatives, unequal and repeated step counts, times off the dt grid
+    # (0.0137 takes 1 step, 0.333 takes 33 steps of 0.0100909...)
+    times = [0.5, 0.0, -0.2, 0.333, -0.0137, 0.5, 1.004, -0.75]
+    batched = toda_ode_oracle(spec, times, dt)
+    assert isinstance(batched, list) and len(batched) == len(times)
+    for t, out in zip(times, batched):
+        a, b = _rk4_one_time(spec, t, dt)
+        assert np.array_equal(out.a, a) and np.array_equal(out.b, b), t
+        single = toda_ode_oracle(spec, t, dt)
+        assert isinstance(single, JacobiSpec)
+        assert np.array_equal(single.a, a) and np.array_equal(single.b, b), t
+
+
+def test_batched_oracle_edge_cases():
+    spec = random_spec(3, np.random.default_rng(4))
+    assert toda_ode_oracle(spec, [], 1e-3) == []
+    assert toda_ode_oracle(spec, (), 1e-3) == []
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            toda_ode_oracle(spec, bad, 1e-3)
+        with pytest.raises(ValueError, match="finite"):
+            toda_ode_oracle(spec, [0.5, bad], 1e-3)
+    for bad_dt in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt"):
+            toda_ode_oracle(spec, [0.5], bad_dt)
