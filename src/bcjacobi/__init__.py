@@ -25,6 +25,7 @@ from .discrete_wave import (
 )
 from .errors import (
     BCError,
+    InvalidInputError,
     NotRealizableError,
     NumericalFailureError,
     PoleError,

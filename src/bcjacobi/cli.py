@@ -18,8 +18,8 @@ import numpy as np
 
 from . import continuous_time as ct
 from .core import JacobiSpec, free_spec, random_spec, spectral_measure
-from .discrete_wave import response_vector, solve_finite_dirichlet, solve_semi_infinite
-from .errors import BCError
+from .discrete_wave import ResponseVector, response_vector, solve_finite_dirichlet, solve_semi_infinite
+from .errors import BCError, InvalidInputError
 from .graph_wave import GraphSpec, simulate
 from .heat import heat_response, invert_heat
 from .inverse_bc import invert_factorization, roundtrip_report
@@ -75,48 +75,53 @@ def _plain_floats(x):
     return [float(v) for v in x] if isinstance(x, list) else float(x)
 
 
-def _require(config: dict, keys: dict, command: str) -> None:
-    """Minimal schema validation: required keys and their types."""
-    for key, types in keys.items():
-        if key not in config:
-            raise BCError(f"config for {command!r} is missing key {key!r}")
-        if not isinstance(config[key], types):
-            raise BCError(f"config key {key!r} must be {types}, got {type(config[key]).__name__}")
+# one JSON value of each kind; a number is finite as a float (the comparison
+# is exact for Python ints, and NaN fails it), and no kind admits a bool
+_IS = {
+    "int": lambda x: isinstance(x, int) and not isinstance(x, bool),
+    "number": lambda x: (_IS["int"](x) or isinstance(x, float)) and abs(x) <= sys.float_info.max,
+    "str": lambda x: isinstance(x, str),
+    "dict": lambda x: isinstance(x, dict),
+    "pair": lambda x: isinstance(x, list) and len(x) == 2 and all(map(_IS["number"], x)),
+    "complex": lambda x: _IS["number"](x) or _IS["pair"](x),
+}
 
 
-def _finite_number(x) -> bool:
-    """An int or float (not a bool) that is finite as a float.
-
-    The comparison is exact for Python ints, so an int beyond the float
-    range fails it instead of overflowing; NaN fails every comparison.
-    """
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+def _arg(config: dict, key: str, kind: str, default=..., low=None):
+    """config[key] (required unless a `default` is given) as one JSON `kind` of `_IS`,
+    or with a "[]" suffix a non-empty list of them; `low` is an inclusive lower bound
+    on the value or on each entry.  This is the CLI's whole validation: every other
+    rule belongs to the library function that takes the value."""
+    if key not in config:
+        if default is ...:
+            raise InvalidInputError(f"config is missing key {key!r}")
+        return default
+    value = config[key]
+    items = value if kind.endswith("[]") else [value]
+    if not (isinstance(items, list) and items and all(map(_IS[kind.removesuffix("[]")], items))
+            and (low is None or min(items) >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise InvalidInputError(f"config key {key!r} must be {kind}{bound}, got {value!r}")
+    return value
 
 
 def _spec_from_config(config: dict, rng) -> JacobiSpec:
     spec_obj = config.get("spec")
-    if spec_obj == "free":
-        return free_spec(int(config.get("N", 8)))
-    if spec_obj == "random":
-        return random_spec(int(config.get("N", 8)), rng)
+    if spec_obj in ("free", "random"):
+        N = _arg(config, "N", "int", 8, low=1)
+        return free_spec(N) if spec_obj == "free" else random_spec(N, rng)
     if isinstance(spec_obj, dict):
         return JacobiSpec.from_json(spec_obj)
-    raise BCError("config needs 'spec': JacobiSpec JSON, 'free', or 'random'")
-
-
-def _time_grid(T, M) -> ct.TimeGrid:
-    try:
-        return ct.TimeGrid(float(T), int(M))
-    except (TypeError, ValueError) as exc:
-        raise BCError(f"bad time grid T={T}, M={M}: {exc}") from None
+    raise InvalidInputError("config needs 'spec': JacobiSpec JSON, 'free', or 'random'")
 
 
 def run_scenario(config: dict, out_dir: Path) -> dict:
-    """Execute one named pipeline; returns the artifact manifest."""
-    command = config.get("command")
-    if not isinstance(command, str):
-        raise BCError("config needs a 'command' string")
-    rng = np.random.default_rng(int(config.get("seed", 0)))
+    """Execute one named pipeline; returns the artifact manifest.
+
+    A malformed config raises `InvalidInputError` before any file is written.
+    """
+    command = _arg(config, "command", "str")
+    rng = np.random.default_rng(_arg(config, "seed", "int", 0, low=0))
     out_dir.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
     summary: dict = {}
@@ -127,34 +132,31 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         files.append(name)
 
     if command == "forward":
-        _require(config, {"T": int}, command)
+        T = _arg(config, "T", "int")
         spec = _spec_from_config(config, rng)
-        T = config["T"]
-        f = np.asarray(config.get("control", [1.0] + [0.0] * (T - 1)), dtype=float)
-        bc = config.get("bc", "semi_infinite")
-        field = (solve_semi_infinite if bc == "semi_infinite" else solve_finite_dirichlet)(spec, f, T)
+        f = np.asarray(_arg(config, "control", "number[]", [1.0] + [0.0] * (T - 1)), dtype=float)
+        # the same boundary-condition vocabulary as response_vector
+        solvers = {"semi_infinite": solve_semi_infinite, "dirichlet": solve_finite_dirichlet}
+        bc = _arg(config, "bc", "str", "semi_infinite")
+        if bc not in solvers:
+            raise InvalidInputError(f"unknown boundary condition {bc!r}")
+        field = solvers[bc](spec, f, T)
         n, t = np.indices(field.u.shape).reshape(2, -1)
         emit_csv("field.csv", ["n", "t", "value"], [n, t, field.u.ravel()])
         summary["front_value"] = float(np.real(field.u[min(T, field.u.shape[0] - 1), T]))
 
     elif command == "response":
-        _require(config, {"T": int}, command)
+        T = _arg(config, "T", "int")
         spec = _spec_from_config(config, rng)
-        bc = config.get("bc", "semi_infinite")
-        r = response_vector(spec, config["T"], bc=bc)
+        r = response_vector(spec, T, bc=_arg(config, "bc", "str", "semi_infinite"))
         emit_csv("response.csv", ["t", "r_t"], [np.arange(r.r.size), r.r])
         summary["r0"] = float(np.real(r.r[0]))
 
     elif command == "invert":
-        _require(config, {"r": list, "T": int}, command)
-        mode = config.get("mode", "real")
-        r = np.asarray(
-            [complex(x[0], x[1]) if isinstance(x, list) else x for x in config["r"]],
-            dtype=complex if mode == "complex" else float,
-        )
-        T = config["T"]
-        if r.size < 2 * T - 1:
-            raise BCError(f"invert needs at least 2T-1 = {2 * T - 1} entries in 'r', got {r.size}")
+        T = _arg(config, "T", "int")
+        mode = _arg(config, "mode", "str", "real")
+        entries = _arg(config, "r", "complex[]" if mode == "complex" else "number[]")
+        r = ResponseVector([complex(*x) if isinstance(x, list) else x for x in entries], mode=mode)
         rep = invert_factorization(r, T)
         report = {
             "a0": _fmt(rep.a0),
@@ -171,47 +173,39 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         summary["residual"] = rep.residual
 
     elif command == "roundtrip":
-        _require(config, {"N": int}, command)
-        spec = random_spec(config["N"], rng)
-        rep = roundtrip_report(spec, config["N"])
+        N = _arg(config, "N", "int", low=1)
+        spec = random_spec(N, rng)
+        rep = roundtrip_report(spec, N)
         summary["coeff_error"] = rep.coeff_error
         summary["residual"] = rep.residual
-        k = np.arange(1, config["N"])
+        k = np.arange(1, N)
         emit_csv("roundtrip_a.csv", ["k", "a_true", "a_recovered"], [k, spec.a[: k.size], rep.a])
 
     elif command == "moments":
-        _require(config, {"s": list, "task": str}, command)
-        s = np.asarray(config["s"], dtype=float)
-        task = config["task"]
+        s = np.asarray(_arg(config, "s", "number[]"), dtype=float)
+        task = _arg(config, "task", "str")
+        N = _arg(config, "N", "int", low=1)
         if task == "truncated":
-            _require(config, {"N": int}, command)
-            spec, mu = truncated_moment_naive(s, config["N"])
+            spec, mu = truncated_moment_naive(s, N)
             emit_csv("measure.csv", ["lambda", "weight"], [mu.lambdas, mu.weights])
             summary["n_atoms"] = len(mu.atoms)
         elif task == "solvability":
-            _require(config, {"N": int}, command)
-            kind = config.get("kind", "hamburger")
-            rows = solvability(s, kind, config["N"])
+            rows = solvability(s, _arg(config, "kind", "str", "hamburger"), N)
             header = list(rows[0].keys())
             emit_csv("solvability.csv", header, [[row[h] for row in rows] for h in header])
             summary["all_solvable"] = all(row["solvable"] for row in rows)
         elif task == "indeterminacy":
-            _require(config, {"N": int}, command)
-            table = indeterminacy_sequences(s, config["N"])
+            table = indeterminacy_sequences(s, N)
             header = ["N", "gamma_form", "delta_form", "L"]
             emit_csv("indeterminacy.csv", header, [table[h] for h in header])
             summary["hamburger_trend"] = table["hamburger_trend"]
             summary["stieltjes_trend"] = table["stieltjes_trend"]
         else:
-            raise BCError(f"unknown moments task {task!r}")
+            raise InvalidInputError(f"unknown moments task {task!r}")
 
     elif command == "toda":
-        _require(config, {"times": list}, command)
-        times, dt = config["times"], config.get("dt", 1e-3)
-        if not times or not all(_finite_number(t) for t in times):
-            raise BCError(f"toda needs a non-empty list of finite numbers as 'times', got {times}")
-        if not (_finite_number(dt) and dt > 0):
-            raise BCError(f"toda needs a finite 'dt' > 0, got {dt!r}")
+        times = _arg(config, "times", "number[]")
+        dt = _arg(config, "dt", "number", 1e-3)
         spec = _spec_from_config(config, rng)
         states = [toda_solve(spec, float(t)) for t in times]
         oracles = toda_ode_oracle(spec, times, dt)
@@ -234,20 +228,19 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         summary["worst_oracle_delta"] = max(deltas)
 
     elif command == "weyl":
-        _require(config, {"lambda": list}, command)
-        lam = complex(config["lambda"][0], config["lambda"][1])
-        tol = float(config.get("tol", 1e-10))
-        spec = _spec_from_config(config, rng) if "spec" in config else None
+        lam = complex(*_arg(config, "lambda", "pair"))
+        tol = _arg(config, "tol", "number", 1e-10)
         result = {"lambda": [lam.real, lam.imag]}
-        if spec is not None:
+        if "spec" in config:
+            spec = _spec_from_config(config, rng)
             m_res = weyl_resolvent(spec, lam)
             result["m_resolvent"] = [m_res.real, m_res.imag]
-            r = response_vector(spec, int(config.get("series_length", 200)), bc="dirichlet")
+            r = response_vector(spec, _arg(config, "series_length", "int", 200), bc="dirichlet")
         elif "r" in config:
-            r = np.asarray(config["r"], dtype=float)
+            r = np.asarray(_arg(config, "r", "number[]"), dtype=float)
         else:
-            raise BCError("weyl config needs either 'spec' or 'r'")
-        ev = weyl_series(r, lam, tol=tol, coeff_bound=config.get("coeff_bound"))
+            raise InvalidInputError("weyl config needs either 'spec' or 'r'")
+        ev = weyl_series(r, lam, tol=tol, coeff_bound=_arg(config, "coeff_bound", "number", None))
         result["m_series"] = [ev.m_series.real, ev.m_series.imag]
         result["z"] = [ev.z.real, ev.z.imag]
         result["truncation"] = ev.truncation
@@ -257,15 +250,14 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         summary["truncation"] = ev.truncation
 
     elif command == "string":
-        _require(config, {"N_values": list}, command)
-        if not config["N_values"] or not all(isinstance(N, int) and N >= 2 for N in config["N_values"]):
-            raise BCError(f"string needs N_values of integers >= 2, got {config['N_values']}")
-        psi_cfg = dict(config.get("psi", {"kind": "gauss", "center": 0.45, "sigma": 0.1}))
-        psi, dpsi = ct.psi_preset(psi_cfg.pop("kind", "gauss"), **psi_cfg)
-        t_star = float(config.get("field_time", 0.5))
+        N_values = _arg(config, "N_values", "int[]", low=2)
+        psi_cfg = dict(_arg(config, "psi", "dict", {"kind": "gauss", "center": 0.45, "sigma": 0.1}))
+        kind = psi_cfg.pop("kind", "gauss")
+        psi, dpsi = ct.psi_preset(kind, **{key: _arg(psi_cfg, key, "number") for key in psi_cfg})
+        t_star = _arg(config, "field_time", "number", 0.5)
         rows = []
-        for N in config["N_values"]:
-            grid = _time_grid(config.get("T", 1.0), config.get("M", max(1000, 8 * N)))
+        for N in N_values:
+            grid = ct.TimeGrid(_arg(config, "T", "number", 1.0), _arg(config, "M", "int", max(1000, 8 * N)))
             out = ct.corrected_response(N, grid, psi=psi, field_time=t_star)
             rows.append(
                 (N, out["pair_raw"], abs(out["pair_raw"] - psi(0.0)),
@@ -280,11 +272,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         summary["final_raw_err"] = rows[-1][2]
 
     elif command == "contjacobi":
-        _require(config, {"N": int}, command)
-        N = config["N"]
-        if N < 1:
-            raise BCError(f"contjacobi needs N >= 1, got {N}")
-        grid = _time_grid(config.get("T", 2.0), config.get("M", 800))
+        N = _arg(config, "N", "int", low=1)
+        grid = ct.TimeGrid(_arg(config, "T", "number", 2.0), _arg(config, "M", "int", 800))
         masses = rng.uniform(0.7, 1.3, N) / (N + 1)
         lengths = rng.uniform(0.7, 1.3, N + 1) / (N + 1)
         spec = ct.string_system(ct.StringSpec(masses=masses, lengths=lengths))["spec"]
@@ -299,10 +288,11 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         summary["recovery_error"] = err
 
     elif command == "graph":
-        _require(config, {"graph": dict, "T": int}, command)
-        graph = GraphSpec.from_json(config["graph"])
-        controls = {k: np.asarray(v, dtype=float) for k, v in config.get("controls", {}).items()}
-        field, log = simulate(graph, controls, config["T"])
+        T = _arg(config, "T", "int", low=0)
+        graph = GraphSpec.from_json(_arg(config, "graph", "dict"))
+        controls = _arg(config, "controls", "dict", {})
+        controls = {key: np.asarray(_arg(controls, key, "number[]"), dtype=float) for key in controls}
+        field, log = simulate(graph, controls, T)
         per_edge = [
             (np.full(arr.size, ei), *np.indices(arr.shape).reshape(2, -1), arr.ravel())
             for ei, arr in enumerate(field.u)
@@ -313,22 +303,19 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         summary["final_energy"] = float(log[-1, 3]) if len(log) else 0.0
 
     elif command == "heat":
-        _require(config, {"T": int}, command)
-        spec = _spec_from_config(config, rng)
-        if spec.mode != "real":
-            raise BCError("heat is defined for real blocks; got a complex spec")
-        task = config.get("task", "forward")
+        task = _arg(config, "task", "str", "forward")
         if task == "forward":
-            s = heat_response(spec, config["T"])
+            T = _arg(config, "T", "int")
+            s = heat_response(_spec_from_config(config, rng), T)
             emit_csv("heat_response.csv", ["t", "s_t"], [np.arange(s.size), s])
             summary["s0"] = float(s[0])
         elif task == "invert":
-            _require(config, {"s": list, "N": int}, command)
-            rec = invert_heat(np.asarray(config["s"], dtype=float), config["N"])
+            s = np.asarray(_arg(config, "s", "number[]"), dtype=float)
+            rec = invert_heat(s, _arg(config, "N", "int", low=1))
             emit_csv("heat_recovered_b.csv", ["k", "b_k"], [np.arange(1, rec.n + 1), rec.b])
             summary["N"] = rec.n
         else:
-            raise BCError(f"unknown heat task {task!r}")
+            raise InvalidInputError(f"unknown heat task {task!r}")
 
     elif command == "measure":
         spec = _spec_from_config(config, rng)
@@ -337,7 +324,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         summary["n_atoms"] = len(mu.atoms)
 
     else:
-        raise BCError(f"unknown command {command!r}")
+        raise InvalidInputError(f"unknown command {command!r}")
 
     cfg_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     sidecar = {"config": config, "config_sha256": cfg_hash}
@@ -366,10 +353,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.subcommand == "run":
-        config = json.loads(Path(args.config).read_text())
-        if args.seed is not None:
-            config["seed"] = args.seed
         try:
+            try:
+                config = json.loads(Path(args.config).read_text())
+            except (OSError, ValueError) as exc:  # unreadable file, not UTF-8, or not JSON
+                raise InvalidInputError(f"cannot read config {args.config}: {exc}") from None
+            if not isinstance(config, dict):
+                raise InvalidInputError(f"config must be a JSON object, got a {type(config).__name__}")
+            if args.seed is not None:
+                config["seed"] = args.seed
             manifest = run_scenario(config, Path(args.out))
         except BCError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -377,25 +369,22 @@ def main(argv=None) -> int:
         print(json.dumps(manifest, indent=2, sort_keys=True))
         return 0
 
-    if args.subcommand == "verify":
-        results = run_checks(args.filter)
-        for res in results:
-            status = "PASS" if res.passed else "FAIL"
-            print(f"{status}  {res.name:28s} {res.elapsed:7.2f}s  {res.detail}")
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            report = [
-                {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed": r.elapsed,
-                 "metrics": {k: _plain_floats(v) for k, v in r.metrics.items()}}
-                for r in results
-            ]
-            (out / "verify_report.json").write_text(json.dumps(report, indent=2))
-        n_fail = sum(not r.passed for r in results)
-        print(f"{len(results) - n_fail}/{len(results)} checks passed")
-        return 0 if n_fail == 0 else 1
-
-    return 2
+    results = run_checks(args.filter)
+    for res in results:
+        status = "PASS" if res.passed else "FAIL"
+        print(f"{status}  {res.name:28s} {res.elapsed:7.2f}s  {res.detail}")
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        report = [
+            {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed": r.elapsed,
+             "metrics": {k: _plain_floats(v) for k, v in r.metrics.items()}}
+            for r in results
+        ]
+        (out / "verify_report.json").write_text(json.dumps(report, indent=2))
+    n_fail = sum(not r.passed for r in results)
+    print(f"{len(results) - n_fail}/{len(results)} checks passed")
+    return 0 if n_fail == 0 else 1
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.linalg import eigh, eigvalsh, hankel, toeplitz
 
 from .core import JacobiSpec, eig_spectral_data
-from .errors import BCError, NotRealizableError
+from .errors import InvalidInputError, NotRealizableError
 
 __all__ = [
     "TimeGrid",
@@ -51,7 +51,7 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.T <= 0 or self.M < 2:
-            raise ValueError("need T > 0 and M >= 2")
+            raise InvalidInputError("need T > 0 and M >= 2")
 
     @property
     def dt(self) -> float:
@@ -89,9 +89,9 @@ class StringSpec:
         object.__setattr__(self, "masses", np.atleast_1d(np.asarray(self.masses, dtype=float)))
         object.__setattr__(self, "lengths", np.atleast_1d(np.asarray(self.lengths, dtype=float)))
         if self.lengths.size != self.masses.size + 1:
-            raise ValueError("need len(lengths) = len(masses) + 1")
+            raise InvalidInputError("need len(lengths) = len(masses) + 1")
         if np.any(self.masses <= 0) or np.any(self.lengths <= 0):
-            raise ValueError("masses and lengths must be positive")
+            raise InvalidInputError("masses and lengths must be positive")
 
     @staticmethod
     def uniform(N: int) -> "StringSpec":
@@ -168,11 +168,9 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
     convolution done by composite Simpson on the grid.  Velocities come from
     the analytically differentiated kernel.
     """
-    if spec.mode != "real":
-        raise BCError("continuous-time dynamics is defined for real blocks")
     f = np.asarray(f, dtype=float)
     if f.size != grid.M + 1:
-        raise ValueError("control must be sampled on the grid")
+        raise InvalidInputError("control must be sampled on the grid")
     data = eig_spectral_data(spec)
     h, hdot = (
         np.array([_simpson_convolution(f, wave_kernel(lk, grid.nodes, derivative=d), grid.dt)
@@ -184,8 +182,6 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
 
 def response_function(spec: JacobiSpec, grid: TimeGrid) -> ResponseFunctionSamples:
     """Samples of r(t) = sum_k (1/omega_k) S_k(t) on the grid."""
-    if spec.mode != "real":
-        raise BCError("continuous-time dynamics is defined for real blocks")
     data = eig_spectral_data(spec)
     w = 1.0 / data.omegas
     t = grid.nodes
@@ -202,7 +198,7 @@ def connecting_dynamic(r: ResponseFunctionSamples, grid: TimeGrid) -> np.ndarray
     (C f)(t_i) = sum_j K[i, j] w_j f(s_j) with trapezoid weights w.
     """
     if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
-        raise ValueError("response must be sampled on [0, 2T] with the grid spacing")
+        raise InvalidInputError("response must be sampled on [0, 2T] with the grid spacing")
     P = np.concatenate([[0.0], np.cumsum(0.5 * grid.dt * (r.values[1:] + r.values[:-1]))])
     return _kernel_matrix(P, grid.M)
 
@@ -241,9 +237,9 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     Returns (spec, controls) with controls[n] the recovered f_{n+1} samples.
     """
     if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+        raise InvalidInputError(f"need N >= 1, got {N}")
     if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
-        raise ValueError("response must be sampled on [0, 2T] with the grid spacing")
+        raise InvalidInputError("response must be sampled on [0, 2T] with the grid spacing")
     M = grid.M
     # fourth-order antiderivative and quadrature weights: the recovery divides
     # by eigenvalue N of the kernel, so the O(dt^2) trapezoid budget of
@@ -388,7 +384,7 @@ def psi_preset(kind: str, **params):
         return gauss_test_function(params.get("center", 0.45), params.get("sigma", 0.1))
     if kind == "poly-bump":
         return poly_bump_test_function(params.get("center", 0.45), params.get("width", 0.3))
-    raise ValueError(f"unknown test function preset {kind!r}")
+    raise InvalidInputError(f"unknown test function preset {kind!r}")
 
 
 def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | None = None) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import BCError, NumericalFailureError
+from .errors import BCError, InvalidInputError, NumericalFailureError
 
 __all__ = [
     "JacobiSpec",
@@ -45,24 +45,24 @@ class JacobiSpec:
 
     def __post_init__(self):
         if self.mode not in ("real", "complex"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InvalidInputError(f"unknown mode {self.mode!r}")
         dt = float if self.mode == "real" else complex
         object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=dt)))
         object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, dtype=dt)))
         if self.b.size == 0:
-            raise ValueError("degenerate N=0 block")
+            raise InvalidInputError("degenerate N=0 block")
         if self.b.size != self.a.size + 1 and not (self.b.size == 1 and self.a.size == 0):
-            raise ValueError("need len(b) = len(a) + 1")
+            raise InvalidInputError("need len(b) = len(a) + 1")
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
-            raise ValueError("coefficients must be finite")
+            raise InvalidInputError("coefficients must be finite")
         if self.mode == "real":
             object.__setattr__(self, "a0", float(self.a0))
             if self.a0 <= 0 or np.any(self.a <= 0):
-                raise ValueError("real mode requires a0 > 0 and a_k > 0")
+                raise InvalidInputError("real mode requires a0 > 0 and a_k > 0")
         else:
             object.__setattr__(self, "a0", complex(self.a0))
             if self.a0 == 0 or np.any(self.a == 0):
-                raise ValueError("complex mode requires nonzero a0 and a_k")
+                raise InvalidInputError("complex mode requires nonzero a0 and a_k")
 
     @property
     def n(self) -> int:
@@ -93,12 +93,17 @@ class JacobiSpec:
         def dec(x):
             return complex(x[0], x[1]) if isinstance(x, (list, tuple)) else x
 
-        return JacobiSpec(
-            a0=dec(obj["a0"]),
-            a=[dec(x) for x in obj.get("a", [])],
-            b=[dec(x) for x in obj["b"]],
-            mode=mode,
-        )
+        try:
+            return JacobiSpec(
+                a0=dec(obj["a0"]),
+                a=[dec(x) for x in obj.get("a", [])],
+                b=[dec(x) for x in obj["b"]],
+                mode=mode,
+            )
+        except InvalidInputError:
+            raise
+        except (LookupError, TypeError, ValueError) as exc:  # numpy's conversion of a non-number
+            raise InvalidInputError(f"malformed spec JSON: {type(exc).__name__} {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -112,11 +117,11 @@ class SpectralMeasure:
         lam = np.array([l for l, _ in atoms])
         w = np.array([w for _, w in atoms])
         if lam.size == 0:
-            raise ValueError("empty measure")
+            raise InvalidInputError("empty measure")
         if np.any(np.diff(lam) <= 0):
-            raise ValueError("eigenvalues must be strictly increasing")
+            raise InvalidInputError("eigenvalues must be strictly increasing")
         if np.any(w <= 0):
-            raise ValueError("weights must be positive")
+            raise InvalidInputError("weights must be positive")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -154,7 +159,7 @@ def chebyshev_u(t: int, lam) -> complex:
     T_t(lambda) = U_{t-1}(lambda/2).
     """
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise InvalidInputError("t must be nonnegative")
     return chebyshev_values(t, lam)[t]
 
 
@@ -181,7 +186,7 @@ def phi_eval(spec: JacobiSpec, lam, n_max: int) -> np.ndarray:
     unaffected by that scaling.
     """
     if not 1 <= n_max <= spec.n + 1:
-        raise ValueError(f"n_max must be in 1..N+1 = {spec.n + 1}")
+        raise InvalidInputError(f"n_max must be in 1..N+1 = {spec.n + 1}")
     dt = complex if (spec.mode == "complex" or np.iscomplexobj(np.asarray(lam))) else float
     phi = np.zeros(n_max + 1, dtype=dt)
     phi[1] = 1.0
@@ -228,7 +233,7 @@ def moments_of_measure(mu: SpectralMeasure, K: int) -> np.ndarray:
     ill-conditioned enough that the last float64 digits of s_k matter.
     """
     if K < 0:
-        raise ValueError("K must be >= 0")
+        raise InvalidInputError("K must be >= 0")
     lam = mu.lambdas.astype(np.longdouble)
     w = mu.weights.astype(np.longdouble)
     powers = np.ones_like(lam)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JacobiSpec
-from .errors import SpecTooShortError
+from .errors import InvalidInputError, SpecTooShortError
 
 __all__ = [
     "WaveField",
@@ -55,10 +55,12 @@ class ResponseVector:
     mode: str = "real"
 
     def __post_init__(self):
+        if self.mode not in ("real", "complex"):
+            raise InvalidInputError(f"unknown mode {self.mode!r}")
         dt = float if self.mode == "real" else complex
         object.__setattr__(self, "r", np.atleast_1d(np.asarray(self.r, dtype=dt)))
         if not np.all(np.isfinite(self.r)):
-            raise ValueError("response entries must be finite")
+            raise InvalidInputError("response entries must be finite")
 
     def __len__(self) -> int:
         return self.r.size
@@ -80,16 +82,18 @@ def _step_field(
     """Run the recurrence on nodes 1..n_active with a zero wall at n_active+1.
 
     Returns u of shape (n_active + 2, T + 1); row 0 carries the control
-    (f_t for t < len(f), 0 afterwards).  order=2 is the wave recurrence;
+    (f_t for t < T = len(f), 0 at t = T).  order=2 is the wave recurrence;
     order=1 drops the u_{t-1} term and gives the heat system
     v_{t+1} = A v_t, which is defined for real blocks only.
     """
     if order == 1 and spec.mode != "real":
-        raise ValueError("heat stepping is defined for real blocks")
+        raise InvalidInputError("heat stepping is defined for real blocks")
     f = np.atleast_1d(np.asarray(f))
+    if f.size != T:
+        raise InvalidInputError(f"control must have length T = {T}")
     dt = complex if (spec.mode == "complex" or np.iscomplexobj(f)) else float
     u = np.zeros((n_active + 2, T + 1), dtype=dt)
-    u[0, : min(f.size, T + 1)] = f[: T + 1]
+    u[0, :T] = f
     aa = np.concatenate([[spec.a0], spec.a]).astype(dt)  # aa[n] = a_n
     b = spec.b
     a_r = np.array([aa[n] if n < aa.size else 0.0 for n in range(1, n_active + 1)], dtype=dt)
@@ -114,8 +118,6 @@ def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
     len(f) = T.
     """
     f = np.atleast_1d(np.asarray(f))
-    if f.size != T:
-        raise ValueError(f"control must have length T = {T}")
     if spec.n < T + 1:
         raise SpecTooShortError(f"block size {spec.n} < T + 1 = {T + 1}")
     u = _step_field(spec, f, T, T)
@@ -125,8 +127,6 @@ def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
 def solve_finite_dirichlet(spec: JacobiSpec, f, T: int) -> WaveField:
     """Forward solve on nodes 1..N with a hard zero at n = N + 1."""
     f = np.atleast_1d(np.asarray(f))
-    if f.size != T:
-        raise ValueError(f"control must have length T = {T}")
     u = _step_field(spec, f, T, spec.n)
     return WaveField(u=u, f=f)
 
@@ -139,6 +139,8 @@ def response_vector(spec: JacobiSpec, T: int, bc: str = "semi_infinite") -> Resp
     block must be at least that long.  For the Dirichlet system the reflections
     off n = N + 1 are part of the answer and the full block is used.
     """
+    if T < 1:
+        raise InvalidInputError(f"need T >= 1, got {T}")
     if bc == "semi_infinite":
         depth = (T + 1) // 2
         if spec.n < depth:
@@ -148,10 +150,10 @@ def response_vector(spec: JacobiSpec, T: int, bc: str = "semi_infinite") -> Resp
         u = _step_field(spec, delta_control(T), T, depth)
     elif bc == "dirichlet":
         if spec.mode != "real":
-            raise ValueError("dirichlet responses are defined for real mode")
+            raise InvalidInputError("dirichlet responses are defined for real mode")
         u = _step_field(spec, delta_control(T), T, spec.n)
     else:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+        raise InvalidInputError(f"unknown boundary condition {bc!r}")
     return ResponseVector(r=u[1, 1 : T + 1], mode=spec.mode)
 
 
@@ -177,8 +179,8 @@ def connecting_from_response(r, T: int) -> np.ndarray:
     r_0 = a_0 (it is 1 under the usual normalization).
     """
     r = _as_response(r)
-    if r.size < 2 * T - 1:
-        raise ValueError(f"need at least 2T-1 = {2 * T - 1} response entries")
+    if T < 1 or r.size < 2 * T - 1:
+        raise InvalidInputError(f"need T >= 1 and at least 2T-1 = {2 * T - 1} response entries")
     # diagonal i - j = m holds the running sums of r_m, r_{m+2}, ..., r_{2T-2-m},
     # longest first; cumulative sums avoid the cancellation of prefix-sum differences.
     # The sums run sequentially (error ~ T eps), not pairwise like np.sum, which
@@ -195,5 +197,5 @@ def reverse_order(C: np.ndarray) -> np.ndarray:
     """Reverse both indices: C_T = J_T C^T J_T."""
     C = np.asarray(C)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise InvalidInputError("expected a square matrix")
     return C[::-1, ::-1].copy()

@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every deliberate error is a `BCError`, which `bcjacobi run` reports as exit 2
+with `error: ...`.  A malformed argument raises `InvalidInputError`, both a
+`BCError` and a `ValueError`; any other exception (numpy's own) is a bug.
+"""
 
 
 class BCError(Exception):
     """Base class for all package errors."""
+
+
+class InvalidInputError(BCError, ValueError):
+    """An argument is malformed: wrong type, size, length or vocabulary."""
 
 
 class SpecTooShortError(BCError):

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 __all__ = ["Edge", "GraphSpec", "GraphField", "step", "energies", "simulate"]
 
 
@@ -27,7 +29,7 @@ class Edge:
 
     def __post_init__(self):
         if self.n_seg < 1:
-            raise ValueError("edges need at least one lattice interval")
+            raise InvalidInputError("edges need at least one lattice interval")
 
 
 @dataclass(frozen=True)
@@ -44,19 +46,21 @@ class GraphSpec:
 
     def __post_init__(self):
         ids = [v for v, _ in self.vertices]
+        if not ids:
+            raise InvalidInputError("a graph needs at least one vertex")
         if len(set(ids)) != len(ids):
-            raise ValueError("duplicate vertex ids")
+            raise InvalidInputError("duplicate vertex ids")
         deg = {v: 0 for v in ids}
         for e in self.edges:
             if e.tail not in deg or e.head not in deg:
-                raise ValueError(f"edge {e} references an unknown vertex")
+                raise InvalidInputError(f"edge {e} references an unknown vertex")
             deg[e.tail] += 1
             deg[e.head] += 1
         for v, boundary in self.vertices:
             if boundary and deg[v] != 1:
-                raise ValueError(f"boundary vertex {v} must have degree 1")
+                raise InvalidInputError(f"boundary vertex {v} must have degree 1")
             if deg[v] == 0:
-                raise ValueError(f"isolated vertex {v}")
+                raise InvalidInputError(f"isolated vertex {v}")
         # connectivity by union of edge endpoints
         seen = {ids[0]}
         frontier = [ids[0]]
@@ -71,7 +75,7 @@ class GraphSpec:
                     seen.add(u)
                     frontier.append(u)
         if seen != set(ids):
-            raise ValueError("graph is not connected")
+            raise InvalidInputError("graph is not connected")
 
     @property
     def boundary(self) -> list:
@@ -107,10 +111,12 @@ class GraphSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "GraphSpec":
-        return GraphSpec(
-            vertices=tuple((v["id"], bool(v["boundary"])) for v in obj["vertices"]),
-            edges=tuple(Edge(e["from"], e["to"], int(e["n_interior"])) for e in obj["edges"]),
-        )
+        try:
+            vertices = tuple((v["id"], bool(v["boundary"])) for v in obj["vertices"])
+            edges = [(e["from"], e["to"], int(e["n_interior"])) for e in obj["edges"]]
+        except (LookupError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"malformed graph JSON: {type(exc).__name__} {exc}") from None
+        return GraphSpec(vertices=vertices, edges=tuple(Edge(*e) for e in edges))
 
 
 @dataclass
@@ -132,9 +138,9 @@ class GraphField:
         ctr = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in controls.items()}
         for k, v in ctr.items():
             if k not in graph.boundary:
-                raise ValueError(f"control key {k!r} is not a boundary vertex")
+                raise InvalidInputError(f"control key {k!r} is not a boundary vertex")
             if v.size < T + 1:
-                raise ValueError(f"control for {k!r} must cover t = 0..T")
+                raise InvalidInputError(f"control for {k!r} must cover t = 0..T")
         u = [np.zeros((e.n_seg + 1, T + 1)) for e in graph.edges]
         return GraphField(graph=graph, u=u, controls=ctr, t_filled=0)
 
@@ -166,9 +172,9 @@ def step(field: GraphField, t: int) -> None:
     g = field.graph
     u = field.u
     if t != field.t_filled:
-        raise ValueError(f"field is populated through t = {field.t_filled}, not {t}")
+        raise InvalidInputError(f"field is populated through t = {field.t_filled}, not {t}")
     if t + 1 >= u[0].shape[1]:
-        raise ValueError("field storage exhausted")
+        raise InvalidInputError("field storage exhausted")
     # interior points
     for arr in u:
         n = arr.shape[0] - 1
@@ -205,7 +211,7 @@ def energies(field: GraphField, t: int):
     degree != 2.
     """
     if t < 1:
-        raise ValueError("kinetic energy needs t >= 1")
+        raise InvalidInputError("kinetic energy needs t >= 1")
     g = field.graph
     kin = 0.0
     pot = 0.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import JacobiSpec
 from .discrete_wave import _as_response, _step_field, delta_control
-from .errors import SpecTooShortError
+from .errors import InvalidInputError, SpecTooShortError
 from .moments import _reversed_hankel, truncated_moment_naive
 
 __all__ = [
@@ -44,10 +44,8 @@ def solve_heat(spec: JacobiSpec, f, T: int) -> HeatField:
     the zero wall at n = T + 1 exact)."""
     f = np.atleast_1d(np.asarray(f))
     if np.iscomplexobj(f):
-        raise ValueError("the heat system takes a real control")
+        raise InvalidInputError("the heat system takes a real control")
     f = f.astype(float)
-    if f.size != T:
-        raise ValueError(f"control must have length T = {T}")
     if spec.n < T:
         raise SpecTooShortError(f"block size {spec.n} < T = {T}")
     return HeatField(v=_step_field(spec, f, T, T, order=1), f=f)
@@ -61,6 +59,8 @@ def heat_response(spec: JacobiSpec, T: int) -> np.ndarray:
     suffices; for a_0 = 1 the entries are the power moments of the block's
     spectral measure.
     """
+    if T < 1:
+        raise InvalidInputError(f"need T >= 1, got {T}")
     depth = (T + 1) // 2
     if spec.n < depth:
         raise SpecTooShortError(f"response of length {T} needs block size >= {depth}")
@@ -87,7 +87,7 @@ def heat_connecting(s, T: int) -> np.ndarray:
     """
     s = _as_response(s)
     if s.size < 2 * T - 1:
-        raise ValueError(f"need 2T-1 = {2 * T - 1} entries")
+        raise InvalidInputError(f"need 2T-1 = {2 * T - 1} entries")
     return _reversed_hankel(s, T)
 
 

@@ -25,7 +25,7 @@ from .discrete_wave import (
     response_vector,
     reverse_order,
 )
-from .errors import SingularBlockError
+from .errors import InvalidInputError, SingularBlockError
 
 __all__ = [
     "InversionReport",
@@ -157,7 +157,7 @@ def invert_factorization(r, T: int) -> InversionReport:
     )
     rv = r.r
     if rv.size < 2 * T - 1:
-        raise ValueError(f"need at least 2T-1 = {2 * T - 1} response entries")
+        raise InvalidInputError(f"need at least 2T-1 = {2 * T - 1} response entries")
     mode = r.mode
     a0 = rv[0]
     if a0 == 0:
@@ -207,7 +207,7 @@ def response_matrix(r, T: int) -> np.ndarray:
     """
     r = _as_response(r)
     if r.size < T - 1:
-        raise ValueError("response too short for the requested horizon")
+        raise InvalidInputError("response too short for the requested horizon")
     M = np.zeros((T, T), dtype=r.dtype)
     for t in range(1, T):
         M[t, :t] = r[t - 1 :: -1]
@@ -223,7 +223,7 @@ def solve_krein(C: np.ndarray, r, lam, alpha, beta, T: int) -> np.ndarray:
     """
     C = np.asarray(C)
     if C.shape != (T, T):
-        raise ValueError("C must be the T x T connecting matrix")
+        raise InvalidInputError("C must be the T x T connecting matrix")
     kap = np.conj(kappa_vector(T, lam))
     R = response_matrix(r, T)
     rhs = beta * kap - alpha * (R.conj().T @ kap)
@@ -253,8 +253,6 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
     it takes the singular values themselves (`svd`).
     """
     r = _as_response(r)
-    if r.size < 2 * T - 1:
-        raise ValueError(f"need at least 2T-1 = {2 * T - 1} response entries")
     C = reverse_order(connecting_from_response(r, T))
     if np.iscomplexobj(C):
         sigmas = [float(np.linalg.svd(C[:k, :k], compute_uv=False)[-1]) for k in range(1, T + 1)]
@@ -272,7 +270,7 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
             return CharacterizationResult(False, mode, "r_0 = a_0 vanishes", diag)
         rn = r.astype(complex) / r[0]
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidInputError(f"unknown mode {mode!r}")
     try:
         _, ds, _ = _pivot_sweep(rn, T)
     except SingularBlockError as exc:
@@ -315,7 +313,7 @@ def schrodinger_even_entries(odd_entries, T: int) -> np.ndarray:
     """
     odd = np.atleast_1d(np.asarray(odd_entries, dtype=float))
     if odd.size < T - 1:
-        raise ValueError(f"need T-1 = {T - 1} odd entries")
+        raise InvalidInputError(f"need T-1 = {T - 1} odd entries")
     r = np.zeros(2 * T - 1)
     r[0] = 1.0
     r[1::2] = odd[: T - 1]
@@ -334,8 +332,6 @@ def roundtrip_report(spec: JacobiSpec, T: int) -> InversionReport:
     Compares the recoverable coefficients a_1..a_{T-1} and b_1..b_{T-1}
     (complex mode compares a_k^2, the quantity the data determines).
     """
-    if spec.n < T:
-        raise ValueError("spec block must have size >= T")
     r = response_vector(spec, 2 * T - 1, bc="semi_infinite")
     rep = invert_factorization(r, T)
     a_true = spec.a[: T - 1]

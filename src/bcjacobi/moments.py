@@ -16,7 +16,7 @@ from scipy.linalg import eigh
 
 from .core import JacobiSpec, SpectralMeasure, chebyshev_values, spectral_measure
 from .discrete_wave import connecting_from_response, _as_response, reverse_order
-from .errors import NotRealizableError
+from .errors import InvalidInputError, NotRealizableError
 from .inverse_bc import invert_factorization, response_matrix
 
 __all__ = [
@@ -61,9 +61,9 @@ def lambda_matrix(n: int) -> np.ndarray:
     T_{t+1} = lambda T_t - T_{t-1}.  Entries fit int64 for n <= 60.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInputError("n must be >= 1")
     if n > 60:
-        raise ValueError("integer entries overflow int64 beyond n = 60")
+        raise InvalidInputError("integer entries overflow int64 beyond n = 60")
     L = np.zeros((n, n), dtype=np.int64)
     L[0, 0] = 1
     if n > 1:
@@ -88,7 +88,7 @@ def moments_to_response(s) -> np.ndarray:
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.size == 0:
-        raise ValueError("empty moment sequence")
+        raise InvalidInputError("empty moment sequence")
     L = lambda_matrix(s.size).astype(np.longdouble)
     return (L @ s.astype(np.longdouble)).astype(float)
 
@@ -100,7 +100,7 @@ def response_to_moments(r) -> np.ndarray:
     """
     r = _as_response(r).astype(float)
     if r.size == 0:
-        raise ValueError("empty response")
+        raise InvalidInputError("empty response")
     n = r.size
     L = lambda_matrix(n).astype(np.longdouble)
     s = np.zeros(n, dtype=np.longdouble)
@@ -120,7 +120,7 @@ def build_hankel_pair(s, N: int, ordering: str = "reversed") -> HankelPair:
     """Hankel matrices S^N_0 (needs 2N-1 moments) and S^N_1 (needs 2N)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.size < 2 * N:
-        raise ValueError(f"need 2N = {2 * N} moments for the shifted Hankel")
+        raise InvalidInputError(f"need 2N = {2 * N} moments for the shifted Hankel")
     pair = HankelPair(_reversed_hankel(s, N), _reversed_hankel(s[1:], N), "reversed")
     return pair if ordering == "reversed" else pair.flipped()
 
@@ -134,7 +134,7 @@ def build_B(r, N: int) -> np.ndarray:
     """
     r = _as_response(r).astype(float)
     if r.size < 2 * N:
-        raise ValueError(f"need at least 2N = {2 * N} response entries")
+        raise InvalidInputError(f"need at least 2N = {2 * N} response entries")
     if r.size < 2 * N + 1:
         r = np.concatenate([r, [0.0]])  # dropped by the trimming below
     CN = connecting_from_response(r, N)
@@ -157,7 +157,7 @@ def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.size < 2 * N - 1:
-        raise ValueError(f"need at least 2N-1 = {2 * N - 1} moments")
+        raise InvalidInputError(f"need at least 2N-1 = {2 * N - 1} moments")
     if s[0] <= 0:
         raise NotRealizableError("s_0 must be positive")
     mass = s[0]
@@ -196,7 +196,7 @@ def truncated_moment_naive(s, N: int, extension=None):
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.size < 2 * N - 1:
-        raise ValueError(f"need at least 2N-1 = {2 * N - 1} moments")
+        raise InvalidInputError(f"need at least 2N-1 = {2 * N - 1} moments")
     if s[0] <= 0:
         raise NotRealizableError("s_0 must be positive")
     mass = s[0]
@@ -264,11 +264,11 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     eigenvalue.
     """
     if kind not in ("hamburger", "stieltjes", "hausdorff"):
-        raise ValueError(f"unknown kind {kind!r}")
+        raise InvalidInputError(f"unknown kind {kind!r}")
     s = np.atleast_1d(np.asarray(s, dtype=float))
     need = 2 * N_max - 1 if kind == "hamburger" else 2 * N_max
     if s.size < need:
-        raise ValueError(f"need {need} moments for N_max = {N_max}")
+        raise InvalidInputError(f"need {need} moments for N_max = {N_max}")
     rows = []
     for N in range(1, N_max + 1):
         if kind == "hamburger":
@@ -318,7 +318,7 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
     """
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.size < 2 * N_max - 1:
-        raise ValueError(f"need 2N_max-1 = {2 * N_max - 1} moments")
+        raise InvalidInputError(f"need 2N_max-1 = {2 * N_max - 1} moments")
     r = moments_to_response(s[: 2 * N_max - 1])
     # T_t(0), and T_t'(0) by differentiating the recurrence at lambda = 0
     tvals = chebyshev_values(N_max, 0.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JacobiSpec, SpectralMeasure, moments_of_measure, spectral_measure
-from .errors import NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError
 from .moments import truncated_moment_naive
 
 __all__ = [
@@ -74,7 +74,7 @@ def recursion_residual(mu0: SpectralMeasure, t: float, K: int, h: float) -> floa
     The residual vanishes analytically and decays O(h^2) in the step.
     """
     if h <= 0:
-        raise ValueError("h must be positive")
+        raise InvalidInputError("h must be positive")
 
     def log_theta_sq(tt: float) -> float:
         lam, shifted, m = _log_weights(mu0, tt)
@@ -96,8 +96,6 @@ def toda_solve(spec0: JacobiSpec, t: float) -> TodaState:
     with a conditioning error at large |t| when the weights collapse onto the
     top eigenvalue and the connecting matrix degenerates.
     """
-    if spec0.mode != "real":
-        raise ValueError("the Toda flow is defined for real blocks")
     N = spec0.n
     mu_t = moser_evolve(spectral_measure(spec0), t)
     s = moments_of_measure(mu_t, 2 * N - 1)
@@ -140,10 +138,10 @@ def toda_ode_oracle(
     its time alone.
     """
     if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive and finite")
+        raise InvalidInputError("dt must be positive and finite")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
+        raise InvalidInputError("times must be finite")
     n_steps = np.array([max(1, round(abs(ti) / dt)) for ti in times.tolist()], dtype=np.int64)
     order = np.argsort(-n_steps, kind="stable")
     n_sorted = n_steps[order]

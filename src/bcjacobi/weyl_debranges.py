@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import JacobiSpec, chebyshev_values, eig_spectral_data
 from .discrete_wave import _as_response, connecting_from_response, reverse_order
-from .errors import BCError, PoleError
+from .errors import BCError, InvalidInputError, PoleError
 from .inverse_bc import _leading_eigvalsh
 
 __all__ = [
@@ -97,9 +97,9 @@ def weyl_resolvent(spec: JacobiSpec | None, lam, kind: str = "finite") -> comple
     if kind == "free":
         return -joukowsky_z(lam)
     if kind != "finite":
-        raise ValueError(f"unknown kind {kind!r}")
+        raise InvalidInputError(f"unknown kind {kind!r}")
     if spec is None:
-        raise ValueError("finite resolvent needs a spec")
+        raise InvalidInputError("finite resolvent needs a spec")
     data = eig_spectral_data(spec)
     w = 1.0 / data.omegas
     gap = np.min(np.abs(data.eigenvalues - lam))
@@ -175,7 +175,7 @@ def debranges_kernel(C_T: np.ndarray, z, T: int) -> DeBrangesElement:
     """
     C_T = np.asarray(C_T)
     if C_T.shape != (T, T):
-        raise ValueError("C_T must be T x T")
+        raise InvalidInputError("C_T must be T x T")
     rhs = np.conj(chebyshev_values(T, complex(z))[1:])
     return DeBrangesElement(coeffs=_refined_solve(C_T, rhs, "C_T"))
 
@@ -188,7 +188,7 @@ def debranges_kernel_hankel(S_T: np.ndarray, z, T: int) -> np.ndarray:
     """
     S_T = np.asarray(S_T)
     if S_T.shape != (T, T):
-        raise ValueError("S_T must be T x T")
+        raise InvalidInputError("S_T must be T x T")
     zc = np.conj(complex(z))
     return _refined_solve(S_T, zc ** np.arange(T), "S_T")
 
@@ -201,7 +201,7 @@ def debranges_inner(C_T: np.ndarray, F: DeBrangesElement, G: DeBrangesElement):
     """
     C_T = np.asarray(C_T)
     if F.T != G.T or C_T.shape != (F.T, F.T):
-        raise ValueError("dimension mismatch")
+        raise InvalidInputError("dimension mismatch")
     return np.vdot(C_T @ F.coeffs, G.coeffs)
 
 
@@ -212,7 +212,5 @@ def beta_sequences(r, N_max: int):
     diagnostics (heuristic only; the theorems involve true limits).
     """
     rv = _as_response(r)
-    if rv.size < 2 * N_max - 1:
-        raise ValueError(f"need 2N_max-1 = {2 * N_max - 1} response entries")
     evs = _leading_eigvalsh(reverse_order(connecting_from_response(rv, N_max)))
     return np.array([ev[0] for ev in evs]), np.array([ev[-1] for ev in evs])

@@ -1,15 +1,23 @@
-"""Every public name listed in a module's __all__ resolves."""
+"""Every public name listed in a module's __all__ resolves, and every error is a BCError."""
 
+import ast
+import builtins
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import bcjacobi
+from bcjacobi import errors
 
 MODULES = sorted(
     m.name for m in pkgutil.iter_modules(bcjacobi.__path__) if m.name != "__main__"
 )
+
+# (module file, enclosing function, exception) raised on purpose outside BCError:
+# a failed lookup of a vertex that is not in the graph, not an input check
+NOT_BCERROR = {("graph_wave.py", "vertex_value", "KeyError")}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,3 +25,30 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"bcjacobi.{name}")
     missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
     assert missing == []
+
+
+def _raises(node, func=None):
+    """(enclosing function, raised expression) for each `raise X` under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _raises(child, child.name)
+            continue
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield func, ast.unparse(exc)
+        yield from _raises(child, func)
+
+
+def test_every_raise_names_a_bcerror():
+    """One error path: each `raise` in the package names a BCError subclass."""
+    found, offenders = set(), []
+    for path in sorted(Path(bcjacobi.__file__).parent.glob("*.py")):
+        for func, name in _raises(ast.parse(path.read_text())):
+            cls = getattr(errors, name, None) or getattr(builtins, name, None)
+            if isinstance(cls, type) and issubclass(cls, errors.BCError):
+                continue
+            found.add((path.name, func, name))
+            if (path.name, func, name) not in NOT_BCERROR:
+                offenders.append(f"{path.name}:{func}: raise {name}")
+    assert offenders == []
+    assert found == NOT_BCERROR  # the exemption is still needed

@@ -154,12 +154,7 @@ def test_moments_scenario(tmp_path):
     {"command": "string", "N_values": [25, "x"]},
 ])
 def test_continuous_scenarios_reject_bad_sizes(tmp_path, capsys, config):
-    with pytest.raises(BCError):
-        run_scenario(config, tmp_path / "direct")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    _assert_rejected(config, tmp_path, capsys)
 
 
 def test_verify_report_carries_metrics(tmp_path, capsys):
@@ -263,10 +258,100 @@ def test_csv_columns_of_every_kind_match_row_formatter():
 def test_toda_scenario_rejects_malformed_input(tmp_path, capsys, bad):
     config = {"command": "toda", "spec": {"a0": 1.0, "a": [1.0], "b": [0.0, 0.0]},
               "times": [0.0, 0.5], **bad}
+    _assert_rejected(config, tmp_path, capsys)
+
+
+def _assert_rejected(config, tmp_path, capsys):
+    """A BCError from run_scenario, exit 2 with one error line from main, and no CSV."""
     with pytest.raises(BCError):
         run_scenario(config, tmp_path / "direct")
-    assert not (tmp_path / "direct" / "toda.csv").exists()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+FREE = {"spec": "free", "N": 8}
+PATH_GRAPH = GraphSpec.path(4).to_json()
+MALFORMED = {
+    # sizes that used to end in a traceback
+    "forward-control-length": {"command": "forward", **FREE, "T": 3, "control": [1.0, 0.0]},
+    "forward-T0": {"command": "forward", **FREE, "T": 0},
+    "response-T0": {"command": "response", **FREE, "T": 0},
+    "response-T-negative": {"command": "response", **FREE, "T": -1},
+    "heat-T0": {"command": "heat", **FREE, "T": 0},
+    "measure-N0": {"command": "measure", "spec": "free", "N": 0},
+    "roundtrip-N0": {"command": "roundtrip", "N": 0},
+    "truncated-too-few-moments": {"command": "moments", "task": "truncated", "s": [1.0, 0.0, 1.0], "N": 3},
+    "weyl-lambda-one-number": {"command": "weyl", **FREE, "lambda": [0.5]},
+    "graph-empty": {"command": "graph", "graph": {"vertices": [], "edges": []}, "T": 3},
+    "toda-N31": {"command": "toda", "spec": "random", "N": 31, "times": [0.5]},
+    # values that used to run silently wrong
+    "forward-bc-unknown": {"command": "forward", **FREE, "T": 3, "bc": "nonsense"},
+    "N-float": {"command": "response", "spec": "free", "N": 2.7, "T": 3},
+    "N-string": {"command": "response", "spec": "free", "N": "3", "T": 3},
+    "N-bool": {"command": "roundtrip", "N": True},
+    "indeterminacy-N0": {"command": "moments", "task": "indeterminacy", "s": [1.0, 0.0, 1.0], "N": 0},
+    # every other integer key rejects floats, numeric strings and bools
+    "seed-float": {"command": "roundtrip", "N": 4, "seed": 1.5},
+    "seed-string": {"command": "roundtrip", "N": 4, "seed": "2"},
+    "seed-negative": {"command": "roundtrip", "N": 4, "seed": -1},
+    "moments-N-float": {"command": "moments", "task": "truncated", "s": [1.0, 0.0, 1.0], "N": 2.0},
+    "contjacobi-M-float": {"command": "contjacobi", "N": 2, "M": 800.0},
+    "string-M-string": {"command": "string", "N_values": [25], "M": "1000"},
+    "weyl-series_length-float": {"command": "weyl", **FREE, "lambda": [0.5, 4.0], "series_length": 200.5},
+    "string-N_values-float": {"command": "string", "N_values": [25.0]},
+    "string-N_values-bool": {"command": "string", "N_values": [25, True]},
+    "forward-T-float": {"command": "forward", **FREE, "T": 3.0},
+    "response-T-string": {"command": "response", **FREE, "T": "5"},
+    "invert-T-float": {"command": "invert", "r": [1.0, 0.0, 1.0], "T": 2.5},
+    "heat-T-bool": {"command": "heat", **FREE, "T": True},
+    "graph-T-float": {"command": "graph", "graph": PATH_GRAPH, "T": 6.0},
+    "graph-T-negative": {"command": "graph", "graph": PATH_GRAPH, "T": -1},
+    # continuous-time T stays a finite number > 0
+    "string-T-zero": {"command": "string", "N_values": [25], "T": 0},
+    "string-T-string": {"command": "string", "N_values": [25], "T": "1.0"},
+    "contjacobi-T-negative": {"command": "contjacobi", "N": 2, "T": -2.0},
+    "weyl-lambda-three-numbers": {"command": "weyl", **FREE, "lambda": [0.5, 4.0, 1.0]},
+    "weyl-lambda-string": {"command": "weyl", **FREE, "lambda": "0.5+4j"},
+    # malformed JSON structure and vocabularies
+    "graph-vertex-missing-key": {"command": "graph", "graph": {"vertices": [{"id": "a"}], "edges": []}, "T": 3},
+    "spec-missing-a0": {"command": "measure", "spec": {"b": [0.0]}},
+    "spec-entry-string": {"command": "measure", "spec": {"a0": 1.0, "b": ["x"]}},
+    "invert-T-negative": {"command": "invert", "r": [1.0, 0.0, 1.0], "T": -3},
+    "invert-mode-unknown": {"command": "invert", "r": [1.0, 0.0, 1.0], "T": 2, "mode": "Complex"},
+    "invert-real-pair": {"command": "invert", "r": [1.0, [0.0, 1.0], 1.0], "T": 2},
+    "graph-control-string": {"command": "graph", "graph": PATH_GRAPH, "T": 2, "controls": {"in": "010"}},
+    "string-psi-center-string": {"command": "string", "N_values": [25], "psi": {"center": "x"}},
+}
+
+
+@pytest.mark.parametrize("config", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_exits_2_without_output(tmp_path, capsys, config):
+    _assert_rejected(config, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe", b"[1, 2]", b"3"],
+                         ids=["missing", "invalid-json", "not-utf8", "json-list", "json-number"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_python_m_bcjacobi_run_rejects_bad_config(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"command": "response", "spec": "free", "N": 2.7, "T": 3}))
+    src = str(Path(bcjacobi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcjacobi", "run", "--config", str(bad), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "response.csv").exists()

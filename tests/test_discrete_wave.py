@@ -11,7 +11,7 @@ from bcjacobi.discrete_wave import (
     solve_finite_dirichlet,
     solve_semi_infinite,
 )
-from bcjacobi.errors import SpecTooShortError
+from bcjacobi.errors import InvalidInputError, SpecTooShortError
 
 
 def naive_forward(spec, f, T, n_nodes, dirichlet_at=None):
@@ -267,3 +267,10 @@ def test_control_matrix_agrees_with_dirichlet_states():
         cols.append(solve_finite_dirichlet(spec, f, T).u[1 : T + 1, T])
     W_dirichlet = np.array(cols).T @ np.eye(T)[::-1]  # reorder to (f_{T-1}..f_0)
     assert np.allclose(W, W_dirichlet, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", [0, -1])
+def test_response_vector_rejects_horizon_below_one(T):
+    for bc in ("semi_infinite", "dirichlet"):
+        with pytest.raises(InvalidInputError, match="T >= 1"):
+            response_vector(free_spec(4), T, bc=bc)

@@ -3,6 +3,7 @@ import pytest
 
 from bcjacobi.core import free_spec
 from bcjacobi.discrete_wave import solve_semi_infinite
+from bcjacobi.errors import InvalidInputError
 from bcjacobi.graph_wave import Edge, GraphField, GraphSpec, energies, simulate, step
 
 
@@ -207,3 +208,21 @@ def test_single_segment_edges_degenerate_stencil():
     # boundary values stay clamped to their controls
     assert fld.u[1][0, 2] == 0.0
     assert np.all(np.isfinite(fld.u[0]))
+
+
+def test_graph_without_vertices_is_rejected():
+    with pytest.raises(InvalidInputError, match="at least one vertex"):
+        GraphSpec(vertices=(), edges=())
+
+
+@pytest.mark.parametrize("drop", ["vertices", "edges", "vertex boundary", "edge n_interior"])
+def test_graph_json_missing_key_is_rejected(drop):
+    obj = GraphSpec.path(3).to_json()
+    if drop in obj:
+        del obj[drop]
+    elif drop == "vertex boundary":
+        del obj["vertices"][0]["boundary"]
+    else:
+        del obj["edges"][0]["n_interior"]
+    with pytest.raises(InvalidInputError, match="KeyError"):
+        GraphSpec.from_json(obj)

@@ -3,7 +3,7 @@ import pytest
 
 from bcjacobi.core import JacobiSpec, free_spec, moments_of_measure, random_spec, spectral_measure
 from bcjacobi.discrete_wave import delta_control
-from bcjacobi.errors import SpecTooShortError
+from bcjacobi.errors import InvalidInputError, SpecTooShortError
 from bcjacobi.heat import (
     heat_connecting,
     heat_control_matrix,
@@ -161,3 +161,9 @@ def test_heat_rejects_complex_controls():
     for f in (np.array([1j, 0, 0]), [1j, 0, 0], np.array([1.0, 0, 0], dtype=complex)):
         with pytest.raises(ValueError, match="real control"):
             solve_heat(free_spec(4), f, 3)
+
+
+@pytest.mark.parametrize("T", [0, -1])
+def test_heat_response_rejects_horizon_below_one(T):
+    with pytest.raises(InvalidInputError, match="T >= 1"):
+        heat_response(free_spec(4), T)
