@@ -36,6 +36,7 @@ from .inverse_bc import (
     InversionReport,
     characterize,
     invert_factorization,
+    nested_min_singular_values,
     roundtrip_report,
     schrodinger_check,
     solve_krein,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import continuous_time as ct
-from .core import JacobiSpec, free_spec, random_spec, spectral_measure
+from .core import JacobiSpec, _json_int, _json_number, _json_pair, free_spec, random_spec, spectral_measure
 from .discrete_wave import ResponseVector, response_vector, solve_finite_dirichlet, solve_semi_infinite
 from .errors import BCError, InvalidInputError
 from .graph_wave import GraphSpec, simulate
@@ -75,15 +75,14 @@ def _plain_floats(x):
     return [float(v) for v in x] if isinstance(x, list) else float(x)
 
 
-# one JSON value of each kind; a number is finite as a float (the comparison
-# is exact for Python ints, and NaN fails it), and no kind admits a bool
+# one JSON value of each kind; no kind admits a bool
 _IS = {
-    "int": lambda x: isinstance(x, int) and not isinstance(x, bool),
-    "number": lambda x: (_IS["int"](x) or isinstance(x, float)) and abs(x) <= sys.float_info.max,
+    "int": _json_int,
+    "number": _json_number,
     "str": lambda x: isinstance(x, str),
     "dict": lambda x: isinstance(x, dict),
-    "pair": lambda x: isinstance(x, list) and len(x) == 2 and all(map(_IS["number"], x)),
-    "complex": lambda x: _IS["number"](x) or _IS["pair"](x),
+    "pair": _json_pair,
+    "complex": lambda x: _json_number(x) or _json_pair(x),
 }
 
 
@@ -171,6 +170,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         (out_dir / "inversion.json").write_text(json.dumps(report, indent=2))
         files.append("inversion.json")
         summary["residual"] = rep.residual
+        summary["min_scaled_pivot"] = rep.min_scaled_pivot
 
     elif command == "roundtrip":
         N = _arg(config, "N", "int", low=1)
@@ -178,6 +178,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         rep = roundtrip_report(spec, N)
         summary["coeff_error"] = rep.coeff_error
         summary["residual"] = rep.residual
+        summary["min_scaled_pivot"] = rep.min_scaled_pivot
         k = np.arange(1, N)
         emit_csv("roundtrip_a.csv", ["k", "a_true", "a_recovered"], [k, spec.a[: k.size], rep.a])
 

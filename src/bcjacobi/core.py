@@ -7,6 +7,7 @@ immutable; all functions are pure.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,25 @@ __all__ = [
     "random_spec",
     "alpha_star_partials",
 ]
+
+# Largest float64 array numpy can index: a block size past it ends in numpy's
+# own ValueError ("Maximum allowed dimension exceeded", "array is too big").
+_MAX_BLOCK = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
+def _json_int(x) -> bool:
+    """A JSON integer: an int, never a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _json_number(x) -> bool:
+    """A finite JSON number, never a bool (the bound is exact for Python ints, and NaN fails it)."""
+    return (_json_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+def _json_pair(x) -> bool:
+    """A [re, im] or [lambda, weight] pair of finite JSON numbers."""
+    return isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_json_number, x))
 
 
 @dataclass(frozen=True)
@@ -88,21 +108,23 @@ class JacobiSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "JacobiSpec":
-        mode = obj.get("mode", "real")
-
         def dec(x):
-            return complex(x[0], x[1]) if isinstance(x, (list, tuple)) else x
+            if _json_pair(x):
+                return complex(x[0], x[1])
+            if _json_number(x):
+                return x
+            raise InvalidInputError(f"malformed spec JSON: {x!r} is not a number or an [re, im] pair")
 
         try:
             return JacobiSpec(
                 a0=dec(obj["a0"]),
                 a=[dec(x) for x in obj.get("a", [])],
                 b=[dec(x) for x in obj["b"]],
-                mode=mode,
+                mode=obj.get("mode", "real"),
             )
         except InvalidInputError:
             raise
-        except (LookupError, TypeError, ValueError) as exc:  # numpy's conversion of a non-number
+        except (LookupError, TypeError, ValueError) as exc:  # a missing key, a non-list, a pair in real mode
             raise InvalidInputError(f"malformed spec JSON: {type(exc).__name__} {exc}") from None
 
 
@@ -137,7 +159,10 @@ class SpectralMeasure:
 
     @staticmethod
     def from_json(obj: dict) -> "SpectralMeasure":
-        return SpectralMeasure(tuple((l, w) for l, w in obj["atoms"]))
+        atoms = obj.get("atoms") if isinstance(obj, dict) else None
+        if not (isinstance(atoms, list) and all(map(_json_pair, atoms))):
+            raise InvalidInputError("malformed measure JSON: need {'atoms': [[lambda, weight], ...]}")
+        return SpectralMeasure(tuple((l, w) for l, w in atoms))
 
 
 @dataclass(frozen=True)
@@ -244,8 +269,14 @@ def moments_of_measure(mu: SpectralMeasure, K: int) -> np.ndarray:
     return out
 
 
+def _require_block_size(n: int) -> None:
+    if not 1 <= n <= _MAX_BLOCK:
+        raise InvalidInputError(f"block size must be in 1..{_MAX_BLOCK}, got {n}")
+
+
 def free_spec(n: int, a0: float = 1.0) -> JacobiSpec:
     """Free block: a_k = 1, b_k = 0."""
+    _require_block_size(n)
     return JacobiSpec(a0=a0, a=np.ones(max(n - 1, 0)), b=np.zeros(n))
 
 
@@ -257,6 +288,7 @@ def random_spec(
     a0: float = 1.0,
 ) -> JacobiSpec:
     """Random real block with a_k in a_range and b_k in b_range."""
+    _require_block_size(n)
     return JacobiSpec(
         a0=a0,
         a=rng.uniform(*a_range, size=max(n - 1, 0)),

@@ -172,6 +172,12 @@ def control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
     return W
 
 
+def _require_horizon(r: np.ndarray, T: int) -> None:
+    """Refuse a horizon T that r_0..r_{2T-2} cannot fill."""
+    if T < 1 or r.size < 2 * T - 1:
+        raise InvalidInputError(f"need T >= 1 and at least 2T-1 = {2 * T - 1} response entries")
+
+
 def connecting_from_response(r, T: int) -> np.ndarray:
     """Connecting matrix C^T_{ij} = r_0 * sum_{k=0}^{T-max(i,j)} r_{|i-j|+2k}.
 
@@ -179,8 +185,7 @@ def connecting_from_response(r, T: int) -> np.ndarray:
     r_0 = a_0 (it is 1 under the usual normalization).
     """
     r = _as_response(r)
-    if T < 1 or r.size < 2 * T - 1:
-        raise InvalidInputError(f"need T >= 1 and at least 2T-1 = {2 * T - 1} response entries")
+    _require_horizon(r, T)
     # diagonal i - j = m holds the running sums of r_m, r_{m+2}, ..., r_{2T-2-m},
     # longest first; cumulative sums avoid the cancellation of prefix-sum differences.
     # The sums run sequentially (error ~ T eps), not pairwise like np.sum, which

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _json_int
 from .errors import InvalidInputError
 
 __all__ = ["Edge", "GraphSpec", "GraphField", "step", "energies", "simulate"]
@@ -112,10 +113,14 @@ class GraphSpec:
     @staticmethod
     def from_json(obj: dict) -> "GraphSpec":
         try:
-            vertices = tuple((v["id"], bool(v["boundary"])) for v in obj["vertices"])
-            edges = [(e["from"], e["to"], int(e["n_interior"])) for e in obj["edges"]]
-        except (LookupError, TypeError, ValueError) as exc:
+            vertices = tuple((v["id"], v["boundary"]) for v in obj["vertices"])
+            edges = [(e["from"], e["to"], e["n_interior"]) for e in obj["edges"]]
+        except (LookupError, TypeError) as exc:
             raise InvalidInputError(f"malformed graph JSON: {type(exc).__name__} {exc}") from None
+        if not all(isinstance(v, str) and isinstance(b, bool) for v, b in vertices):
+            raise InvalidInputError("malformed graph JSON: a vertex needs a string id and a bool boundary")
+        if not all(isinstance(t, str) and isinstance(h, str) and _json_int(n) for t, h, n in edges):
+            raise InvalidInputError("malformed graph JSON: an edge needs string ends and an int n_interior")
         return GraphSpec(vertices=vertices, edges=tuple(Edge(*e) for e in edges))
 
 

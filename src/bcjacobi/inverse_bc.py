@@ -21,6 +21,7 @@ from .core import JacobiSpec, chebyshev_values
 from .discrete_wave import (
     ResponseVector,
     _as_response,
+    _require_horizon,
     connecting_from_response,
     response_vector,
     reverse_order,
@@ -36,6 +37,7 @@ __all__ = [
     "kappa_vector",
     "response_matrix",
     "characterize",
+    "nested_min_singular_values",
     "schrodinger_check",
     "schrodinger_even_entries",
     "roundtrip_report",
@@ -57,7 +59,10 @@ class InversionReport:
     in every a_k); `a` then holds principal square roots, which reproduce the
     same response.  `determinants` lists det C_1..det C_T of the reversed
     connecting matrix.  `residual` is the max relative error of the
-    re-simulated response against the input.
+    re-simulated response against the input.  `scaled_pivots` are the LDL^t
+    pivots of the equilibrated reversed connecting matrix of r / r_0, the
+    conditioning profile of the data: a pivot near zero marks a nested block
+    close to singular.
     """
 
     a0: complex
@@ -68,6 +73,11 @@ class InversionReport:
     mode: str = "real"
     a_sq: np.ndarray | None = None
     coeff_error: float | None = None
+    scaled_pivots: np.ndarray | None = None
+
+    @property
+    def min_scaled_pivot(self) -> float:
+        return float(np.min(np.abs(self.scaled_pivots)))
 
     @property
     def recovered(self) -> JacobiSpec:
@@ -139,7 +149,8 @@ def _pivot_sweep(r: np.ndarray, T: int):
 def _leading_eigvalsh(C: np.ndarray) -> list:
     """eigvalsh(C[:k, :k]) for k = 1..T, ascending within each block.
 
-    One dense eigensolve per block, O(T^4) in total.
+    One dense eigensolve per block, O(T^4) in total: the spectrum of a leading
+    block does not follow from that of the block before it.
     """
     return [np.linalg.eigvalsh(C[:k, :k]) for k in range(1, C.shape[0] + 1)]
 
@@ -178,10 +189,10 @@ def invert_factorization(r, T: int) -> InversionReport:
     S = D[:-1] / D[1:] * np.diagonal(L, -1)
     b_rec = np.diff(S, prepend=0.0)
     if mode == "real":
-        a0, a_rec, b_rec, dets = a0.real, a_rec.real, b_rec.real, dets.real
+        a0, a_rec, b_rec, dets, ds = a0.real, a_rec.real, b_rec.real, dets.real, ds.real
     rep = InversionReport(
         a0=a0, a=a_rec, b=b_rec, determinants=dets, residual=0.0, mode=mode,
-        a_sq=a_sq if mode == "complex" else None,
+        a_sq=a_sq if mode == "complex" else None, scaled_pivots=ds,
     )
     used = rv[: 2 * T - 1]
     resim = response_vector(rep.recovered, 2 * T - 1, bc="semi_infinite").r
@@ -246,40 +257,52 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
     `invert_factorization` on the same normalized data r / r_0 (an LDL^t
     sweep of the reversed matrix visits exactly the nested blocks), so a
     response that passes here never makes the inversion refuse and vice
-    versa.  Smallest singular values of the nested blocks of the
-    unnormalized C^T are attached as diagnostics.  A real block is
-    symmetric, so its smallest singular value is its smallest |eigenvalue|
-    (`eigvalsh`); a complex block is complex-symmetric but not Hermitian, so
-    it takes the singular values themselves (`svd`).
+    versa.  One O(T^3) sweep decides.  When the sweep runs to the end, its
+    pivots are the diagnostics: `scaled_pivots` (equal to the inversion's)
+    and their smallest modulus `min_scaled_pivot`.  The smallest singular
+    values of the nested blocks are a separate O(T^4) call,
+    `nested_min_singular_values`.
     """
     r = _as_response(r)
-    C = reverse_order(connecting_from_response(r, T))
-    if np.iscomplexobj(C):
-        sigmas = [float(np.linalg.svd(C[:k, :k], compute_uv=False)[-1]) for k in range(1, T + 1)]
-    else:
-        sigmas = [float(np.min(np.abs(ev))) for ev in _leading_eigvalsh(C)]
-    diag = {"min_singular_values": sigmas}
+    _require_horizon(r, T)
     if mode == "real":
         if np.iscomplexobj(r) and np.any(r.imag != 0):
-            return CharacterizationResult(False, mode, "complex entries in real mode", diag)
+            return CharacterizationResult(False, mode, "complex entries in real mode")
         if r[0].real <= 0:
-            return CharacterizationResult(False, mode, "r_0 = a_0 is not positive", diag)
+            return CharacterizationResult(False, mode, "r_0 = a_0 is not positive")
         rn = r.real / r[0].real
     elif mode == "complex":
         if r[0] == 0:
-            return CharacterizationResult(False, mode, "r_0 = a_0 vanishes", diag)
+            return CharacterizationResult(False, mode, "r_0 = a_0 vanishes")
         rn = r.astype(complex) / r[0]
     else:
         raise InvalidInputError(f"unknown mode {mode!r}")
     try:
         _, ds, _ = _pivot_sweep(rn, T)
     except SingularBlockError as exc:
-        return CharacterizationResult(False, mode, str(exc), diag)
+        return CharacterizationResult(False, mode, str(exc))
+    diag = {"scaled_pivots": ds, "min_scaled_pivot": float(np.min(np.abs(ds)))}
     if mode == "complex":
         return CharacterizationResult(True, mode, "all nested blocks are isomorphisms", diag)
     if np.any(ds.real <= 0):
         return CharacterizationResult(False, mode, "C^T is not positive definite", diag)
     return CharacterizationResult(True, mode, "C^T positive definite", diag)
+
+
+def nested_min_singular_values(r, T: int) -> np.ndarray:
+    """Smallest singular value of each nested block C_1..C_T of the reversed,
+    unnormalized connecting matrix built from r.
+
+    O(T^4): one dense eigensolve per nested block, since the smallest
+    singular value of a block does not follow from that of the block before
+    it.  A real block is symmetric, so its smallest singular value is its
+    smallest |eigenvalue| (`eigvalsh`); a complex block is complex-symmetric
+    but not Hermitian, so it takes the singular values themselves (`svd`).
+    """
+    C = reverse_order(connecting_from_response(r, T))
+    if np.iscomplexobj(C):
+        return np.array([np.linalg.svd(C[:k, :k], compute_uv=False)[-1] for k in range(1, T + 1)])
+    return np.array([np.min(np.abs(ev)) for ev in _leading_eigvalsh(C)])
 
 
 @dataclass(frozen=True)

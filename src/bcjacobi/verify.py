@@ -35,7 +35,7 @@ from .discrete_wave import (
 )
 from .errors import SingularBlockError
 from .heat import heat_connecting, heat_control_matrix, heat_response
-from .inverse_bc import _pivot_sweep, invert_factorization, roundtrip_report
+from .inverse_bc import characterize, invert_factorization, roundtrip_report
 from .moments import (
     _reversed_hankel,
     lambda_matrix_tilde,
@@ -124,13 +124,10 @@ def check_discrete_roundtrip(seed: int = 20240) -> CheckResult:
 
 
 def _pivot_range_proxy(spec, N: int) -> float:
-    """Data-only conditioning proxy: min scaled pivot of the equilibrated C."""
-    r = response_vector(spec, 2 * N - 1).r
-    try:
-        _, ds, _ = _pivot_sweep(r / r[0], N)
-    except SingularBlockError:
-        return 0.0
-    return float(np.min(np.abs(ds)))
+    """Data-only conditioning proxy: min scaled pivot of the equilibrated C,
+    0 when `characterize` refuses the data."""
+    res = characterize(response_vector(spec, 2 * N - 1), N)
+    return res.diagnostics["min_scaled_pivot"] if res.admissible else 0.0
 
 
 def check_gram_identities(seed: int = 7) -> CheckResult:

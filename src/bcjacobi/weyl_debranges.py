@@ -209,7 +209,9 @@ def beta_sequences(r, N_max: int):
     """Extreme eigenvalues of the nested blocks C_N, N = 1..N_max.
 
     Returns (beta_min, beta_max); raw sequences for limit-point/limit-circle
-    diagnostics (heuristic only; the theorems involve true limits).
+    diagnostics (heuristic only; the theorems involve true limits).  O(N_max^4):
+    one dense eigensolve per nested block, since the extreme eigenvalues of a
+    block do not follow from those of the block before it.
     """
     rv = _as_response(r)
     evs = _leading_eigvalsh(reverse_order(connecting_from_response(rv, N_max)))

@@ -325,6 +325,21 @@ MALFORMED = {
     "invert-real-pair": {"command": "invert", "r": [1.0, [0.0, 1.0], 1.0], "T": 2},
     "graph-control-string": {"command": "graph", "graph": PATH_GRAPH, "T": 2, "controls": {"in": "010"}},
     "string-psi-center-string": {"command": "string", "N_values": [25], "psi": {"center": "x"}},
+    # nested spec and graph JSON is type-checked, not converted
+    "graph-n_interior-float": {"command": "graph", "T": 3, "graph": {
+        **PATH_GRAPH, "edges": [{**PATH_GRAPH["edges"][0], "n_interior": 2.7}]}},
+    "graph-n_interior-bool": {"command": "graph", "T": 3, "graph": {
+        **PATH_GRAPH, "edges": [{**PATH_GRAPH["edges"][0], "n_interior": True}]}},
+    "graph-boundary-string": {"command": "graph", "T": 3, "graph": {
+        **PATH_GRAPH, "vertices": [PATH_GRAPH["vertices"][0], {"id": "out", "boundary": "no"}]}},
+    "graph-id-list": {"command": "graph", "T": 3, "graph": {
+        "vertices": [{"id": ["in"], "boundary": True}], "edges": []}},
+    "spec-entries-bool-and-string": {"command": "measure",
+                                     "spec": {"a0": True, "b": [True, "3"], "a": [1.0]}},
+    "spec-a0-nan": {"command": "measure", "spec": {"a0": float("nan"), "b": [0.0]}},
+    # sizes past what numpy can allocate as a dimension
+    "measure-N-huge": {"command": "measure", "spec": "free", "N": 10**30},
+    "roundtrip-N-huge": {"command": "roundtrip", "N": 10**30},
 }
 
 

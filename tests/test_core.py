@@ -14,7 +14,7 @@ from bcjacobi.core import (
     random_spec,
     spectral_measure,
 )
-from bcjacobi.errors import BCError
+from bcjacobi.errors import BCError, InvalidInputError
 
 
 def brute_chebyshev(t, lam):
@@ -224,6 +224,40 @@ def test_spec_json_roundtrip():
 def test_measure_json_roundtrip():
     mu = SpectralMeasure(((-1.0, 0.25), (0.5, 0.75)))
     assert SpectralMeasure.from_json(mu.to_json()).atoms == mu.atoms
+
+
+@pytest.mark.parametrize("obj", [
+    {"a0": True, "b": [True, "3"], "a": [1.0]},
+    {"a0": "1", "b": [0.0]},
+    {"a0": 1.0, "b": [0.0, False], "a": [1.0]},
+    {"a0": 1.0, "b": [[0.0, "1"]], "mode": "complex"},
+    {"a0": float("nan"), "b": [0.0]},
+    {"a0": 10**400, "b": [0.0]},
+])
+def test_spec_json_refuses_non_numbers(obj):
+    with pytest.raises(InvalidInputError, match="malformed spec JSON"):
+        JacobiSpec.from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"atoms": [[1]]},
+    {"atoms": 5},
+    {},
+    {"atoms": [[0.0, "1"]]},
+    {"atoms": [[True, 1.0]]},
+    [[0.0, 1.0]],
+])
+def test_measure_json_refuses_malformed_input(obj):
+    with pytest.raises(InvalidInputError, match="malformed measure JSON"):
+        SpectralMeasure.from_json(obj)
+
+
+@pytest.mark.parametrize("n", [0, -1, np.iinfo(np.intp).max // 8 + 1, np.iinfo(np.intp).max, 10**30])
+def test_spec_builders_refuse_sizes_numpy_cannot_allocate(n):
+    with pytest.raises(InvalidInputError, match="block size"):
+        free_spec(n)
+    with pytest.raises(InvalidInputError, match="block size"):
+        random_spec(n, np.random.default_rng(0))
 
 
 def test_alpha_star_partials_free():

@@ -226,3 +226,17 @@ def test_graph_json_missing_key_is_rejected(drop):
         del obj["edges"][0]["n_interior"]
     with pytest.raises(InvalidInputError, match="KeyError"):
         GraphSpec.from_json(obj)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_interior", 2.7), ("n_interior", True), ("n_interior", "2"),
+    ("boundary", "no"), ("boundary", 1), ("id", ["in"]), ("from", 0),
+])
+def test_graph_json_wrong_type_is_rejected(field, value):
+    obj = GraphSpec.path(3).to_json()
+    if field in ("n_interior", "from"):
+        obj["edges"][0][field] = value
+    else:
+        obj["vertices"][0][field] = value
+    with pytest.raises(InvalidInputError, match="malformed graph JSON"):
+        GraphSpec.from_json(obj)

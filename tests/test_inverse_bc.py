@@ -15,6 +15,7 @@ from bcjacobi.inverse_bc import (
     characterize,
     invert_factorization,
     kappa_vector,
+    nested_min_singular_values,
     response_matrix,
     roundtrip_report,
     schrodinger_check,
@@ -319,8 +320,38 @@ def test_min_singular_values_match_svd_reference(mode):
     cases.append((bad, 8))
     for r, T in cases:
         C = reverse_order(connecting_from_response(r, T))
-        sigmas = characterize(r, T, mode=mode).diagnostics["min_singular_values"]
+        sigmas = nested_min_singular_values(r, T)
         assert len(sigmas) == T
         for k in range(1, T + 1):
             sv = np.linalg.svd(C[:k, :k], compute_uv=False)
             assert abs(sigmas[k - 1] - sv[-1]) <= 8 * k * np.finfo(float).eps * sv[0]
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_characterize_pivots_equal_inversion_pivots(mode):
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        n = int(rng.integers(1, 14))
+        spec = random_spec(n, rng) if mode == "real" else _complex_spec(n, rng)
+        r = response_vector(spec, 2 * n - 1)
+        diag = characterize(r, n, mode=mode).diagnostics
+        ds = invert_factorization(r, n).scaled_pivots
+        assert np.array_equal(diag["scaled_pivots"], ds)
+        assert diag["min_scaled_pivot"] == np.min(np.abs(ds)) > 0
+
+
+def test_characterize_runs_no_eigensolver(monkeypatch):
+    # the verdict and its diagnostics come from the O(T^3) pivot sweep alone;
+    # the O(T^4) nested eigen sweep lives in nested_min_singular_values
+    spec = random_spec(40, np.random.default_rng(24), a_range=(0.9, 1.1), b_range=(-0.1, 0.1))
+    r = response_vector(spec, 79)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("characterize ran a dense eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    res = characterize(r, 40)
+    assert res.admissible and res.diagnostics["scaled_pivots"].shape == (40,)
+    with pytest.raises(AssertionError, match="eigensolve"):
+        nested_min_singular_values(r, 40)
