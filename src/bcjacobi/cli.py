@@ -18,7 +18,7 @@ import numpy as np
 
 from . import continuous_time as ct
 from .core import JacobiSpec, _json_int, _json_number, _json_pair, free_spec, random_spec, spectral_measure
-from .discrete_wave import ResponseVector, response_vector, solve_finite_dirichlet, solve_semi_infinite
+from .discrete_wave import ResponseVector, delta_control, response_vector, solve_finite_dirichlet, solve_semi_infinite
 from .errors import BCError, InvalidInputError
 from .graph_wave import GraphSpec, simulate
 from .heat import heat_response, invert_heat
@@ -133,7 +133,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     if command == "forward":
         T = _arg(config, "T", "int")
         spec = _spec_from_config(config, rng)
-        f = np.asarray(_arg(config, "control", "number[]", [1.0] + [0.0] * (T - 1)), dtype=float)
+        control = _arg(config, "control", "number[]", None)
+        f = delta_control(T) if control is None else np.asarray(control, dtype=float)
         # the same boundary-condition vocabulary as response_vector
         solvers = {"semi_infinite": solve_semi_infinite, "dirichlet": solve_finite_dirichlet}
         bc = _arg(config, "bc", "str", "semi_infinite")

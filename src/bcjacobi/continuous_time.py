@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.linalg import eigh, eigvalsh, hankel, toeplitz
 
-from .core import JacobiSpec, eig_spectral_data
+from .core import JacobiSpec, _require_size, eig_spectral_data
 from .errors import InvalidInputError, NotRealizableError
 
 __all__ = [
@@ -50,8 +50,9 @@ class TimeGrid:
     M: int
 
     def __post_init__(self):
-        if self.T <= 0 or self.M < 2:
+        if self.T <= 0:
             raise InvalidInputError("need T > 0 and M >= 2")
+        _require_size("M", self.M, low=2)
 
     @property
     def dt(self) -> float:
@@ -224,8 +225,11 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
 
     The connecting operator is restricted to its numerical range by the top N
     eigenpairs of the symmetric kernel sqrt(w) K sqrt(w), computed alone;
-    eigenvalue N must exceed 1e-8 times the largest, else NotRealizableError
-    names the numerical rank.  The first control solves (C f_1)(t) = r(T - t),
+    eigenvalue N must clear the noise floor, else NotRealizableError names
+    the numerical rank counted against it.  The floor is the larger of 1e-8
+    times the largest eigenvalue and T times the Richardson estimate
+    max|P_dt - P_2dt| / 15 of the Simpson antiderivative's error, read off
+    the samples alone.  The first control solves (C f_1)(t) = r(T - t),
     and the recursion
 
         b_n = -((C f_n)'', f_n),   a_n C f_{n+1} = -(C f_n)'' - b_n C f_n - a_{n-1} C f_{n-1}
@@ -253,10 +257,14 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     if N <= M + 1:
         sig, U = eigh(B, subset_by_index=[M + 1 - N, M])
         sig, U = sig[::-1], U[:, ::-1]
-    if N > M + 1 or sig[N - 1] <= 1e-8 * sig[0]:
+    # Richardson estimate of the Simpson antiderivative's error (step 2 dt
+    # against dt, order 4), which bounds the kernel perturbation's norm by T times it
+    P2 = np.concatenate([[0.0], cumulative_simpson(r.values[::2], dx=2.0 * grid.dt)])
+    noise = grid.T * float(np.max(np.abs(P[::2] - P2))) / 15.0
+    if N > M + 1 or sig[N - 1] <= max(1e-8 * sig[0], noise):
         # singular values are the |eigenvalues|: count them as a full SVD would
         sv = np.abs(eigvalsh(B))
-        rank = int(np.sum(sv > 1e-8 * sv.max()))
+        rank = int(np.sum(sv > max(1e-8 * sv.max(), noise)))
         raise NotRealizableError(
             f"mode {N} of the connecting operator sits at the noise floor "
             f"(numerical rank {rank}): the data does not support rank {N}"

@@ -269,14 +269,15 @@ def moments_of_measure(mu: SpectralMeasure, K: int) -> np.ndarray:
     return out
 
 
-def _require_block_size(n: int) -> None:
-    if not 1 <= n <= _MAX_BLOCK:
-        raise InvalidInputError(f"block size must be in 1..{_MAX_BLOCK}, got {n}")
+def _require_size(what: str, n: int, low: int = 1) -> None:
+    """Refuse an array dimension below `low` or past what numpy can index."""
+    if not low <= n <= _MAX_BLOCK:
+        raise InvalidInputError(f"{what} must be in {low}..{_MAX_BLOCK}, got {n}")
 
 
 def free_spec(n: int, a0: float = 1.0) -> JacobiSpec:
     """Free block: a_k = 1, b_k = 0."""
-    _require_block_size(n)
+    _require_size("block size", n)
     return JacobiSpec(a0=a0, a=np.ones(max(n - 1, 0)), b=np.zeros(n))
 
 
@@ -288,7 +289,7 @@ def random_spec(
     a0: float = 1.0,
 ) -> JacobiSpec:
     """Random real block with a_k in a_range and b_k in b_range."""
-    _require_block_size(n)
+    _require_size("block size", n)
     return JacobiSpec(
         a0=a0,
         a=rng.uniform(*a_range, size=max(n - 1, 0)),

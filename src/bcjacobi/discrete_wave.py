@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec
+from .core import JacobiSpec, _require_size
 from .errors import InvalidInputError, SpecTooShortError
 
 __all__ = [
@@ -67,6 +67,7 @@ class ResponseVector:
 
 
 def delta_control(T: int, dtype=float) -> np.ndarray:
+    _require_size("T", T)
     f = np.zeros(T, dtype=dtype)
     f[0] = 1.0
     return f

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _json_int
+from .core import _json_int, _require_size
 from .errors import InvalidInputError
 
 __all__ = ["Edge", "GraphSpec", "GraphField", "step", "energies", "simulate"]
@@ -29,8 +29,7 @@ class Edge:
     n_seg: int  # number of unit lattice intervals on the edge
 
     def __post_init__(self):
-        if self.n_seg < 1:
-            raise InvalidInputError("edges need at least one lattice interval")
+        _require_size("edge lattice interval count", self.n_seg)
 
 
 @dataclass(frozen=True)
@@ -140,6 +139,7 @@ class GraphField:
 
     @staticmethod
     def zero(graph: GraphSpec, controls: dict, T: int) -> "GraphField":
+        _require_size("T", T, low=0)
         ctr = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in controls.items()}
         for k, v in ctr.items():
             if k not in graph.boundary:

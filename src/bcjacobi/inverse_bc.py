@@ -6,9 +6,10 @@ connecting matrix C_T = J C^T J, then
     a_k = sqrt(det C_{k+1} det C_{k-1}) / det C_k,
     b_k = det C_{k+1,k}/det C_k - det C_{k,k-1}/det C_{k-1},
 
-where C_{k+1,k} replaces the last column of C_k by column k+1 entries.  All
-ratios come from unpivoted LDL^t pivots and the subdiagonal of the unit
-factor; raw determinants are only reported as diagnostics.
+where C_{k+1,k} replaces the last column of C_k by column k+1 entries.  The
+response entries are modified moments of the spectral measure, so one
+modified Chebyshev sweep returns every one of these ratios in O(T^2)
+without factoring C; raw determinants are only reported as diagnostics.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class InversionReport:
     same response.  `determinants` lists det C_1..det C_T of the reversed
     connecting matrix.  `residual` is the max relative error of the
     re-simulated response against the input.  `scaled_pivots` are the LDL^t
-    pivots of the equilibrated reversed connecting matrix of r / r_0, the
+    pivots of the diagonally equilibrated reversed connecting matrix of
+    r / r_0 (read off the modified Chebyshev sweep, C is never factored), the
     conditioning profile of the data: a pivot near zero marks a nested block
     close to singular.
     """
@@ -94,56 +96,60 @@ class InversionReport:
         )
 
 
-def _equilibrate(C: np.ndarray):
-    """Symmetric diagonal scaling Cs = D C D with unit-ish diagonal.
+def _chebyshev_sweep(r: np.ndarray, T: int):
+    """Modified Chebyshev algorithm on the modified moments m = r / r_0.
 
-    Connecting matrices are heavily graded: their pivots are squared control
-    fronts (prod_j a_j)^2 and span many decades, which destroys the relative
-    accuracy of determinant ratios computed on the raw matrix.  The grading
-    sits almost entirely in the diagonal, so scaling it out first makes the
-    pivots O(1); determinant ratios transform back by the known D factors.
+    The entries m_t = sum_k w_k pi_t(lambda_k) are moments of the spectral
+    measure in the basis pi_{t+1} = lambda pi_t - pi_{t-1}, and the reversed
+    connecting matrix C_T of m is their Gram matrix.  The recurrence
+    (Sack & Donovan 1972; Gautschi 1982)
+
+        s_{k,l} = s_{k-1,l+1} - b_k s_{k-1,l} - a_{k-1}^2 s_{k-2,l} + s_{k-1,l-1}
+
+    gives the LDL^t pivots d_k = s_{k,k} = det C_{k+1} / det C_k of C_T,
+    a_k^2 = d_k / d_{k-1} and b_{k+1} = s_{k,k+1}/d_k - s_{k-1,k}/d_{k-1} in
+    O(T^2), without factoring C.  It runs on the rows t_{k,l} = s_{k,l} / d_k
+    (so t_{k,k} = 1), whose recurrence t_{k-1,l+1} - b_k t_{k-1,l} - t_{k-2,l}
+    + t_{k-1,l-1} = a_k^2 t_{k,l} needs no pivot ratio, and
+    b_{k+1} = t_{k,k+1} - t_{k-1,k} is a plain difference.  Uses m_0..m_{2T-1}:
+    2T-1 entries give b_1..b_{T-1}, a 2T-th gives b_T as well.  Returns
+    (b, d, ds) with ds_k = d_k / |(C_T)_kk|, the pivots of the diagonally
+    equilibrated C_T.
+
+    Visits the nested blocks C_1, ..., C_T in order and raises
+    SingularBlockError at the first pivot with |ds_k| under PIVOT_TOL times
+    the leading-block norm of the equilibrated C_T; every pivot-based verdict
+    and every determinant ratio runs through here, so two callers given the
+    same r cannot disagree.
     """
+    _require_horizon(r, T)
+    m = r[: 2 * T] / r[0]
+    n = m.size
+    # O(T^2) assembly for the refusal scale: the running column maxima of D C_T D
+    C = reverse_order(connecting_from_response(m, T))
     diag = np.abs(np.diag(C)).astype(float)
     diag[diag == 0] = 1.0
     D = 1.0 / np.sqrt(diag)
-    return D[:, None] * C * D[None, :], D
-
-
-def _ldl_pivots(C: np.ndarray):
-    """Unpivoted LDL^t (plain transpose) of a (complex) symmetric matrix.
-
-    Returns (L, d).  Raises SingularBlockError when a pivot falls under the
-    tolerance, relative to the leading-block norm; the failing index is the
-    first non-invertible leading block.
-    """
-    n = C.shape[0]
-    L = np.eye(n, dtype=C.dtype)
-    d = np.zeros(n, dtype=C.dtype)
-    block_max = 0.0
-    for k in range(n):
-        block_max = max(block_max, float(np.max(np.abs(C[: k + 1, k]))))
-        d[k] = C[k, k] - np.sum(L[k, :k] ** 2 * d[:k])
-        if abs(d[k]) <= PIVOT_TOL * block_max:
+    tol = PIVOT_TOL * np.maximum.accumulate(np.max(np.abs(D[:, None] * np.triu(C) * D), axis=0))
+    d = np.empty(T, dtype=m.dtype)
+    b = np.empty(min(T, n // 2), dtype=m.dtype)
+    prev, u = np.zeros_like(m), m  # t_{k-1} and s_k / d_{k-1}, with t_{-1} = 0 and d_{-1} = 1
+    for k in range(T):
+        d[k] = u[k] * d[k - 1] if k else u[0]
+        if not abs(d[k] / diag[k]) > tol[k]:  # a NaN pivot refuses too
             raise SingularBlockError(
                 f"leading block C_{k + 1} is not invertible "
-                f"(pivot {d[k]:.3e}, tolerance {PIVOT_TOL * block_max:.3e})"
+                f"(pivot {d[k] / diag[k]:.3e}, tolerance {tol[k]:.3e})"
             )
-        L[k + 1 :, k] = (C[k + 1 :, k] - L[k + 1 :, :k] @ (L[k, :k] * d[:k])) / d[k]
-    return L, d
-
-
-def _pivot_sweep(r: np.ndarray, T: int):
-    """LDL^t of the equilibrated reversed connecting matrix C_T built from r.
-
-    Returns (L, d, D): the unit factor and pivots of Cs = D C_T D and the
-    scaling D.  The sweep visits the nested blocks C_1, ..., C_T in order and
-    raises SingularBlockError at the first one that is not invertible.  Every
-    pivot-based verdict and every determinant ratio runs through here, so
-    two callers given the same r cannot disagree.
-    """
-    Cs, D = _equilibrate(reverse_order(connecting_from_response(r, T)))
-    L, d = _ldl_pivots(Cs)
-    return L, d, D
+        cur = u / u[k]
+        if k < b.size:
+            b[k] = cur[k + 1] - prev[k]
+        if k + 1 < T:
+            lo, hi = k + 1, n - k - 1
+            u = np.zeros_like(m)
+            u[lo:hi] = cur[lo + 1 : hi + 1] - b[k] * cur[lo:hi] - prev[lo:hi] + cur[lo - 1 : hi - 1]
+            prev = cur
+    return b, d, d / diag
 
 
 def _leading_eigvalsh(C: np.ndarray) -> list:
@@ -175,26 +181,20 @@ def invert_factorization(r, T: int) -> InversionReport:
         raise SingularBlockError("r_0 = a_0 vanishes")
     if mode == "real" and a0 < 0:
         raise SingularBlockError("r_0 = a_0 must be positive in real mode")
-    L, ds, D = _pivot_sweep(rv / a0, T)
+    used = rv[: 2 * T - 1]
+    b_rec, d, ds = _chebyshev_sweep(used, T)
     if mode == "real" and np.any(ds.real <= 0):
         raise SingularBlockError("C_T is not positive definite: data is not a response vector")
-    # true pivots d_k = ds_k / D_k^2; ratios and determinants carry the D factors
     with np.errstate(over="ignore"):
-        dets = np.cumprod(ds / D**2)
-    a_sq = (ds[1:] / ds[:-1]) * (D[:-1] / D[1:]) ** 2
+        dets = np.cumprod(d)
+    a_sq = d[1:] / d[:-1]
     a_rec = np.sqrt(a_sq)  # principal root; the positive one in real mode
-    # partial sums S_k = sum_{j<=k} b_j = last entry of C_k^{-1} C[:k, k]
-    # = diag(D[:k]) L_k^{-t} L[k, :k]^t / D[k]; L_k^{-t} is unit upper triangular,
-    # so S_k = D[k-1] L[k, k-1] / D[k]
-    S = D[:-1] / D[1:] * np.diagonal(L, -1)
-    b_rec = np.diff(S, prepend=0.0)
     if mode == "real":
         a0, a_rec, b_rec, dets, ds = a0.real, a_rec.real, b_rec.real, dets.real, ds.real
     rep = InversionReport(
         a0=a0, a=a_rec, b=b_rec, determinants=dets, residual=0.0, mode=mode,
         a_sq=a_sq if mode == "complex" else None, scaled_pivots=ds,
     )
-    used = rv[: 2 * T - 1]
     resim = response_vector(rep.recovered, 2 * T - 1, bc="semi_infinite").r
     residual = float(np.max(np.abs(resim - used)) / max(np.max(np.abs(used)), 1e-300))
     return replace(rep, residual=residual)
@@ -253,11 +253,11 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
     """Decide whether r_0..r_{2T-2} is a response vector of some system.
 
     Real mode: C^T positive definite.  Complex mode: every nested block
-    C^{T-k}, k = 0..T-1, invertible.  The verdict is the pivot sweep of
-    `invert_factorization` on the same normalized data r / r_0 (an LDL^t
-    sweep of the reversed matrix visits exactly the nested blocks), so a
+    C^{T-k}, k = 0..T-1, invertible.  The verdict is the modified Chebyshev
+    sweep of `invert_factorization` on the same normalized data r / r_0 (its
+    pivots d_k = det C_{k+1} / det C_k visit exactly the nested blocks), so a
     response that passes here never makes the inversion refuse and vice
-    versa.  One O(T^3) sweep decides.  When the sweep runs to the end, its
+    versa.  One O(T^2) sweep decides.  When the sweep runs to the end, its
     pivots are the diagnostics: `scaled_pivots` (equal to the inversion's)
     and their smallest modulus `min_scaled_pivot`.  The smallest singular
     values of the nested blocks are a separate O(T^4) call,
@@ -278,7 +278,7 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
     else:
         raise InvalidInputError(f"unknown mode {mode!r}")
     try:
-        _, ds, _ = _pivot_sweep(rn, T)
+        _, _, ds = _chebyshev_sweep(rn, T)
     except SingularBlockError as exc:
         return CharacterizationResult(False, mode, str(exc))
     diag = {"scaled_pivots": ds, "min_scaled_pivot": float(np.min(np.abs(ds)))}
@@ -318,10 +318,11 @@ def schrodinger_check(r, T: int, tol: float = 1e-8) -> SchrodingerResult:
     if abs(r[0] - 1.0) > tol:
         return SchrodingerResult(False, np.zeros(0), "r_0 != 1")
     try:
-        _, ds, D = _pivot_sweep(r, T)
+        _, d, ds = _chebyshev_sweep(r, T)
     except SingularBlockError:
         return SchrodingerResult(False, np.zeros(0), "a leading block is singular")
-    dets = np.cumprod(ds / D**2).real
+    # the sweep's pivots are those of C(r / r_0) = C(r) / r_0^2
+    dets = np.cumprod(r[0] ** 2 * d).real
     ok = bool(np.all(np.abs(dets - 1.0) <= tol)) and bool(np.all(ds.real > 0))
     detail = "all leading minors equal 1" if ok else "det C^l deviates from 1"
     return SchrodingerResult(ok, dets, detail)

@@ -15,9 +15,9 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .core import JacobiSpec, SpectralMeasure, chebyshev_values, spectral_measure
-from .discrete_wave import connecting_from_response, _as_response, reverse_order
-from .errors import InvalidInputError, NotRealizableError
-from .inverse_bc import invert_factorization, response_matrix
+from .discrete_wave import connecting_from_response, _as_response
+from .errors import InvalidInputError, NotRealizableError, SingularBlockError
+from .inverse_bc import _chebyshev_sweep, response_matrix
 
 __all__ = [
     "HankelPair",
@@ -186,11 +186,11 @@ def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
 def truncated_moment_naive(s, N: int, extension=None):
     """Measure of the order-N truncated problem through matrix recovery.
 
-    s -> r -> factorization -> A^N -> eigensolve -> measure.  The last
-    diagonal entry b_N is fixed from s_{2N-1} when available (paths touching
-    b_N first appear in that moment) and taken as 0 otherwise.  `extension`
-    may supply extra (a_k, b_k) pairs appended before the eigensolve,
-    realizing the arbitrary-extension step of the procedure.
+    s -> r -> modified Chebyshev sweep -> A^N -> eigensolve -> measure.  The
+    last diagonal entry b_N is read off s_{2N-1} when available (paths
+    touching b_N first appear in that moment) and taken as 0 otherwise.
+    `extension` may supply extra (a_k, b_k) pairs appended before the
+    eigensolve, realizing the arbitrary-extension step of the procedure.
 
     Returns (spec, measure); the measure weights carry the total mass s_0.
     """
@@ -201,19 +201,11 @@ def truncated_moment_naive(s, N: int, extension=None):
         raise NotRealizableError("s_0 must be positive")
     mass = s[0]
     sn = s / mass
-    r = moments_to_response(sn[: 2 * N])
-    if N == 1:
-        a_rec = np.zeros(0)
-        b_rec = np.zeros(0)
-    else:
-        report = invert_factorization(r, N)
-        a_rec, b_rec = report.a.real, report.b.real
-    if s.size >= 2 * N:
-        b_last = _last_partial_sum(r, N) - np.sum(b_rec)
-    else:
-        b_last = 0.0
-    a_full = a_rec
-    b_full = np.concatenate([b_rec, [b_last]])
+    b_rec, d, _ = _chebyshev_sweep(moments_to_response(sn[: 2 * N]), N)
+    if np.any(d <= 0):
+        raise SingularBlockError("C_T is not positive definite: data is not a response vector")
+    a_full = np.sqrt(d[1:] / d[:-1])
+    b_full = np.concatenate([b_rec, np.zeros(N - b_rec.size)])
     if extension is not None:
         ext_a = np.atleast_1d(np.asarray([p[0] for p in extension], dtype=float))
         ext_b = np.atleast_1d(np.asarray([p[1] for p in extension], dtype=float))
@@ -222,20 +214,6 @@ def truncated_moment_naive(s, N: int, extension=None):
     spec = JacobiSpec(a0=1.0, a=a_full, b=b_full)
     mu = spectral_measure(spec)
     return spec, SpectralMeasure(tuple(zip(mu.lambdas, mass * mu.weights)))
-
-
-def _last_partial_sum(r: np.ndarray, N: int) -> float:
-    """S_N = b_1 + ... + b_N from the normalized response r_0..r_{2N-1}.
-
-    S_N is the last entry of C_N^{-1} c, with c the first N entries of column
-    N + 1 of the reversed connecting matrix C_{N+1}.  Entry (i, j) of that
-    matrix reaches r_{i+j-2}, so C_N and c stop at r_{2N-1} and the zero pad
-    for r_{2N} only enters the unused corner.  The solve keeps b_N as
-    accurate as the other b_k; matching (A^{2N-1})_{11} = s_{2N-1} instead
-    would subtract two numbers of size |A|^{2N-1} and divide by prod a_k^2.
-    """
-    C = reverse_order(connecting_from_response(np.append(r[: 2 * N], 0.0), N + 1))
-    return float(np.linalg.solve(C[:N, :N], C[:N, N])[-1])
 
 
 def _nested_verdicts(mats, tol: float):

@@ -2,9 +2,9 @@
 
 Eigenvalues are constant along the flow; the weights evolve by the Moser
 formula w_k(t) = w_k(0) e^{2 lambda_k t} / sum_j w_j(0) e^{2 lambda_j t}.
-Coefficients at time t come back through moments -> response ->
-factorization.  A fixed-step RK4 integrator of the lattice ODEs serves as an
-independent oracle.
+Coefficients at time t come back through moments -> response -> the
+modified Chebyshev sweep.  A fixed-step RK4 integrator of the lattice ODEs
+serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ def recursion_residual(mu0: SpectralMeasure, t: float, K: int, h: float) -> floa
 def toda_solve(spec0: JacobiSpec, t: float) -> TodaState:
     """Lattice coefficients at time t by the moment route.
 
-    measure(t) by Moser, then s_0..s_{2N-1}(t), then factorization.  Fails
-    with a conditioning error at large |t| when the weights collapse onto the
-    top eigenvalue and the connecting matrix degenerates.
+    measure(t) by Moser, then s_0..s_{2N-1}(t), then the modified Chebyshev
+    sweep.  Fails with a conditioning error at large |t| when the weights
+    collapse onto the top eigenvalue and the connecting matrix degenerates.
     """
     N = spec0.n
     mu_t = moser_evolve(spectral_measure(spec0), t)
@@ -102,9 +102,9 @@ def toda_solve(spec0: JacobiSpec, t: float) -> TodaState:
     spec_t, _ = truncated_moment_naive(s, N)
     # The atoms are known here, so close the block by the trace,
     # sum b_k(t) = sum lambda_k, instead of keeping the b_N that the moment
-    # route solves for.  On the random blocks of acceptance criterion 7
-    # (N <= 8, |t| <= 2) the solved b_N leaves a trace error of 7.5e-10 and
-    # an RK4 oracle error of 7.0e-10; the closure gives 6e-16 and 1.7e-10.
+    # route reads off s_{2N-1}.  On the random blocks of acceptance criterion 7
+    # (N <= 8, |t| <= 2) the read-off b_N leaves a trace error of 3.0e-9 and
+    # an RK4 oracle error of 2.9e-9; the closure gives 6e-16 and 1.9e-10.
     b = spec_t.b.copy()
     b[-1] = np.sum(mu_t.lambdas) - np.sum(b[:-1])
     spec_t = JacobiSpec(a0=spec_t.a0, a=spec_t.a, b=b)

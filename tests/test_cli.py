@@ -340,6 +340,13 @@ MALFORMED = {
     # sizes past what numpy can allocate as a dimension
     "measure-N-huge": {"command": "measure", "spec": "free", "N": 10**30},
     "roundtrip-N-huge": {"command": "roundtrip", "N": 10**30},
+    "forward-T-huge": {"command": "forward", **FREE, "T": 10**30},
+    "weyl-series_length-huge": {"command": "weyl", **FREE, "lambda": [0.5, 4.0], "series_length": 10**30},
+    "graph-T-huge": {"command": "graph", "graph": PATH_GRAPH, "T": 10**30},
+    "graph-n_interior-huge": {"command": "graph", "T": 3, "graph": {
+        **PATH_GRAPH, "edges": [{**PATH_GRAPH["edges"][0], "n_interior": 10**30}]}},
+    "contjacobi-M-huge": {"command": "contjacobi", "N": 2, "M": 10**30},
+    "string-M-huge": {"command": "string", "N_values": [25], "M": 10**30},
 }
 
 

@@ -435,9 +435,23 @@ def test_recover_above_rank_names_svd_rank():
     grid = TimeGrid(2.0, 200)
     r = response_function(spec, grid.doubled())
     _, sv, _, _ = _weighted_kernel_svd(r, grid)
-    rank = int(np.sum(sv > 1e-8 * sv[0]))
+    P = np.concatenate([[0.0], cumulative_simpson(r.values, dx=grid.dt)])
+    P2 = np.concatenate([[0.0], cumulative_simpson(r.values[::2], dx=2 * grid.dt)])
+    floor = max(1e-8 * sv[0], grid.T * np.max(np.abs(P[::2] - P2)) / 15)
+    rank = int(np.sum(sv > floor))
     N = rank + 1
     with pytest.raises(NotRealizableError, match=f"numerical rank {rank}\\)"):
+        recover_matrix_continuous(r, N, grid)
+
+
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_recover_refuses_quadrature_noise_modes(N):
+    # modes 4-6 of this 3-site string are Simpson-error eigenvalues just above
+    # 1e-8 of the largest; the floor tied to the quadrature error refuses them
+    spec = string_family(3, np.random.default_rng(64))
+    grid = TimeGrid(2.0, 200)
+    r = response_function(spec, grid.doubled())
+    with pytest.raises(NotRealizableError, match="numerical rank 3\\)"):
         recover_matrix_continuous(r, N, grid)
 
 

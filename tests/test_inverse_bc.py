@@ -10,8 +10,8 @@ from bcjacobi.discrete_wave import (
 )
 from bcjacobi.errors import SingularBlockError
 from bcjacobi.inverse_bc import (
-    _equilibrate,
-    _ldl_pivots,
+    PIVOT_TOL,
+    _chebyshev_sweep,
     characterize,
     invert_factorization,
     kappa_vector,
@@ -22,6 +22,9 @@ from bcjacobi.inverse_bc import (
     schrodinger_even_entries,
     solve_krein,
 )
+
+import ldl_oracle
+from ldl_oracle import _equilibrate, _ldl_pivots
 
 
 def test_invert_free():
@@ -251,6 +254,12 @@ def test_characterize_agrees_with_inversion():
             assert characterize(r, T).admissible == inverts, (seed, T)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_characterize_refuses_non_finite_entries(bad):
+    res = characterize(np.array([1.0, bad, 1.0]), 2)
+    assert not res.admissible and "not invertible" in res.detail
+
+
 def test_invert_horizon_one():
     spec = JacobiSpec(a0=2.5, a=[1.0], b=[0.3, 0.0])
     r = response_vector(spec, 1)
@@ -304,6 +313,53 @@ def test_partial_sums_match_triangular_solve_reference(mode):
         b_ref, cond = _b_reference(r, n)
         tol = n * np.finfo(float).eps * cond * max(1.0, np.max(np.abs(b_ref), initial=0.0))
         assert np.max(np.abs(rep.b - b_ref), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_chebyshev_sweep_matches_ldl_oracle(mode):
+    rng = np.random.default_rng(26)
+    eps = np.finfo(float).eps
+    for _ in range(10):
+        n = int(rng.integers(2, 14))
+        spec = random_spec(n, rng) if mode == "real" else _complex_spec(n, rng)
+        r = response_vector(spec, 2 * n - 1).r
+        b, d, ds = _chebyshev_sweep(r, n)
+        Cs, D = _equilibrate(reverse_order(connecting_from_response(r / r[0], n)))
+        _, ds_ref = _ldl_pivots(Cs)
+        a_sq_ref = (ds_ref[1:] / ds_ref[:-1]) * (D[:-1] / D[1:]) ** 2
+        b_ref, cond = _b_reference(r, n)
+        for got, ref in ((ds, ds_ref), (d[1:] / d[:-1], a_sq_ref), (b, b_ref)):
+            tol = n * eps * cond * max(1.0, np.max(np.abs(ref), initial=0.0))
+            assert np.max(np.abs(got - ref), initial=0.0) <= tol
+
+
+def _oracle_admits(r, T):
+    """Real-mode verdict of the LDL^t oracle on the equilibrated C_T of r / r_0."""
+    Cs, _ = _equilibrate(reverse_order(connecting_from_response(r / r[0], T)))
+    try:
+        _, ds = _ldl_pivots(Cs)
+    except SingularBlockError:
+        return False
+    return bool(np.all(ds > 0))
+
+
+def test_sweep_verdicts_match_ldl_oracle_away_from_threshold(monkeypatch):
+    # the family of test_characterize_agrees_with_inversion; the two routes
+    # round differently, so a verdict may flip only where the oracle's own
+    # verdict changes when its threshold is halved or doubled
+    for T in (22, 24):
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            spec = random_spec(T, rng, a0=rng.uniform(0.3, 3.0))
+            r = response_vector(spec, 2 * T - 1).r
+            if characterize(r, T).admissible == _oracle_admits(r, T):
+                continue
+            near = []
+            for factor in (0.5, 2.0):
+                monkeypatch.setattr(ldl_oracle, "PIVOT_TOL", factor * PIVOT_TOL)
+                near.append(_oracle_admits(r, T))
+            monkeypatch.undo()
+            assert near[0] != near[1], (seed, T)
 
 
 @pytest.mark.parametrize("mode", ["real", "complex"])

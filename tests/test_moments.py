@@ -11,7 +11,7 @@ from bcjacobi.core import (
 from bcjacobi.discrete_wave import connecting_from_response, reverse_order
 from bcjacobi.errors import NotRealizableError
 from bcjacobi.heat import heat_response
-from bcjacobi.inverse_bc import _equilibrate, invert_factorization
+from bcjacobi.inverse_bc import invert_factorization
 from bcjacobi.moments import (
     build_B,
     build_hankel_pair,
@@ -24,6 +24,8 @@ from bcjacobi.moments import (
     truncated_moment_naive,
     truncated_moment_spectral,
 )
+
+from ldl_oracle import _equilibrate
 
 
 def poly_chebyshev_rows(n):
