@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.linalg import eigh, eigvalsh, hankel, toeplitz
+from scipy.linalg import hankel, toeplitz
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .core import JacobiSpec, _require_size, eig_spectral_data
 from .errors import InvalidInputError, NotRealizableError
@@ -102,12 +103,16 @@ class StringSpec:
 
 @dataclass(frozen=True)
 class ResponseFunctionSamples:
-    """Samples of r(t) = sum_k (1/omega_k) S_k(t), plus the generating data."""
+    """Samples of the response function r(t) = sum_k (1/omega_k) S_k(t), one
+    per node of `grid`: the only data the continuous-time inverse reads."""
 
     values: np.ndarray
     grid: TimeGrid
-    lambdas: np.ndarray
-    weights: np.ndarray  # 1/omega_k
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.shape != (self.grid.M + 1,) or not np.all(np.isfinite(self.values)):
+            raise InvalidInputError("need one finite sample of r per grid node")
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,7 @@ def response_function(spec: JacobiSpec, grid: TimeGrid) -> ResponseFunctionSampl
     w = 1.0 / data.omegas
     t = grid.nodes
     vals = sum(wk * wave_kernel(lk, t) for lk, wk in zip(data.eigenvalues, w))
-    return ResponseFunctionSamples(values=vals, grid=grid, lambdas=data.eigenvalues, weights=w)
+    return ResponseFunctionSamples(values=vals, grid=grid)
 
 
 def connecting_dynamic(r: ResponseFunctionSamples, grid: TimeGrid) -> np.ndarray:
@@ -213,6 +218,34 @@ def _kernel_matrix(P: np.ndarray, M: int) -> np.ndarray:
     return K
 
 
+def _kernel_apply(seq: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_kernel_matrix(seq, M) @ x for x of length M + 1, by FFT in O(M log M).
+
+    The Hankel part is entries 2M..M of the linear convolution seq * x, the
+    Toeplitz part entries M..2M of x convolved with seq mirrored about 0."""
+    M = x.size - 1
+    n = 1 << (3 * M).bit_length()  # > 3M: neither convolution wraps around
+    X = np.fft.rfft(x, n)
+    mirrored = np.concatenate([seq[M:0:-1], seq[: M + 1]])
+    hank = np.fft.irfft(np.fft.rfft(seq, n) * X, n)[2 * M : M - 1 : -1]
+    toep = np.fft.irfft(np.fft.rfft(mirrored, n) * X, n)[M : 2 * M + 1]
+    return 0.5 * (hank - toep)
+
+
+# 60 times the sixth-order first-derivative weights at nodes 0, 1, 2 and 3
+# (central) of a 7-node window; nodes 4, 5, 6 mirror 2, 1, 0 with a sign flip
+_D1 = np.array([[-147, 360, -450, 400, -225, 72, -10], [-10, -77, 150, -100, 50, -15, 2],
+                [2, -24, -35, 80, -30, 8, -1], [-1, 9, -45, 0, 45, -9, 1]]) / 60.0
+
+
+def _derivative(y: np.ndarray, dt: float) -> np.ndarray:
+    """y' by sixth-order differences, one-sided on the first and last three nodes."""
+    d = np.correlate(y, _D1[3], "same")
+    d[:3] = _D1[:3] @ y[:7]
+    d[-3:] = -(_D1[2::-1] @ y[:-8:-1])
+    return d / dt
+
+
 def connecting_spectral(spec: JacobiSpec, grid: TimeGrid) -> np.ndarray:
     """Rank-N kernel sum_k (1/omega_k) S_k(T-t) S_k(T-s), assembled exactly."""
     data = eig_spectral_data(spec)
@@ -223,20 +256,20 @@ def connecting_spectral(spec: JacobiSpec, grid: TimeGrid) -> np.ndarray:
 def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid) -> tuple:
     """Recover the N x N block and the special controls f_1..f_N from r on [0, 2T].
 
-    The connecting operator is restricted to its numerical range by the top N
-    eigenpairs of the symmetric kernel sqrt(w) K sqrt(w), computed alone;
-    eigenvalue N must clear the noise floor, else NotRealizableError names
-    the numerical rank counted against it.  The floor is the larger of 1e-8
-    times the largest eigenvalue and T times the Richardson estimate
-    max|P_dt - P_2dt| / 15 of the Simpson antiderivative's error, read off
-    the samples alone.  The first control solves (C f_1)(t) = r(T - t),
-    and the recursion
+    Reads r.values alone.  C f = K (w f), with K the kernel of
+    `connecting_dynamic` on the Simpson antiderivative P of r and w the
+    Simpson weights, is applied by FFT (`_kernel_apply`) and restricted to
+    its range by the top N eigenpairs of sqrt(w) K sqrt(w), which Lanczos
+    (ARPACK `eigsh`) finds from that apply.  N > M is refused, and
+    eigenvalue N must clear the noise floor max(1e-8 lambda_1, T max|P_dt -
+    P_2dt| / 15), a Richardson estimate of P's error, else NotRealizableError
+    names the numerical rank counted against it.  With C f_1 = r(T - .),
 
         b_n = -((C f_n)'', f_n),   a_n C f_{n+1} = -(C f_n)'' - b_n C f_n - a_{n-1} C f_{n-1}
 
-    walks down the block.  C f_n is expanded over the S_k(T - .) basis carried
-    by the response samples, so its second derivative is analytic
-    (S'' = -lambda S).
+    walks down the block.  (C f)'' is the same apply on r', taken by
+    sixth-order differences (so M >= 3): d^2/dt^2 K = 1/2 [r'(2T - s - t) -
+    r'(|t - s|)], with no delta term as r(0) = 0.
 
     Returns (spec, controls) with controls[n] the recovered f_{n+1} samples.
     """
@@ -245,26 +278,36 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
         raise InvalidInputError("response must be sampled on [0, 2T] with the grid spacing")
     M = grid.M
+    if N > M:
+        raise NotRealizableError(
+            f"mode {N} exceeds what the {M + 1}-node grid can resolve: "
+            f"the data does not support rank {N}"
+        )
+    if M < 3:
+        raise InvalidInputError(f"the derivative of r needs M >= 3, got {M}")
     # fourth-order antiderivative and quadrature weights: the recovery divides
     # by eigenvalue N of the kernel, so the O(dt^2) trapezoid budget of
     # connecting_dynamic would be amplified past the coefficient tolerance
     P = np.concatenate([[0.0], cumulative_simpson(r.values, dx=grid.dt)])
     w = grid.simpson_weights
     sw = np.sqrt(w)
-    B = _kernel_matrix(P, M)
-    B *= sw[:, None]
-    B *= sw[None, :]
-    if N <= M + 1:
-        sig, U = eigh(B, subset_by_index=[M + 1 - N, M])
-        sig, U = sig[::-1], U[:, ::-1]
-    # Richardson estimate of the Simpson antiderivative's error (step 2 dt
-    # against dt, order 4), which bounds the kernel perturbation's norm by T times it
+    op = LinearOperator((M + 1, M + 1), dtype=float,
+                        matvec=lambda v: sw * _kernel_apply(P, sw * v.ravel()))
+    try:
+        # ARPACK's default random start moves the result at rounding level from call to call
+        sig, U = eigsh(op, k=N, which="LA", v0=np.ones(M + 1))
+    except ArpackError as err:  # r = 0: the Krylov space of the start vector is {0}
+        raise NotRealizableError(
+            f"Lanczos broke down ({err}): the data does not support rank {N}"
+        ) from None
+    sig, U = sig[::-1], U[:, ::-1]
+    # Richardson estimate of P's error (order 4, step 2 dt against dt); T times
+    # it bounds the norm of the kernel's quadrature perturbation
     P2 = np.concatenate([[0.0], cumulative_simpson(r.values[::2], dx=2.0 * grid.dt)])
-    noise = grid.T * float(np.max(np.abs(P[::2] - P2))) / 15.0
-    if N > M + 1 or sig[N - 1] <= max(1e-8 * sig[0], noise):
-        # singular values are the |eigenvalues|: count them as a full SVD would
-        sv = np.abs(eigvalsh(B))
-        rank = int(np.sum(sv > max(1e-8 * sv.max(), noise)))
+    floor = max(1e-8 * sig[0], grid.T * float(np.max(np.abs(P[::2] - P2))) / 15.0)
+    if sig[N - 1] <= floor:
+        # mode N is below the floor, so every mode above it is among the N computed
+        rank = int(np.sum(sig > floor))
         raise NotRealizableError(
             f"mode {N} of the connecting operator sits at the noise floor "
             f"(numerical rank {rank}): the data does not support rank {N}"
@@ -277,19 +320,15 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     def quad(x, y):
         return float(np.sum(w * x * y))
 
-    lam = r.lambdas
-    S_basis = np.array([wave_kernel(lk, grid.T - grid.nodes) for lk in lam])
-    r_rev = r.values[M::-1]  # r(T - t_i)
-
+    dr = _derivative(r.values, grid.dt)
     f = [None] * (N + 1)
-    f[1] = c_solve(r_rev)
+    f[1] = c_solve(r.values[M::-1])  # r(T - t_i)
     a_rec = np.zeros(max(N - 1, 0))
     b_rec = np.zeros(N)
     g_prev = None
     for n in range(1, N + 1):
-        coeff = (S_basis * w[None, :]) @ f[n] * r.weights
-        g = S_basis.T @ coeff
-        g_dd = S_basis.T @ (-lam * coeff)
+        g = _kernel_apply(P, w * f[n])
+        g_dd = _kernel_apply(dr, w * f[n])
         b_rec[n - 1] = -quad(g_dd, f[n])
         if n < N:
             h = -g_dd - b_rec[n - 1] * g

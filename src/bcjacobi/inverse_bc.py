@@ -315,6 +315,7 @@ class SchrodingerResult:
 def schrodinger_check(r, T: int, tol: float = 1e-8) -> SchrodingerResult:
     """Check det C^l = 1, l = 1..T: the discrete Schroedinger (a_k = 1) case."""
     r = _as_response(r)
+    _require_horizon(r, T)
     if abs(r[0] - 1.0) > tol:
         return SchrodingerResult(False, np.zeros(0), "r_0 != 1")
     try:

@@ -3,7 +3,10 @@
 import ast
 import builtins
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,15 @@ def test_every_raise_names_a_bcerror():
                 offenders.append(f"{path.name}:{func}: raise {name}")
     assert offenders == []
     assert found == NOT_BCERROR  # the exemption is still needed
+
+
+def test_import_does_not_load_scipy_signal():
+    """`scipy.signal` costs ~0.4 s to import; the FFT kernel apply uses numpy.fft."""
+    src = str(Path(bcjacobi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bcjacobi; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

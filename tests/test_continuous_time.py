@@ -6,6 +6,8 @@ from bcjacobi.continuous_time import (
     ResponseFunctionSamples,
     StringSpec,
     TimeGrid,
+    _derivative,
+    _kernel_apply,
     _kernel_matrix,
     _simpson_convolution,
     connecting_dynamic,
@@ -20,7 +22,7 @@ from bcjacobi.continuous_time import (
     wave_kernel,
 )
 from bcjacobi.core import JacobiSpec, eig_spectral_data, random_spec
-from bcjacobi.errors import NotRealizableError
+from bcjacobi.errors import InvalidInputError, NotRealizableError
 
 EPS = np.finfo(float).eps
 
@@ -108,10 +110,7 @@ def test_connecting_kernels_agree_and_converge():
 
 def test_connecting_dynamic_zero_response():
     grid = TimeGrid(1.0, 40)
-    zero = ResponseFunctionSamples(
-        values=np.zeros(2 * grid.M + 1), grid=grid.doubled(),
-        lambdas=np.array([1.0]), weights=np.array([1.0]),
-    )
+    zero = ResponseFunctionSamples(values=np.zeros(2 * grid.M + 1), grid=grid.doubled())
     assert np.all(connecting_dynamic(zero, grid) == 0.0)
 
 
@@ -328,7 +327,8 @@ def _weighted_kernel_svd(r, grid):
 
 
 def _recover_svd_reference(r, N, grid):
-    """recover_matrix_continuous with the full dense SVD of the kernel."""
+    """recover_matrix_continuous with the full dense SVD of the kernel and
+    dense kernel products: C f = K_P (w f) and (C f)'' = K_{r'} (w f)."""
     M = grid.M
     U, sv, w, sw = _weighted_kernel_svd(r, grid)
     assert sv[N - 1] > 1e-8 * sv[0]
@@ -337,15 +337,14 @@ def _recover_svd_reference(r, N, grid):
         z = U[:, :N].T @ (sw * y)
         return (U[:, :N] @ (z / sv[:N])) / sw
 
-    lam = r.lambdas
-    S_basis = np.array([wave_kernel(lk, grid.T - grid.nodes) for lk in lam])
+    P = np.concatenate([[0.0], cumulative_simpson(r.values, dx=grid.dt)])
+    K, K_dd = _kernel_meshgrid(P, M), _kernel_meshgrid(_derivative(r.values, grid.dt), M)
     f = c_solve(r.values[M::-1])
     a, b = np.zeros(N - 1), np.zeros(N)
     g_prev = None
     for n in range(1, N + 1):
-        coeff = (S_basis * w[None, :]) @ f * r.weights
-        g = S_basis.T @ coeff
-        g_dd = S_basis.T @ (-lam * coeff)
+        g = K @ (w * f)
+        g_dd = K_dd @ (w * f)
         b[n - 1] = -np.sum(w * g_dd * f)
         if n < N:
             h = -g_dd - b[n - 1] * g
@@ -460,5 +459,61 @@ def test_recover_rejects_bad_rank():
     r = response_function(string_family(2, np.random.default_rng(65)), grid.doubled())
     with pytest.raises(ValueError, match="N >= 1"):
         recover_matrix_continuous(r, 0, grid)
+    with pytest.raises(NotRealizableError, match="rank 5"):
+        recover_matrix_continuous(r, grid.M + 1, grid)
     with pytest.raises(NotRealizableError, match="rank 6"):
         recover_matrix_continuous(r, grid.M + 2, grid)
+
+
+def test_kernel_apply_matches_dense_kernel():
+    rng = np.random.default_rng(66)
+    for M in (2, 3, 10, 41, 400):
+        seq, x = rng.standard_normal(2 * M + 1), rng.standard_normal(M + 1)
+        scale = np.max(np.abs(seq)) * np.sum(np.abs(x))  # bounds every |(K x)_i|
+        err = np.abs(_kernel_apply(seq, x) - _kernel_matrix(seq, M) @ x)
+        assert np.all(err <= (M + 1) * EPS * scale), M
+
+
+def test_derivative_sixth_order():
+    t = np.linspace(0.0, 2.0, 201)
+    err = np.abs(_derivative(np.sin(3 * t), t[1]) - 3 * np.cos(3 * t))
+    assert np.max(err) <= 1e-8
+    assert np.max(err[3:-3]) <= 1e-10  # central stencil
+
+
+def test_recover_from_explicit_samples():
+    # r(t) summed from the spectral data in the test, not by response_function
+    spec = string_family(4, np.random.default_rng(67))
+    grid = TimeGrid(2.0, 800)
+    data = eig_spectral_data(spec)
+    t = grid.doubled().nodes
+    rt = np.sqrt(data.eigenvalues)
+    values = (np.sin(np.outer(t, rt)) / rt) @ (1.0 / data.omegas)
+    rec, _ = recover_matrix_continuous(ResponseFunctionSamples(values, grid.doubled()), 4, grid)
+    assert max(np.max(np.abs(rec.a - spec.a)), np.max(np.abs(rec.b - spec.b))) <= 1e-3
+
+
+def test_recover_bit_identical_across_calls():
+    spec = string_family(6, np.random.default_rng(68))
+    grid = TimeGrid(2.0, 400)
+    r = response_function(spec, grid.doubled())
+    (rec1, c1), (rec2, c2) = (recover_matrix_continuous(r, 6, grid) for _ in range(2))
+    assert np.array_equal(rec1.a, rec2.a) and np.array_equal(rec1.b, rec2.b)
+    assert all(np.array_equal(x, y) for x, y in zip(c1, c2))
+
+
+def test_recover_refuses_zero_response_and_coarse_grid():
+    grid = TimeGrid(1.0, 40)
+    zero = ResponseFunctionSamples(np.zeros(2 * grid.M + 1), grid.doubled())
+    with pytest.raises(NotRealizableError, match="rank 1"):
+        recover_matrix_continuous(zero, 1, grid)
+    grid = TimeGrid(2.0, 2)
+    r = response_function(JacobiSpec(a0=1.0, a=[], b=[1.0]), grid.doubled())
+    with pytest.raises(InvalidInputError, match="M >= 3"):
+        recover_matrix_continuous(r, 1, grid)
+
+
+@pytest.mark.parametrize("values", [np.zeros(80), np.full(81, np.nan), np.full(81, np.inf)])
+def test_response_samples_refuse_malformed_values(values):
+    with pytest.raises(InvalidInputError):
+        ResponseFunctionSamples(values, TimeGrid(2.0, 80))

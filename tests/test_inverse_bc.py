@@ -8,7 +8,7 @@ from bcjacobi.discrete_wave import (
     response_vector,
     reverse_order,
 )
-from bcjacobi.errors import SingularBlockError
+from bcjacobi.errors import InvalidInputError, SingularBlockError
 from bcjacobi.inverse_bc import (
     PIVOT_TOL,
     _chebyshev_sweep,
@@ -204,6 +204,13 @@ def test_schrodinger_scalar_minor():
     r = response_vector(spec, 3)
     res = schrodinger_check(r, 1)
     assert res.passes
+
+
+def test_schrodinger_refuses_short_response():
+    with pytest.raises(InvalidInputError, match="2T-1"):
+        schrodinger_check([], 1)
+    with pytest.raises(InvalidInputError, match="2T-1"):
+        schrodinger_check([1.0, 0.0], 2)
 
 
 def test_schrodinger_detects_nonunit_a():

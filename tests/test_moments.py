@@ -9,7 +9,7 @@ from bcjacobi.core import (
     spectral_measure,
 )
 from bcjacobi.discrete_wave import connecting_from_response, reverse_order
-from bcjacobi.errors import NotRealizableError
+from bcjacobi.errors import InvalidInputError, NotRealizableError
 from bcjacobi.heat import heat_response
 from bcjacobi.inverse_bc import invert_factorization
 from bcjacobi.moments import (
@@ -301,3 +301,20 @@ def test_indeterminacy_stieltjes_quantities_finite():
     assert np.all(np.isfinite(table["M"]))
     assert np.all(np.isfinite(table["L"][1:]))  # L_1 divides by (C^1)^{-1} Gamma_1 e1: fine too
     assert np.all(table["M"] > 0)
+
+
+MOMENT_ENTRY_POINTS = {
+    "moments_to_response": lambda s: moments_to_response(s),
+    "build_hankel_pair": lambda s: build_hankel_pair(s, 2),
+    "truncated_moment_spectral": lambda s: truncated_moment_spectral(s, 2),
+    "truncated_moment_naive": lambda s: truncated_moment_naive(s, 2),
+    "solvability": lambda s: solvability(s, "hamburger", 2),
+    "indeterminacy_sequences": lambda s: indeterminacy_sequences(s, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(MOMENT_ENTRY_POINTS))
+def test_moment_entry_points_refuse_non_finite(entry, bad):
+    with pytest.raises(InvalidInputError, match="finite"):
+        MOMENT_ENTRY_POINTS[entry]([1.0, 0.0, bad, 0.0])
