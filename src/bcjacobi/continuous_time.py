@@ -177,6 +177,8 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
     f = np.asarray(f, dtype=float)
     if f.size != grid.M + 1:
         raise InvalidInputError("control must be sampled on the grid")
+    if not np.all(np.isfinite(f)):
+        raise InvalidInputError("control must be finite")
     data = eig_spectral_data(spec)
     h, hdot = (
         np.array([_simpson_convolution(f, wave_kernel(lk, grid.nodes, derivative=d), grid.dt)
@@ -388,6 +390,8 @@ def triangular_bump(grid: TimeGrid, width: float | None = None) -> np.ndarray:
     t = grid.nodes
     if width is None:
         width = 16.0 * grid.dt
+    if not (np.isfinite(width) and width > 0):
+        raise InvalidInputError("width must be positive and finite")
     peak = 2.0 / width
     half = width / 2.0
     vals = np.where(t <= half, t * peak / half, np.where(t <= width, (width - t) * peak / half, 0.0))

@@ -79,12 +79,12 @@ def lambda_matrix_tilde(n: int) -> np.ndarray:
     return lambda_matrix(n)[::-1, ::-1].copy()
 
 
-def _as_moments(s) -> np.ndarray:
-    """A moment sequence as a 1-D float array; a non-finite entry is refused."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.all(np.isfinite(s)):
-        raise InvalidInputError("moments must be finite")
-    return s
+def _as_finite(x, what: str) -> np.ndarray:
+    """A moment sequence or response as a 1-D float array; a non-finite entry is refused."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"{what} must be finite")
+    return x
 
 
 def moments_to_response(s) -> np.ndarray:
@@ -94,7 +94,7 @@ def moments_to_response(s) -> np.ndarray:
     collapse to |T_t| <= t when the support stays in [-2, 2]), so the exact
     integer matrix is applied in extended precision before rounding back.
     """
-    s = _as_moments(s)
+    s = _as_finite(s, "moments")
     if s.size == 0:
         raise InvalidInputError("empty moment sequence")
     L = lambda_matrix(s.size).astype(np.longdouble)
@@ -106,7 +106,7 @@ def response_to_moments(r) -> np.ndarray:
 
     Extended precision for the same cancellation reason as the forward map.
     """
-    r = _as_response(r).astype(float)
+    r = _as_finite(_as_response(r), "response")
     if r.size == 0:
         raise InvalidInputError("empty response")
     n = r.size
@@ -126,7 +126,7 @@ def _reversed_hankel(s: np.ndarray, N: int) -> np.ndarray:
 
 def build_hankel_pair(s, N: int, ordering: str = "reversed") -> HankelPair:
     """Hankel matrices S^N_0 (needs 2N-1 moments) and S^N_1 (needs 2N)."""
-    s = _as_moments(s)
+    s = _as_finite(s, "moments")
     if s.size < 2 * N:
         raise InvalidInputError(f"need 2N = {2 * N} moments for the shifted Hankel")
     pair = HankelPair(_reversed_hankel(s, N), _reversed_hankel(s[1:], N), "reversed")
@@ -140,7 +140,7 @@ def build_B(r, N: int) -> np.ndarray:
     annihilated by the shift/embedding trimming, so a response of length 2N
     suffices (a zero pad is inserted when r_{2N} is absent).
     """
-    r = _as_response(r).astype(float)
+    r = _as_finite(_as_response(r), "response")
     if r.size < 2 * N:
         raise InvalidInputError(f"need at least 2N = {2 * N} response entries")
     if r.size < 2 * N + 1:
@@ -163,7 +163,7 @@ def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
     assumed, which selects one member of the solution family.  The input is
     normalized by s_0 and the weights are scaled back at the end.
     """
-    s = _as_moments(s)
+    s = _as_finite(s, "moments")
     if s.size < 2 * N - 1:
         raise InvalidInputError(f"need at least 2N-1 = {2 * N - 1} moments")
     if s[0] <= 0:
@@ -202,7 +202,7 @@ def truncated_moment_naive(s, N: int, extension=None):
 
     Returns (spec, measure); the measure weights carry the total mass s_0.
     """
-    s = _as_moments(s)
+    s = _as_finite(s, "moments")
     if s.size < 2 * N - 1:
         raise InvalidInputError(f"need at least 2N-1 = {2 * N - 1} moments")
     if s[0] <= 0:
@@ -251,7 +251,7 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     """
     if kind not in ("hamburger", "stieltjes", "hausdorff"):
         raise InvalidInputError(f"unknown kind {kind!r}")
-    s = _as_moments(s)
+    s = _as_finite(s, "moments")
     need = 2 * N_max - 1 if kind == "hamburger" else 2 * N_max
     if s.size < need:
         raise InvalidInputError(f"need {need} moments for N_max = {N_max}")
@@ -302,7 +302,7 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
     The theorems involve N -> infinity limits that finite computation cannot
     decide; the labels are explicitly heuristic.
     """
-    s = _as_moments(s)
+    s = _as_finite(s, "moments")
     if s.size < 2 * N_max - 1:
         raise InvalidInputError(f"need 2N_max-1 = {2 * N_max - 1} moments")
     r = moments_to_response(s[: 2 * N_max - 1])

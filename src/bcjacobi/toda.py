@@ -126,8 +126,8 @@ def _toda_rhs(y: np.ndarray, n: int) -> np.ndarray:
 
 
 def toda_ode_oracle(
-    spec0: JacobiSpec, t: float | Sequence[float], dt: float
-) -> JacobiSpec | list[JacobiSpec]:
+    spec0: JacobiSpec | Sequence[JacobiSpec], t: float | Sequence[float], dt: float
+) -> JacobiSpec | list:
     """Classical fixed-step RK4 on the 2N-1 coupled lattice equations.
 
     t is one time or a sequence of times; a sequence returns one JacobiSpec
@@ -136,18 +136,37 @@ def toda_ode_oracle(
     per time.  The rows are sorted by step count, so the rows still stepping
     are always a leading slice, and each row is bit-identical to integrating
     its time alone.
+
+    spec0 is one real block or a sequence of them.  A sequence returns one
+    entry per block, shaped as a single-block call with the same t gives it,
+    from one integration of the direct sum: the a vectors end to end with a
+    coupling of 0 at each seam, the b vectors concatenated.  A seam coupling
+    stays exactly 0, since its derivative is a_k (b_{k+1} - b_k), and its
+    neighbours see a^2 = 0 there, the boundary zero of a lone block; RK4
+    works entry by entry, so each block is bit-identical to integrating it
+    alone.  A complex block is refused before any step.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise InvalidInputError("dt must be positive and finite")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(times)):
         raise InvalidInputError("times must be finite")
+    one_block = isinstance(spec0, JacobiSpec)
+    blocks = [spec0] if one_block else list(spec0)
+    for blk in blocks:
+        if not isinstance(blk, JacobiSpec):
+            raise InvalidInputError("spec0 must be a JacobiSpec or a sequence of them")
+        if blk.mode != "real":
+            raise InvalidInputError("the Toda lattice oracle takes real blocks")
+    if not blocks:
+        return []
     n_steps = np.array([max(1, round(abs(ti) / dt)) for ti in times.tolist()], dtype=np.int64)
     order = np.argsort(-n_steps, kind="stable")
     n_sorted = n_steps[order]
     h = (times[order] / n_sorted)[:, None]
-    n = spec0.n
-    y = np.tile(np.concatenate([spec0.a, spec0.b]).astype(float), (times.size, 1))
+    n = sum(blk.n for blk in blocks)
+    a = np.concatenate([np.append(blk.a, 0.0) for blk in blocks])[:-1]
+    y = np.tile(np.concatenate([a] + [blk.b for blk in blocks]), (times.size, 1))
     done = 0
     for active in range(times.size, 0, -1):
         # rows [:active] all have at least n_sorted[active - 1] steps
@@ -160,7 +179,13 @@ def toda_ode_oracle(
             k4 = _toda_rhs(yy + hh * k3, n)
             yy += sixth * (k1 + 2 * k2 + 2 * k3 + k4)
         done = n_sorted[active - 1]
-    specs = [None] * times.size
-    for row, i in enumerate(order):
-        specs[i] = JacobiSpec(a0=spec0.a0, a=y[row, : n - 1], b=y[row, n - 1 :])
-    return specs if np.ndim(t) else specs[0]
+    out, start = [], 0
+    for blk in blocks:
+        a_blk = y[:, start : start + blk.n - 1]
+        b_blk = y[:, n - 1 + start : n - 1 + start + blk.n]
+        specs = [None] * times.size
+        for row, i in enumerate(order):
+            specs[i] = JacobiSpec(a0=blk.a0, a=a_blk[row], b=b_blk[row])
+        out.append(specs if np.ndim(t) else specs[0])
+        start += blk.n
+    return out[0] if one_block else out

@@ -270,13 +270,13 @@ def check_toda(seed: int = 17) -> CheckResult:
         )
     rng = np.random.default_rng(seed)
     worst_oracle = worst_eig = worst_trace = worst_res = 0.0
-    for N in (2, 4, 6, 8):
-        # compact spectra: the Moser weights collapse like exp(-2 spread |t|),
-        # which is the conditioning of the time-t inverse step
-        spec0 = random_spec(N, rng, a_range=(0.3, 0.8), b_range=(-0.5, 0.5))
+    # compact spectra: the Moser weights collapse like exp(-2 spread |t|),
+    # which is the conditioning of the time-t inverse step
+    specs = [random_spec(N, rng, a_range=(0.3, 0.8), b_range=(-0.5, 0.5)) for N in (2, 4, 6, 8)]
+    times = (-2.0, -0.6, 0.5, 2.0)
+    for spec0, oracles in zip(specs, toda_ode_oracle(specs, times, 1e-3)):
         eig0 = eig_spectral_data(spec0).eigenvalues
-        times = (-2.0, -0.6, 0.5, 2.0)
-        for t, oracle in zip(times, toda_ode_oracle(spec0, times, 1e-3)):
+        for t, oracle in zip(times, oracles):
             st = toda_solve(spec0, t)
             worst_oracle = max(
                 worst_oracle,
@@ -287,7 +287,7 @@ def check_toda(seed: int = 17) -> CheckResult:
             worst_eig = max(worst_eig, float(np.max(np.abs(eig_t - eig0))))
             worst_trace = max(worst_trace, abs(np.sum(st.spec.b) - np.sum(spec0.b)),
                               abs(np.sum(oracle.b) - np.sum(spec0.b)))
-        worst_res = max(worst_res, recursion_residual(spectral_measure(spec0), 0.4, 2 * N - 2, 1e-4))
+        worst_res = max(worst_res, recursion_residual(spectral_measure(spec0), 0.4, 2 * spec0.n - 2, 1e-4))
     ok = (worst_closed <= 1e-10 and worst_oracle <= 1e-6
           and worst_eig <= 1e-8 and worst_trace <= 1e-8 and worst_res <= 1e-6)
     return _result(

@@ -50,6 +50,24 @@ def test_criterion_07_toda():
     assert res.passed and res.elapsed < 30.0
 
 
+def test_criterion_07_toda_integrates_once(monkeypatch):
+    # the four random blocks share one direct-sum RK4 run, with the same numbers
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    oracle = verify.toda_ode_oracle
+    monkeypatch.setattr(verify, "toda_ode_oracle", counting)
+    res = verify.check_toda()
+    assert len(calls) == 1 and [s.n for s in calls[0][0]] == [2, 4, 6, 8]
+    assert res.passed and res.detail == (
+        "closed form 3.46e-15, oracle 1.93e-10, eigenvalues 1.63e-10, "
+        "trace 2.66e-15, recursion 9.14e-09"
+    )
+
+
 def test_criterion_08_weyl():
     _run(verify.check_weyl)
 

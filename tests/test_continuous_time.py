@@ -517,3 +517,20 @@ def test_recover_refuses_zero_response_and_coarse_grid():
 def test_response_samples_refuse_malformed_values(values):
     with pytest.raises(InvalidInputError):
         ResponseFunctionSamples(values, TimeGrid(2.0, 80))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_second_order_refuses_non_finite_control(bad):
+    grid = TimeGrid(1.0, 10)
+    f = np.ones(grid.M + 1)
+    f[3] = bad
+    with pytest.raises(InvalidInputError, match="control must be finite"):
+        solve_second_order(JacobiSpec(a0=1.0, a=[], b=[1.0]), f, grid)
+    with pytest.raises(InvalidInputError, match="control must be finite"):
+        solve_second_order(JacobiSpec(a0=1.0, a=[], b=[1.0]), np.full(grid.M + 1, bad), grid)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_triangular_bump_refuses_bad_width(width):
+    with pytest.raises(InvalidInputError, match="width"):
+        triangular_bump(TimeGrid(1.0, 10), width=width)

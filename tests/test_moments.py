@@ -310,6 +310,9 @@ MOMENT_ENTRY_POINTS = {
     "truncated_moment_naive": lambda s: truncated_moment_naive(s, 2),
     "solvability": lambda s: solvability(s, "hamburger", 2),
     "indeterminacy_sequences": lambda s: indeterminacy_sequences(s, 2),
+    # the two that take a response rather than moments
+    "response_to_moments": lambda r: response_to_moments(r),
+    "build_B": lambda r: build_B(r, 2),
 }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bcjacobi.core import JacobiSpec, SpectralMeasure, eig_spectral_data, free_spec, random_spec, spectral_measure
+from bcjacobi.errors import InvalidInputError
 from bcjacobi.toda import (
     moser_evolve,
     recursion_residual,
@@ -162,6 +163,36 @@ def test_batched_oracle_matches_per_time_loop(N, seed):
         assert np.array_equal(single.a, a) and np.array_equal(single.b, b), t
 
 
+@pytest.mark.parametrize("seed", [5, 6])
+def test_direct_sum_oracle_matches_per_block_calls(seed):
+    rng = np.random.default_rng(seed)
+    # mixed sizes, an N = 1 block at either end and one between larger blocks
+    blocks = [random_spec(N, rng, a_range=(0.3, 0.9), b_range=(-0.5, 0.5)) for N in (1, 3, 1, 8, 2, 1)]
+    dt = 0.01
+    times = [0.5, 0.0, -0.2, 0.333, -0.0137, 0.5, 1.004, -0.75]
+    for t in (times, -0.41):
+        summed = toda_ode_oracle(blocks, t, dt)
+        assert isinstance(summed, list) and len(summed) == len(blocks)
+        for blk, out in zip(blocks, summed):
+            single = toda_ode_oracle(blk, t, dt)
+            if np.ndim(t):
+                assert isinstance(out, list) and len(out) == len(times)
+            else:
+                out, single = [out], [single]
+            for o, s in zip(out, single):
+                assert isinstance(o, JacobiSpec) and o.a0 == blk.a0
+                assert np.array_equal(o.a, s.a) and np.array_equal(o.b, s.b), t
+    assert toda_ode_oracle(tuple(blocks), [], dt) == [[] for _ in blocks]
+
+
+def test_oracle_refuses_complex_blocks():
+    cplx = JacobiSpec(1.0, [1 + 0.5j], [0.1j, 0.2], mode="complex")
+    real = random_spec(2, np.random.default_rng(7))
+    for spec0 in (cplx, [real, cplx], [cplx]):
+        with pytest.raises(InvalidInputError, match="real blocks"):
+            toda_ode_oracle(spec0, 0.5, 1e-2)
+
+
 def test_batched_oracle_edge_cases():
     spec = random_spec(3, np.random.default_rng(4))
     assert toda_ode_oracle(spec, [], 1e-3) == []
@@ -174,3 +205,13 @@ def test_batched_oracle_edge_cases():
     for bad_dt in (0.0, -1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="dt"):
             toda_ode_oracle(spec, [0.5], bad_dt)
+    # block sequences: empty gives [], bad times and dt still raise
+    assert toda_ode_oracle([], 0.5, 1e-3) == []
+    assert toda_ode_oracle((), [0.5, 1.0], 1e-3) == []
+    for blocks in ([spec, spec], []):
+        with pytest.raises(ValueError, match="finite"):
+            toda_ode_oracle(blocks, [0.5, math.nan], 1e-3)
+        with pytest.raises(ValueError, match="dt"):
+            toda_ode_oracle(blocks, 0.5, 0.0)
+    with pytest.raises(InvalidInputError, match="JacobiSpec"):
+        toda_ode_oracle([spec, {"a0": 1.0}], 0.5, 1e-3)
