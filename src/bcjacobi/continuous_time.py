@@ -20,7 +20,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.linalg import hankel, toeplitz
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .core import JacobiSpec, _require_size, eig_spectral_data
+from .core import JacobiSpec, _as_finite, _require_size, eig_spectral_data
 from .errors import InvalidInputError, NotRealizableError
 
 __all__ = [
@@ -110,9 +110,9 @@ class ResponseFunctionSamples:
     grid: TimeGrid
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.shape != (self.grid.M + 1,) or not np.all(np.isfinite(self.values)):
-            raise InvalidInputError("need one finite sample of r per grid node")
+        object.__setattr__(self, "values", _as_finite(self.values, "samples of r"))
+        if self.values.shape != (self.grid.M + 1,):
+            raise InvalidInputError("need one sample of r per grid node")
 
 
 @dataclass(frozen=True)
@@ -174,11 +174,9 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
     convolution done by composite Simpson on the grid.  Velocities come from
     the analytically differentiated kernel.
     """
-    f = np.asarray(f, dtype=float)
+    f = _as_finite(f, "control")
     if f.size != grid.M + 1:
         raise InvalidInputError("control must be sampled on the grid")
-    if not np.all(np.isfinite(f)):
-        raise InvalidInputError("control must be finite")
     data = eig_spectral_data(spec)
     h, hdot = (
         np.array([_simpson_convolution(f, wave_kernel(lk, grid.nodes, derivative=d), grid.dt)

@@ -269,6 +269,17 @@ def moments_of_measure(mu: SpectralMeasure, K: int) -> np.ndarray:
     return out
 
 
+def _as_finite(x, what: str) -> np.ndarray:
+    """Real data as a 1-D float array; a complex dtype or a non-finite entry is refused."""
+    x = np.atleast_1d(np.asarray(x))
+    if np.iscomplexobj(x):
+        raise InvalidInputError(f"{what} must be real, got dtype {x.dtype}")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"{what} must be finite")
+    return x
+
+
 def _require_size(what: str, n: int, low: int = 1) -> None:
     """Refuse an array dimension below `low` or past what numpy can index."""
     if not low <= n <= _MAX_BLOCK:

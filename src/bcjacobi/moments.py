@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import JacobiSpec, SpectralMeasure, chebyshev_values, spectral_measure
+from .core import JacobiSpec, SpectralMeasure, _as_finite, chebyshev_values, spectral_measure
 from .discrete_wave import connecting_from_response, _as_response
 from .errors import InvalidInputError, NotRealizableError, SingularBlockError
 from .inverse_bc import _chebyshev_sweep, response_matrix
@@ -79,14 +79,6 @@ def lambda_matrix_tilde(n: int) -> np.ndarray:
     return lambda_matrix(n)[::-1, ::-1].copy()
 
 
-def _as_finite(x, what: str) -> np.ndarray:
-    """A moment sequence or response as a 1-D float array; a non-finite entry is refused."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError(f"{what} must be finite")
-    return x
-
-
 def moments_to_response(s) -> np.ndarray:
     """r = Lambda s.
 
@@ -124,13 +116,13 @@ def _reversed_hankel(s: np.ndarray, N: int) -> np.ndarray:
     return s[2 * N - i[:, None] - i[None, :]]
 
 
-def build_hankel_pair(s, N: int, ordering: str = "reversed") -> HankelPair:
-    """Hankel matrices S^N_0 (needs 2N-1 moments) and S^N_1 (needs 2N)."""
+def build_hankel_pair(s, N: int) -> HankelPair:
+    """Hankel matrices S^N_0 (needs 2N-1 moments) and S^N_1 (needs 2N), in the
+    reversed ordering; `.flipped()` gives the classical pair."""
     s = _as_finite(s, "moments")
     if s.size < 2 * N:
         raise InvalidInputError(f"need 2N = {2 * N} moments for the shifted Hankel")
-    pair = HankelPair(_reversed_hankel(s, N), _reversed_hankel(s[1:], N), "reversed")
-    return pair if ordering == "reversed" else pair.flipped()
+    return HankelPair(_reversed_hankel(s, N), _reversed_hankel(s[1:], N))
 
 
 def build_B(r, N: int) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Eigenvalues are constant along the flow; the weights evolve by the Moser
 formula w_k(t) = w_k(0) e^{2 lambda_k t} / sum_j w_j(0) e^{2 lambda_j t}.
-Coefficients at time t come back through moments -> response -> the
-modified Chebyshev sweep.  A fixed-step RK4 integrator of the lattice ODEs
-serves as an independent oracle.
+Coefficients at time t are the Jacobi block of the evolved measure, rebuilt
+from its atoms by plane rotations.  A fixed-step RK4 integrator of the
+lattice ODEs serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import JacobiSpec, SpectralMeasure, moments_of_measure, spectral_measure
 from .errors import InvalidInputError, NumericalFailureError
-from .moments import truncated_moment_naive
 
 __all__ = [
     "TodaState",
@@ -89,26 +88,44 @@ def recursion_residual(mu0: SpectralMeasure, t: float, K: int, h: float) -> floa
     return float(np.max(np.abs(res)))
 
 
-def toda_solve(spec0: JacobiSpec, t: float) -> TodaState:
-    """Lattice coefficients at time t by the moment route.
+def _jacobi_from_atoms(lam: np.ndarray, w: np.ndarray):
+    """(a, b) of the Jacobi block whose spectral measure is sum_k w_k delta_{lam_k}.
 
-    measure(t) by Moser, then s_0..s_{2N-1}(t), then the modified Chebyshev
-    sweep.  Fails with a conditioning error at large |t| when the weights
-    collapse onto the top eigenvalue and the connecting matrix degenerates.
+    The RKPW algorithm of Gragg & Harrod (Numer. Math. 44, 1984), as in the
+    `lanczos` routine of Gautschi's OPQ: the atoms enter one at a time, and
+    each is chased down the block built so far by plane rotations that keep
+    it tridiagonal.  O(N^2) in all, and backward stable, unlike the Hankel
+    route through the power moments.
     """
-    N = spec0.n
+    b = lam.tolist()  # entry m holds lam_m until atom m enters
+    beta = [0.0] * len(b)  # beta[0] = mass so far, beta[k] = a_k^2
+    beta[0] = float(w[0])
+    for m in range(1, len(b)):
+        x, pn = b[m], float(w[m])
+        gam, sig, t = 1.0, 0.0, 0.0
+        for k in range(m + 1):
+            rho = beta[k] + pn
+            tmp, tsig = gam * rho, sig
+            gam, sig = (beta[k] / rho, pn / rho) if rho > 0 else (1.0, 0.0)
+            tk = sig * (b[k] - x) - gam * t
+            b[k] -= tk - t
+            t = tk
+            # OPQ has t^2 / sig; t^2 underflows at large |t| where pn does not
+            pn = t * (t / sig) if sig > 0 else tsig * beta[k]
+            beta[k] = tmp
+    return np.sqrt(beta[1:]), np.array(b)
+
+
+def toda_solve(spec0: JacobiSpec, t: float) -> TodaState:
+    """Lattice coefficients at time t: the Jacobi block of the evolved measure.
+
+    measure(t) by Moser, then the block rebuilt from its atoms by
+    `_jacobi_from_atoms`; a0 is carried over from spec0.  The one refusal is
+    `moser_evolve`'s, when a weight underflows at large |t|.
+    """
     mu_t = moser_evolve(spectral_measure(spec0), t)
-    s = moments_of_measure(mu_t, 2 * N - 1)
-    spec_t, _ = truncated_moment_naive(s, N)
-    # The atoms are known here, so close the block by the trace,
-    # sum b_k(t) = sum lambda_k, instead of keeping the b_N that the moment
-    # route reads off s_{2N-1}.  On the random blocks of acceptance criterion 7
-    # (N <= 8, |t| <= 2) the read-off b_N leaves a trace error of 3.0e-9 and
-    # an RK4 oracle error of 2.9e-9; the closure gives 6e-16 and 1.9e-10.
-    b = spec_t.b.copy()
-    b[-1] = np.sum(mu_t.lambdas) - np.sum(b[:-1])
-    spec_t = JacobiSpec(a0=spec_t.a0, a=spec_t.a, b=b)
-    return TodaState(spec=spec_t, measure=mu_t, t=float(t))
+    a, b = _jacobi_from_atoms(mu_t.lambdas, mu_t.weights)
+    return TodaState(spec=JacobiSpec(a0=spec0.a0, a=a, b=b), measure=mu_t, t=float(t))
 
 
 def _toda_rhs(y: np.ndarray, n: int) -> np.ndarray:

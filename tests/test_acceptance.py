@@ -63,8 +63,8 @@ def test_criterion_07_toda_integrates_once(monkeypatch):
     res = verify.check_toda()
     assert len(calls) == 1 and [s.n for s in calls[0][0]] == [2, 4, 6, 8]
     assert res.passed and res.detail == (
-        "closed form 3.46e-15, oracle 1.93e-10, eigenvalues 1.63e-10, "
-        "trace 2.66e-15, recursion 9.14e-09"
+        "closed form 2.22e-16, oracle 3.26e-13, moment route 2.91e-09, "
+        "eigenvalues 8.88e-16, trace 2.66e-15, recursion 9.14e-09"
     )
 
 

@@ -60,6 +60,16 @@ def test_toda_scenario_closed_form(tmp_path):
         assert a1 == pytest.approx(1 / np.cosh(2 * t), abs=1e-10)
 
 
+def test_toda_scenario_n31_matches_oracle(tmp_path):
+    # N = 31 used to exit 2 at the int64 cap of the moment route's Lambda map
+    config = {"command": "toda", "spec": "random", "N": 31, "times": [0.5]}
+    assert run_scenario(config, tmp_path / "direct")["summary"]["worst_oracle_delta"] <= 1e-6
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "toda.csv").exists()
+
+
 def test_invert_scenario_counterexample(tmp_path):
     config = {"command": "invert", "r": [1.0, 1.0, 0.0, 0.0, -1.0], "T": 3}
     with pytest.raises(BCError):
@@ -287,7 +297,6 @@ MALFORMED = {
     "truncated-too-few-moments": {"command": "moments", "task": "truncated", "s": [1.0, 0.0, 1.0], "N": 3},
     "weyl-lambda-one-number": {"command": "weyl", **FREE, "lambda": [0.5]},
     "graph-empty": {"command": "graph", "graph": {"vertices": [], "edges": []}, "T": 3},
-    "toda-N31": {"command": "toda", "spec": "random", "N": 31, "times": [0.5]},
     # values that used to run silently wrong
     "forward-bc-unknown": {"command": "forward", **FREE, "T": 3, "bc": "nonsense"},
     "N-float": {"command": "response", "spec": "free", "N": 2.7, "T": 3},

@@ -530,6 +530,16 @@ def test_solve_second_order_refuses_non_finite_control(bad):
         solve_second_order(JacobiSpec(a0=1.0, a=[], b=[1.0]), np.full(grid.M + 1, bad), grid)
 
 
+def test_continuous_inputs_refuse_complex():
+    # a cast to float would drop the imaginary parts with only a warning
+    grid = TimeGrid(1.0, 10)
+    f = np.ones(grid.M + 1, dtype=complex)
+    with pytest.raises(InvalidInputError, match="control must be real"):
+        solve_second_order(JacobiSpec(a0=1.0, a=[], b=[1.0]), f, grid)
+    with pytest.raises(InvalidInputError, match="must be real"):
+        ResponseFunctionSamples(f, grid)
+
+
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
 def test_triangular_bump_refuses_bad_width(width):
     with pytest.raises(InvalidInputError, match="width"):

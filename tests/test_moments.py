@@ -321,3 +321,11 @@ MOMENT_ENTRY_POINTS = {
 def test_moment_entry_points_refuse_non_finite(entry, bad):
     with pytest.raises(InvalidInputError, match="finite"):
         MOMENT_ENTRY_POINTS[entry]([1.0, 0.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("entry", sorted(MOMENT_ENTRY_POINTS))
+def test_moment_entry_points_refuse_complex(entry):
+    # a cast to float would drop the imaginary parts with only a warning
+    for data in (np.array([1.0, 1j, 1.0, 0.0]), [1.0, 0.0, 1.0 + 0j, 0.0]):
+        with pytest.raises(InvalidInputError, match="must be real"):
+            MOMENT_ENTRY_POINTS[entry](data)

@@ -101,6 +101,46 @@ def test_toda_matches_rk4_oracle():
         assert np.max(np.abs(st.spec.b - oracle.b)) <= 1e-6
 
 
+def test_toda_keeps_a0():
+    spec = JacobiSpec(a0=2.0, a=[1.0], b=[0.0, 0.0])
+    assert toda_solve(spec, 0.5).spec.a0 == 2.0 == toda_ode_oracle(spec, 0.5, 1e-2).a0
+
+
+def test_toda_matches_rk4_where_the_moment_route_drifted():
+    # the moment route came back 2.5e-2 off here, with no error
+    rng = np.random.default_rng(3)
+    random_spec(8, rng)
+    spec = random_spec(12, rng)
+    st, oracle = toda_solve(spec, 2.0), toda_ode_oracle(spec, 2.0, 1e-3)
+    assert np.max(np.abs(st.spec.a - oracle.a)) <= 1e-8
+    assert np.max(np.abs(st.spec.b - oracle.b)) <= 1e-8
+
+
+def test_toda_matches_rk4_up_to_n40():
+    # N = 31 and beyond were refused by the moment route's integer Lambda map
+    rng = np.random.default_rng(2024)
+    blocks = [random_spec(N, rng) for N in (8, 16, 24, 32, 40)]
+    times = (-5.0, -2.0, 0.5, 2.0, 5.0)
+    for spec, oracles in zip(blocks, toda_ode_oracle(blocks, times, 1e-3)):
+        for t, oracle in zip(times, oracles):
+            st = toda_solve(spec, t)
+            assert np.max(np.abs(st.spec.a - oracle.a)) <= 1e-8, (spec.n, t)
+            assert np.max(np.abs(st.spec.b - oracle.b)) <= 1e-8, (spec.n, t)
+
+
+def test_toda_block_carries_the_evolved_measure():
+    # the blocks of acceptance criterion 7
+    rng = np.random.default_rng(17)
+    for N in (2, 4, 6, 8):
+        spec = random_spec(N, rng, a_range=(0.3, 0.8), b_range=(-0.5, 0.5))
+        for t in (-1.0, -0.6, 0.5, 1.0):
+            st = toda_solve(spec, t)
+            mu = spectral_measure(st.spec)
+            assert np.max(np.abs(mu.lambdas - st.measure.lambdas)) <= 1e-12, (N, t)
+            assert np.max(np.abs(mu.weights - st.measure.weights)) <= 1e-12, (N, t)
+            assert st.measure == moser_evolve(spectral_measure(spec), t)
+
+
 def test_oracle_n1_constant():
     spec = JacobiSpec(a0=1.0, a=[], b=[0.42])
     out = toda_ode_oracle(spec, 2.0, 1e-3)
