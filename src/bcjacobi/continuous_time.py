@@ -13,6 +13,7 @@ controllability lives on the rank-N range of the connecting operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.linalg import hankel, toeplitz
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .core import JacobiSpec, _as_finite, _require_size, eig_spectral_data
+from .core import JacobiSpec, _as_finite, _finite_scalar, _require_size, eig_spectral_data
 from .errors import InvalidInputError, NotRealizableError
 
 __all__ = [
@@ -51,6 +52,7 @@ class TimeGrid:
     M: int
 
     def __post_init__(self):
+        object.__setattr__(self, "T", _finite_scalar(self.T, "T"))
         if self.T <= 0:
             raise InvalidInputError("need T > 0 and M >= 2")
         _require_size("M", self.M, low=2)
@@ -88,8 +90,8 @@ class StringSpec:
     lengths: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "masses", np.atleast_1d(np.asarray(self.masses, dtype=float)))
-        object.__setattr__(self, "lengths", np.atleast_1d(np.asarray(self.lengths, dtype=float)))
+        object.__setattr__(self, "masses", _as_finite(self.masses, "masses"))
+        object.__setattr__(self, "lengths", _as_finite(self.lengths, "lengths"))
         if self.lengths.size != self.masses.size + 1:
             raise InvalidInputError("need len(lengths) = len(masses) + 1")
         if np.any(self.masses <= 0) or np.any(self.lengths <= 0):
@@ -97,7 +99,8 @@ class StringSpec:
 
     @staticmethod
     def uniform(N: int) -> "StringSpec":
-        """Unit string split into N equal weightless pieces with equal masses."""
+        """Unit string split into N >= 2 equal weightless pieces with equal masses."""
+        _require_size("N", N, low=2)
         return StringSpec(masses=np.full(N - 1, 1.0 / N), lengths=np.full(N, 1.0 / N))
 
 
@@ -124,16 +127,95 @@ class Trajectory:
     grid: TimeGrid
 
 
-def wave_kernel(lam: float, tau: np.ndarray, derivative: bool = False) -> np.ndarray:
-    """S(tau, lambda), or its time derivative S'(tau, lambda)."""
+def wave_kernel(lam, tau: np.ndarray, derivative: bool = False) -> np.ndarray:
+    """S(tau, lambda), or its time derivative S'(tau, lambda).
+
+    lam is one eigenvalue or an array of them; the result has shape
+    tau.shape + lam.shape, and its [..., k] slice is the call with lam[k]
+    alone, bit for bit.
+    """
     tau = np.asarray(tau, dtype=float)
-    if lam > 0:
-        rt = np.sqrt(lam)
-        return np.cos(rt * tau) if derivative else np.sin(rt * tau) / rt
-    if lam < 0:
-        rt = np.sqrt(-lam)
-        return np.cosh(rt * tau) if derivative else np.sinh(rt * tau) / rt
-    return np.ones_like(tau) if derivative else tau.copy()
+    lam = np.asarray(lam, dtype=float)
+    lams = lam.reshape(-1)
+    out = np.empty(tau.shape + lams.shape)
+    pos, neg = lams > 0, lams < 0
+    for pick, (s, c) in ((pos, (np.sin, np.cos)), (neg, (np.sinh, np.cosh))):
+        if pick.any():
+            rt = np.sqrt(np.abs(lams[pick]))
+            x = tau[..., None] * rt
+            out[..., pick] = c(x) if derivative else s(x) / rt
+    out[..., ~(pos | neg)] = 1.0 if derivative else tau[..., None]
+    return out.reshape(tau.shape + lam.shape)
+
+
+def _split(x: np.ndarray) -> tuple:
+    """Veltkamp's split x = hi + lo into two halves of at most 26 bits each."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Dekker's product: p = fl(x y) and its rounding error e, with p + e = x y exactly."""
+    p = x * y
+    (xh, xl), (yh, yl) = _split(x), _split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _node_kernels(lam: np.ndarray, dt: float, m: np.ndarray) -> tuple:
+    """S_k and C_k = S_k' at the exact nodes m dt (m integer), to first order
+    in the rounding of the argument.
+
+    wave_kernel evaluates at t' = fl(rt fl(m dt)) / rt, rt = sqrt(|lam|); the
+    offset d = m dt - t' is exact in double-double, and S(t' + d) =
+    S(t') + d C(t'), C(t' + d) = C(t') - lam d S(t').  So the only argument
+    rounding left is that of rt itself, the same as in wave_kernel.  Where
+    d rt, the argument's rounding, is not below 1 (float64 no longer resolves
+    a period there) or Veltkamp's split overflows (past ~1e300), the node
+    keeps wave_kernel's value.
+    """
+    rt = np.sqrt(np.abs(lam))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, t_lo = _two_product(m.astype(float), dt)
+        _, x_lo = _two_product(t[:, None], rt)
+        d = t_lo[:, None] + np.divide(x_lo, rt, out=np.zeros_like(x_lo), where=rt > 0)
+        d = np.where(np.abs(d * rt) < 1.0, d, 0.0)  # NaN compares false
+    S, C = wave_kernel(lam, t), wave_kernel(lam, t, derivative=True)
+    return S + d * C, C - lam * d * S
+
+
+class _GridKernels:
+    """The wave kernels S_k(j dt), j < n, of the modes lam on a uniform grid.
+
+    By angle addition S(x + y) = S(x) C(y) + C(x) S(y), with C = S', which
+    holds for every sign of lambda (sin/cos, sinh/cosh, t/1).  With j = a B + b
+    and B = ceil(sqrt(n)), S and C are evaluated only at the B fine offsets
+    b dt and the ceil(n / B) coarse ones a B dt: O(K sqrt(n)) transcendentals
+    for K modes in place of O(K n).  Both contractions over the n x K kernel
+    matrix are two BLAS products each, and the matrix itself is never formed.
+    The factors are taken at the exact nodes (`_node_kernels`), so the sums
+    carry less argument rounding than sin(sqrt(lam) t_j) mode by mode.
+    """
+
+    def __init__(self, lam: np.ndarray, dt: float, n: int):
+        self.n = n
+        B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+        self.Sb, self.Cb = _node_kernels(lam, dt, np.arange(B))
+        self.Sa, self.Ca = _node_kernels(lam, dt, B * np.arange(-(-n // B)))
+
+    def sum_modes(self, w: np.ndarray) -> np.ndarray:
+        """r_j = sum_k w_k S_k(j dt) for j < n."""
+        R = (self.Sa * w) @ self.Cb.T + (self.Ca * w) @ self.Sb.T
+        return R.ravel()[: self.n]
+
+    def sum_times(self, g: np.ndarray) -> np.ndarray:
+        """h_k = sum_j S_k(j dt) g_j over the len(g) <= n first nodes."""
+        B = self.Sb.shape[0]
+        A = -(-g.size // B)
+        G = np.zeros(A * B)
+        G[: g.size] = g
+        G = G.reshape(A, B)
+        return np.sum(self.Sa[:A] * (G @ self.Cb) + self.Ca[:A] * (G @ self.Sb), axis=0)
 
 
 def _simpson_weights(j: int, dt: float) -> np.ndarray:
@@ -179,19 +261,17 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
         raise InvalidInputError("control must be sampled on the grid")
     data = eig_spectral_data(spec)
     h, hdot = (
-        np.array([_simpson_convolution(f, wave_kernel(lk, grid.nodes, derivative=d), grid.dt)
-                  for lk in data.eigenvalues]) / data.omegas[:, None]
+        np.array([_simpson_convolution(f, kern, grid.dt)
+                  for kern in wave_kernel(data.eigenvalues, grid.nodes, d).T]) / data.omegas[:, None]
         for d in (False, True)
     )
     return Trajectory(u=(data.phi_vectors @ h).T, udot=(data.phi_vectors @ hdot).T, grid=grid)
 
 
 def response_function(spec: JacobiSpec, grid: TimeGrid) -> ResponseFunctionSamples:
-    """Samples of r(t) = sum_k (1/omega_k) S_k(t) on the grid."""
+    """Samples of r(t) = sum_k (1/omega_k) S_k(t) at the grid nodes j dt."""
     data = eig_spectral_data(spec)
-    w = 1.0 / data.omegas
-    t = grid.nodes
-    vals = sum(wk * wave_kernel(lk, t) for lk, wk in zip(data.eigenvalues, w))
+    vals = _GridKernels(data.eigenvalues, grid.dt, grid.M + 1).sum_modes(1.0 / data.omegas)
     return ResponseFunctionSamples(values=vals, grid=grid)
 
 
@@ -249,7 +329,7 @@ def _derivative(y: np.ndarray, dt: float) -> np.ndarray:
 def connecting_spectral(spec: JacobiSpec, grid: TimeGrid) -> np.ndarray:
     """Rank-N kernel sum_k (1/omega_k) S_k(T-t) S_k(T-s), assembled exactly."""
     data = eig_spectral_data(spec)
-    ST = np.array([wave_kernel(lk, grid.T - grid.nodes) for lk in data.eigenvalues])
+    ST = wave_kernel(data.eigenvalues, grid.T - grid.nodes).T
     return (ST / data.omegas[:, None]).T @ ST
 
 
@@ -360,18 +440,17 @@ def string_system(s: StringSpec) -> dict:
     a = 1.0 / l[1:N1]
     b = -(l[:N1] + l[1 : N1 + 1]) / (l[:N1] * l[1 : N1 + 1])
     A = np.diag(b)
-    if N1 > 1:
-        A += np.diag(a, 1) + np.diag(a, -1)
-    Mmat = np.diag(m)
+    i = np.arange(N1 - 1)
+    A[i, i + 1] = A[i + 1, i] = a
     inv_sqrt_m = 1.0 / np.sqrt(m)
-    L = inv_sqrt_m[:, None] * (-A) * inv_sqrt_m[None, :]
+    # the diagonals of L = M^{-1/2} (-A) M^{-1/2}, rounded as the dense product rounds them
     spec = JacobiSpec(
         a0=1.0,
-        a=-np.diag(L, 1) if N1 > 1 else [],
-        b=np.diag(L),
+        a=-((inv_sqrt_m[:-1] * -a) * inv_sqrt_m[1:]),
+        b=(inv_sqrt_m * -b) * inv_sqrt_m,
     )
     return {
-        "mass": Mmat,
+        "mass": np.diag(m),
         "stiffness": A,
         "spec": spec,
         "gain": 1.0 / (l[0] * np.sqrt(m[0])),
@@ -445,20 +524,21 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
     function psi(t): <u_1, psi> (tends to psi(0)), <r~_N, psi> (tends to
     psi'(0)), plus the field pairing int u(x, t*) psi(x) dx at t* =
     field_time (tends to psi(t*)).  Trends over an N-ladder are the caller's
-    business; nothing here is a certified limit.
+    business; nothing here is a certified limit.  Both the kernel sum of u_1
+    and the modal sums at t* run on one `_GridKernels` of the N - 1 modes.
     """
+    if field_time is not None:
+        field_time = _finite_scalar(field_time, "field_time")
     if psi is None:
         psi, _ = gauss_test_function(0.45, 0.1)
     sysd = string_system(StringSpec.uniform(N))
-    spec = sysd["spec"]
-    data = eig_spectral_data(spec)
-    lam, om = data.eigenvalues, data.omegas
+    data = eig_spectral_data(sysd["spec"])
+    kernels = _GridKernels(data.eigenvalues, grid.dt, grid.M + 1)
     f = triangular_bump(grid)
     t = grid.nodes
     w = grid.trapezoid_weights
     # u_1(t) = sqrt(N) * w_1(t); control gain in the symmetrized system
-    kern = sum((1.0 / ok) * wave_kernel(lk, t) for lk, ok in zip(lam, om))
-    conv = _simpson_convolution(f, kern, grid.dt)
+    conv = _simpson_convolution(f, kernels.sum_modes(1.0 / data.omegas), grid.dt)
     u1 = np.sqrt(N) * sysd["gain"] * conv
     u0 = f
     corrected = (u1 - u0) * N
@@ -472,13 +552,11 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
         "pair_corrected": pair_corr,
     }
     if field_time is not None:
-        j_star = int(round(field_time / grid.dt))
-        j_star = min(max(j_star, 0), grid.M)
+        j_star = int(round(min(max(field_time / grid.dt, 0.0), grid.M)))
         # all channels at t*: u = M^{-1/2} D w; D is the sign conjugation
         wf = _simpson_weights(j_star, grid.dt) * f[: j_star + 1]
-        tau = t[j_star] - t[: j_star + 1]
-        h_star = np.array([wave_kernel(lk, tau) @ wf for lk in lam]) / om
-        signs = (-1.0) ** np.arange(lam.size)  # undo the conjugation, channel 1 positive
+        h_star = kernels.sum_times(wf[::-1]) / data.omegas  # S_k(t* - t_i) = S_k((j* - i) dt)
+        signs = (-1.0) ** np.arange(N - 1)  # undo the conjugation, channel 1 positive
         w_state = data.phi_vectors @ h_star * sysd["gain"]
         u_state = np.sqrt(N) * signs * w_state
         # piecewise-affine field through (x_i, u_i), x_i = i/N, clamped at x = 1

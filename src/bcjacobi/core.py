@@ -66,9 +66,13 @@ class JacobiSpec:
     def __post_init__(self):
         if self.mode not in ("real", "complex"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
-        dt = float if self.mode == "real" else complex
-        object.__setattr__(self, "a", np.atleast_1d(np.asarray(self.a, dtype=dt)))
-        object.__setattr__(self, "b", np.atleast_1d(np.asarray(self.b, dtype=dt)))
+        for name in ("a", "b"):
+            x = getattr(self, name)
+            if self.mode == "real":
+                x = _as_finite(x, "coefficients")
+            else:
+                x = np.atleast_1d(np.asarray(x, dtype=complex))
+            object.__setattr__(self, name, x)
         if self.b.size == 0:
             raise InvalidInputError("degenerate N=0 block")
         if self.b.size != self.a.size + 1 and not (self.b.size == 1 and self.a.size == 0):
@@ -76,7 +80,7 @@ class JacobiSpec:
         if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
             raise InvalidInputError("coefficients must be finite")
         if self.mode == "real":
-            object.__setattr__(self, "a0", float(self.a0))
+            object.__setattr__(self, "a0", _finite_scalar(self.a0, "a0"))
             if self.a0 <= 0 or np.any(self.a <= 0):
                 raise InvalidInputError("real mode requires a0 > 0 and a_k > 0")
         else:
@@ -274,10 +278,20 @@ def _as_finite(x, what: str) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x))
     if np.iscomplexobj(x):
         raise InvalidInputError(f"{what} must be real, got dtype {x.dtype}")
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):  # strings, None and other non-numbers
+        raise InvalidInputError(f"{what} must be real numbers") from None
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{what} must be finite")
     return x
+
+
+def _finite_scalar(x, what: str) -> float:
+    """A real finite number as a float; an array, a complex or a non-finite value is refused."""
+    if np.ndim(x) != 0:
+        raise InvalidInputError(f"{what} must be a single number")
+    return float(_as_finite(x, what)[0])
 
 
 def _require_size(what: str, n: int, low: int = 1) -> None:

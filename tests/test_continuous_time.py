@@ -7,6 +7,7 @@ from bcjacobi.continuous_time import (
     StringSpec,
     TimeGrid,
     _derivative,
+    _GridKernels,
     _kernel_apply,
     _kernel_matrix,
     _simpson_convolution,
@@ -38,6 +39,67 @@ def test_wave_kernel_branches():
     assert np.allclose(wave_kernel(4.0, tau), np.sin(2 * tau) / 2)
     assert np.allclose(wave_kernel(-4.0, tau), np.sinh(2 * tau) / 2)
     assert np.allclose(wave_kernel(0.0, tau), tau)
+
+
+def _kernel_per_mode(lk, tau, derivative):
+    """The per-mode formulas S(tau, lk) and S'(tau, lk) for one eigenvalue."""
+    if lk > 0:
+        rt = np.sqrt(lk)
+        return np.cos(rt * tau) if derivative else np.sin(rt * tau) / rt
+    if lk < 0:
+        rt = np.sqrt(-lk)
+        return np.cosh(rt * tau) if derivative else np.sinh(rt * tau) / rt
+    return np.ones_like(tau) if derivative else tau.copy()
+
+
+def test_wave_kernel_array_bit_identical_to_per_mode():
+    rng = np.random.default_rng(59)
+    lam = np.array([-9.0, -1e-3, 0.0, 0.3, 4.0, 2500.0, -2500.0 / 49])
+    for tau in (np.linspace(0.0, 2.0, 41), np.array(0.7), rng.uniform(0.0, 3.0, (3, 5))):
+        for d in (False, True):
+            K = wave_kernel(lam, tau, d)
+            assert K.shape == tau.shape + lam.shape
+            for k, lk in enumerate(lam):
+                ref = _kernel_per_mode(lk, tau, d)
+                assert np.array_equal(K[..., k], ref)
+                assert np.array_equal(wave_kernel(lk, tau, d), ref)
+            assert np.array_equal(wave_kernel(lam.reshape(7, 1), tau, d), K.reshape(tau.shape + (7, 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 81, 6401])
+def test_grid_kernels_match_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    # sinh, t and sin modes; the sin modes reach sqrt(lam) t = 50
+    lam = np.array([-9.7, -1.0, 0.0, 0.3, 4.0, 123.4, 2499.0])
+    w = np.array([0.5, -1.25, 2.0, 1.0, -0.75, 3.0, 40.0])
+    dt = 1.0 / max(n - 1, 1)
+    kernels = _GridKernels(lam, dt, n)
+    j = np.unique(np.r_[np.arange(0, n, max(1, n // 200)), n - 1])  # every node up to n = 399
+    g = np.zeros(n)
+    g[j] = np.random.default_rng(58).standard_normal(j.size)
+    with mpmath.workdps(50):
+        def S(lk, jj):
+            t, lk = mpmath.mpf(int(jj)) * mpmath.mpf(dt), mpmath.mpf(float(lk))
+            if lk == 0:
+                return t
+            rt = mpmath.sqrt(abs(lk))
+            return (mpmath.sin(rt * t) if lk > 0 else mpmath.sinh(rt * t)) / rt
+
+        exact = [[S(lk, jj) for lk in lam] for jj in j]
+        r_ref = np.array([float(mpmath.fsum(mpmath.mpf(wk) * s for wk, s in zip(w, row))) for row in exact])
+        h_ref = np.array([float(mpmath.fsum(mpmath.mpf(g[jj]) * row[k] for jj, row in zip(j, exact)))
+                          for k in range(lam.size)])
+    # per node and mode: the rounding of S(a B dt) C(b dt) + C(a B dt) S(b dt),
+    # plus t |C(t)| for the rounding of sqrt(lam), which moves the argument
+    # sqrt(lam) t in any float evaluation of the kernel
+    B = kernels.Sb.shape[0]
+    a, b = divmod(j, B)
+    scale = (np.abs(kernels.Sa[a] * kernels.Cb[b]) + np.abs(kernels.Ca[a] * kernels.Sb[b])
+             + (j * dt)[:, None] * np.abs(wave_kernel(lam, j * dt, derivative=True)))
+    r = kernels.sum_modes(w)
+    assert r.shape == (n,) and r[0] == 0.0
+    assert np.all(np.abs(r[j] - r_ref) <= 4 * EPS * (scale @ np.abs(w)))
+    assert np.all(np.abs(kernels.sum_times(g) - h_ref) <= 4 * EPS * (np.abs(g[j]) @ scale))
 
 
 def test_solve_single_mode_forced():
@@ -194,6 +256,28 @@ def test_string_system_uniform():
     k = np.arange(1, N)
     expect = 4 * N * N * np.sin(k * np.pi / (2 * N)) ** 2
     assert np.allclose(np.sort(lam), np.sort(expect), rtol=1e-10)
+
+
+@pytest.mark.parametrize("T", [1e16, 1e200, 1e302])
+def test_response_function_stays_bounded_where_float_loses_the_period(T):
+    # past ~1e15 radians a float64 node no longer resolves a period, and past
+    # ~1e300 Veltkamp's split overflows: those nodes keep the per-mode value
+    spec = string_family(3, np.random.default_rng(70))
+    data = eig_spectral_data(spec)
+    r = response_function(spec, TimeGrid(T, 4))
+    assert np.all(np.abs(r.values) <= 1.01 * np.sum(1.0 / (data.omegas * np.sqrt(data.eigenvalues))))
+
+
+def test_string_system_block_bit_identical_to_dense_symmetrization():
+    rng = np.random.default_rng(57)
+    for n_masses in (1, 2, 3, 50):
+        m, l = rng.uniform(0.5, 2.0, n_masses), rng.uniform(0.5, 2.0, n_masses + 1)
+        sysd = string_system(StringSpec(masses=m, lengths=l))
+        ism = 1.0 / np.sqrt(m)
+        L = ism[:, None] * (-sysd["stiffness"]) * ism[None, :]
+        assert np.array_equal(sysd["spec"].b, np.diag(L))
+        assert np.array_equal(sysd["spec"].a, -np.diag(L, 1))
+        assert np.array_equal(sysd["mass"], np.diag(m))
 
 
 def test_string_system_scalar():
@@ -395,7 +479,7 @@ def test_solve_second_order_matches_row_loop():
 
 def test_corrected_response_matches_row_loop():
     psi, _ = gauss_test_function(0.45, 0.1)
-    for N, M, t_star in ((10, 80, 0.5), (25, 201, 0.37)):
+    for N, M, t_star in ((10, 80, 0.5), (25, 201, 0.37), (200, 1600, 0.5)):
         grid = TimeGrid(1.0, M)
         out = corrected_response(N, grid, psi=psi, field_time=t_star)
         sysd = string_system(StringSpec.uniform(N))
@@ -544,3 +628,33 @@ def test_continuous_inputs_refuse_complex():
 def test_triangular_bump_refuses_bad_width(width):
     with pytest.raises(InvalidInputError, match="width"):
         triangular_bump(TimeGrid(1.0, 10), width=width)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf])
+def test_time_grid_refuses_non_finite_length(T):
+    with pytest.raises(InvalidInputError, match="T must be finite"):
+        TimeGrid(T, 10)
+
+
+@pytest.mark.parametrize("N", [0, 1])
+def test_corrected_response_refuses_fewer_than_two_pieces(N):
+    with pytest.raises(InvalidInputError, match="N must be in 2\\.\\."):
+        corrected_response(N, TimeGrid(1.0, 40))
+
+
+@pytest.mark.parametrize("t_star", [np.nan, np.inf])
+def test_corrected_response_refuses_non_finite_field_time(t_star):
+    with pytest.raises(InvalidInputError, match="field_time must be finite"):
+        corrected_response(4, TimeGrid(1.0, 40), field_time=t_star)
+
+
+@pytest.mark.parametrize("masses, lengths, match", [
+    (np.array([1 + 2j]), [0.5, 0.5], "masses must be real"),
+    ([1.0 + 0j], [0.5, 0.5], "masses must be real"),
+    ([1.0], [0.5, 0.5j], "lengths must be real"),
+    ([np.nan], [0.5, 0.5], "masses must be finite"),
+    ([1.0], [0.5, np.inf], "lengths must be finite"),
+])
+def test_string_spec_refuses_complex_and_non_finite(masses, lengths, match):
+    with pytest.raises(InvalidInputError, match=match):
+        StringSpec(masses=masses, lengths=lengths)

@@ -252,6 +252,19 @@ def test_measure_json_refuses_malformed_input(obj):
         SpectralMeasure.from_json(obj)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"a0": 1.0, "a": np.array([1 + 1j]), "b": np.zeros(2)}, "coefficients must be real"),
+    ({"a0": 1.0, "a": [1.0], "b": [0.0, 1j]}, "coefficients must be real"),
+    ({"a0": 1 + 1j, "a": [1.0], "b": [0.0, 0.0]}, "a0 must be real"),
+    ({"a0": np.nan, "a": [1.0], "b": [0.0, 0.0]}, "a0 must be finite"),
+    ({"a0": 1.0, "a": ["x"], "b": [0.0, 0.0]}, "coefficients must be real numbers"),
+])
+def test_real_spec_refuses_complex_and_malformed_input(kwargs, match):
+    # a cast to float would drop the imaginary parts with only a warning
+    with pytest.raises(InvalidInputError, match=match):
+        JacobiSpec(**kwargs)
+
+
 @pytest.mark.parametrize("n", [0, -1, np.iinfo(np.intp).max // 8 + 1, np.iinfo(np.intp).max, 10**30])
 def test_spec_builders_refuse_sizes_numpy_cannot_allocate(n):
     with pytest.raises(InvalidInputError, match="block size"):
