@@ -295,9 +295,9 @@ def _finite_scalar(x, what: str) -> float:
 
 
 def _require_size(what: str, n: int, low: int = 1) -> None:
-    """Refuse an array dimension below `low` or past what numpy can index."""
-    if not low <= n <= _MAX_BLOCK:
-        raise InvalidInputError(f"{what} must be in {low}..{_MAX_BLOCK}, got {n}")
+    """Refuse a non-integer (or bool) size, one below `low` or past what numpy can index."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not low <= n <= _MAX_BLOCK:
+        raise InvalidInputError(f"{what} must be an integer in {low}..{_MAX_BLOCK}, got {n!r}")
 
 
 def free_spec(n: int, a0: float = 1.0) -> JacobiSpec:

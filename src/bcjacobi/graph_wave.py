@@ -19,7 +19,7 @@ import numpy as np
 from .core import _json_int, _require_size
 from .errors import InvalidInputError
 
-__all__ = ["Edge", "GraphSpec", "GraphField", "step", "energies", "simulate"]
+__all__ = ["Edge", "GraphSpec", "GraphField", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,6 @@ class GraphSpec:
     def internal(self) -> list:
         return [v for v, b in self.vertices if not b]
 
-    def degree(self, v: str) -> int:
-        return sum((e.tail == v) + (e.head == v) for e in self.edges)
-
     @staticmethod
     def path(n_seg: int) -> "GraphSpec":
         """Single edge with one controlled and one clamped end."""
@@ -123,123 +120,81 @@ class GraphSpec:
         return GraphSpec(vertices=vertices, edges=tuple(Edge(*e) for e in edges))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphField:
     """Per-edge arrays u[e][j, t] (j = 0..n_seg, t = 0..T) plus controls.
 
     Controls are keyed by boundary vertex id; missing keys mean clamped (0).
-    Vertex continuity holds by construction: endpoint slots of incident edges
-    always carry the same value.
+    Every vertex is one node, so the endpoint slots of its edges agree.
     """
 
     graph: GraphSpec
-    u: list  # u[e] is an (n_seg+1) x (T+1) array
+    u: tuple  # u[e] is an (n_seg+1) x (T+1) array
     controls: dict
-    t_filled: int = 0
-
-    @staticmethod
-    def zero(graph: GraphSpec, controls: dict, T: int) -> "GraphField":
-        _require_size("T", T, low=0)
-        ctr = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in controls.items()}
-        for k, v in ctr.items():
-            if k not in graph.boundary:
-                raise InvalidInputError(f"control key {k!r} is not a boundary vertex")
-            if v.size < T + 1:
-                raise InvalidInputError(f"control for {k!r} must cover t = 0..T")
-        u = [np.zeros((e.n_seg + 1, T + 1)) for e in graph.edges]
-        return GraphField(graph=graph, u=u, controls=ctr, t_filled=0)
-
-    def vertex_value(self, v: str, t: int) -> float:
-        for e, arr in zip(self.graph.edges, self.u):
-            if e.tail == v:
-                return arr[0, t]
-            if e.head == v:
-                return arr[e.n_seg, t]
-        raise KeyError(v)
 
 
-def _incidences(graph: GraphSpec, v: str):
-    """(edge index, endpoint slot) pairs for the edges at v."""
-    out = []
-    for i, e in enumerate(graph.edges):
-        if e.tail == v:
-            out.append((i, 0))
-        if e.head == v:
-            out.append((i, e.n_seg))
-    return out
+def _layout(graph: GraphSpec):
+    """Number each vertex once, then the interior points of each edge in order.
 
-
-def step(field: GraphField, t: int) -> None:
-    """Advance the field from time level t to t + 1 in place.
-
-    Requires levels up to t to be populated (and t - 1 for t >= 1).
+    Returns (node count, vertex node by id, slot -> node array of each edge,
+    groups), where groups maps each degree p to the free nodes of that degree
+    and their (p, n) neighbour columns: (right, left) at interior points, the
+    neighbour along each incident edge end in edge order at internal vertices.
     """
-    g = field.graph
-    u = field.u
-    if t != field.t_filled:
-        raise InvalidInputError(f"field is populated through t = {field.t_filled}, not {t}")
-    if t + 1 >= u[0].shape[1]:
-        raise InvalidInputError("field storage exhausted")
-    # interior points
-    for arr in u:
-        n = arr.shape[0] - 1
-        prev = arr[1:n, t - 1] if t >= 1 else 0.0
-        arr[1:n, t + 1] = arr[2 : n + 1, t] + arr[0 : n - 1, t] - prev
-    # internal vertices
-    for v in g.internal:
-        inc = _incidences(g, v)
-        p = len(inc)
-        nb = 0.0
-        for ei, slot in inc:
-            j = 1 if slot == 0 else slot - 1  # |F - 1| resolves the orientation
-            nb += u[ei][j, t]
-        prev = field.vertex_value(v, t - 1) if t >= 1 else 0.0
-        val = (2.0 / p) * nb - prev
-        for ei, slot in inc:
-            u[ei][slot, t + 1] = val
-    # boundary vertices: Dirichlet controls (zero when absent)
-    for v in g.boundary:
-        ctl = field.controls.get(v)
-        val = float(ctl[t + 1]) if ctl is not None else 0.0
-        for ei, slot in _incidences(g, v):
-            u[ei][slot, t + 1] = val
-    field.t_filled = t + 1
-
-
-def energies(field: GraphField, t: int):
-    """(T_D(t), U_D(t)) exactly as displayed: flat 1/2 weights.
-
-    Kinetic sums squared time differences over interior points and vertices;
-    potential sums squared spatial differences over every edge segment.
-    The flat sum is exactly conserved on plateau segments (and identically on
-    p = 2 chains); it dips transiently while a pulse crosses a vertex of
-    degree != 2.
-    """
-    if t < 1:
-        raise InvalidInputError("kinetic energy needs t >= 1")
-    g = field.graph
-    kin = 0.0
-    pot = 0.0
-    for arr in field.u:
-        n = arr.shape[0] - 1
-        kin += 0.5 * float(np.sum((arr[1:n, t] - arr[1:n, t - 1]) ** 2))
-        pot += 0.5 * float(np.sum((arr[1 : n + 1, t] - arr[0:n, t]) ** 2))
-    for v, _ in g.vertices:
-        dv = field.vertex_value(v, t) - field.vertex_value(v, t - 1)
-        kin += 0.5 * dv * dv
-    return kin, pot
+    node = {v: i for i, (v, _) in enumerate(graph.vertices)}
+    slots, nbrs = [], {v: [] for v in graph.internal}
+    base = len(node)
+    for e in graph.edges:
+        s = np.r_[node[e.tail], base : base + e.n_seg - 1, node[e.head]]
+        base += e.n_seg - 1
+        slots.append(s)
+        for v, j in ((e.tail, s[1]), (e.head, s[-2])):
+            if v in nbrs:
+                nbrs[v].append(j)
+    parts = {2: [(s[1:-1], np.stack((s[2:], s[:-2]))) for s in slots]}
+    for v, nb in nbrs.items():
+        parts.setdefault(len(nb), []).append(([node[v]], np.array(nb)[:, None]))
+    groups = {p: (np.concatenate([f for f, _ in fc]), np.concatenate([c for _, c in fc], axis=1))
+              for p, fc in parts.items()}
+    return base, node, slots, groups
 
 
 def simulate(graph: GraphSpec, controls: dict, T: int) -> tuple:
     """Run T steps from the zero state; returns (field, energy log).
 
-    The energy log row t holds (t, T_D(t), U_D(t), T_D + U_D) for t = 1..T.
+    The energy log row t holds (t, T_D(t), U_D(t), T_D + U_D) for t = 1..T,
+    with flat 1/2 weights: kinetic sums squared time differences over
+    interior points and vertices, potential sums squared spatial differences
+    over every edge segment.  The flat sum is exactly conserved on plateau
+    segments (and identically on p = 2 chains); it dips transiently while a
+    pulse crosses a vertex of degree != 2.
     """
-    field = GraphField.zero(graph, controls, T)
+    _require_size("T", T, low=0)
+    ctr = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in controls.items()}
+    for k, v in ctr.items():
+        if k not in graph.boundary:
+            raise InvalidInputError(f"control key {k!r} is not a boundary vertex")
+        if v.size < T + 1:
+            raise InvalidInputError(f"control for {k!r} must cover t = 0..T")
+    n, node, slots, groups = _layout(graph)
+    x = np.zeros((T + 1, n))  # x[t, node]
+    for k, v in ctr.items():
+        x[1:, node[k]] = v[1 : T + 1]
     for t in range(T):
-        step(field, t)
-    log = np.zeros((T, 4))
-    for t in range(1, T + 1):
-        kin, pot = energies(field, t)
-        log[t - 1] = (t, kin, pot, kin + pot)
-    return field, log
+        cur, prev = x[t], x[max(t - 1, 0)]  # u^{-1} = u^0 = 0
+        for p, (free, cols) in groups.items():
+            nb = cur[cols[0]]  # a copy; the columns are added in order, not pairwise
+            for c in cols[1:]:
+                nb += cur[c]
+            x[t + 1, free] = (2.0 / p) * nb - prev[free]  # 2/2 = 1 scales exactly
+    # `take` keeps each time level a C-contiguous row, so each sum below is the
+    # pairwise sum np.sum gives one level (x[:, s] would be F-ordered)
+    dx = np.diff(x, axis=0)
+    kin, pot = np.zeros(T), np.zeros(T)
+    for s in slots:
+        kin += 0.5 * np.sum(dx.take(s[1:-1], axis=1) ** 2, axis=1)
+        pot += 0.5 * np.sum(np.diff(x[1:].take(s, axis=1), axis=1) ** 2, axis=1)
+    for i in node.values():
+        kin += 0.5 * dx[:, i] * dx[:, i]
+    log = np.column_stack((np.arange(1.0, T + 1), kin, pot, kin + pot))
+    return GraphField(graph=graph, u=tuple(x[:, s].T for s in slots), controls=ctr), log

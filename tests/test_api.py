@@ -18,10 +18,6 @@ MODULES = sorted(
     m.name for m in pkgutil.iter_modules(bcjacobi.__path__) if m.name != "__main__"
 )
 
-# (module file, enclosing function, exception) raised on purpose outside BCError:
-# a failed lookup of a vertex that is not in the graph, not an input check
-NOT_BCERROR = {("graph_wave.py", "vertex_value", "KeyError")}
-
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
@@ -44,17 +40,13 @@ def _raises(node, func=None):
 
 def test_every_raise_names_a_bcerror():
     """One error path: each `raise` in the package names a BCError subclass."""
-    found, offenders = set(), []
+    offenders = []
     for path in sorted(Path(bcjacobi.__file__).parent.glob("*.py")):
         for func, name in _raises(ast.parse(path.read_text())):
             cls = getattr(errors, name, None) or getattr(builtins, name, None)
-            if isinstance(cls, type) and issubclass(cls, errors.BCError):
-                continue
-            found.add((path.name, func, name))
-            if (path.name, func, name) not in NOT_BCERROR:
+            if not (isinstance(cls, type) and issubclass(cls, errors.BCError)):
                 offenders.append(f"{path.name}:{func}: raise {name}")
     assert offenders == []
-    assert found == NOT_BCERROR  # the exemption is still needed
 
 
 def test_import_does_not_load_scipy_signal():

@@ -303,6 +303,8 @@ def test_grid_validation():
         TimeGrid(0.0, 10)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1)
+    with pytest.raises(InvalidInputError, match="M must be an integer"):
+        TimeGrid(1.0, 2.5).nodes
     with pytest.raises(ValueError):
         StringSpec(masses=[1.0], lengths=[1.0])  # wrong lengths
 
@@ -636,9 +638,9 @@ def test_time_grid_refuses_non_finite_length(T):
         TimeGrid(T, 10)
 
 
-@pytest.mark.parametrize("N", [0, 1])
+@pytest.mark.parametrize("N", [0, 1, 2.5])
 def test_corrected_response_refuses_fewer_than_two_pieces(N):
-    with pytest.raises(InvalidInputError, match="N must be in 2\\.\\."):
+    with pytest.raises(InvalidInputError, match="N must be an integer in 2\\.\\."):
         corrected_response(N, TimeGrid(1.0, 40))
 
 

@@ -265,7 +265,7 @@ def test_real_spec_refuses_complex_and_malformed_input(kwargs, match):
         JacobiSpec(**kwargs)
 
 
-@pytest.mark.parametrize("n", [0, -1, np.iinfo(np.intp).max // 8 + 1, np.iinfo(np.intp).max, 10**30])
+@pytest.mark.parametrize("n", [0, -1, np.iinfo(np.intp).max // 8 + 1, np.iinfo(np.intp).max, 10**30, 2.5, True])
 def test_spec_builders_refuse_sizes_numpy_cannot_allocate(n):
     with pytest.raises(InvalidInputError, match="block size"):
         free_spec(n)

@@ -1,10 +1,15 @@
+import dataclasses
+
+import graph_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcjacobi.core import free_spec
 from bcjacobi.discrete_wave import solve_semi_infinite
 from bcjacobi.errors import InvalidInputError
-from bcjacobi.graph_wave import Edge, GraphField, GraphSpec, energies, simulate, step
+from bcjacobi.graph_wave import Edge, GraphSpec, simulate
 
 
 def delta_at_one(T):
@@ -31,6 +36,8 @@ def test_zero_controls_zero_field():
     fld, log = simulate(g, {}, 6)
     assert all(np.all(arr == 0.0) for arr in fld.u)
     assert np.all(log[:, 1:] == 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fld.u = ()
 
 
 def test_star_scattering_amplitudes():
@@ -116,10 +123,8 @@ def test_vertex_continuity():
 
 
 def test_energies_zero_field():
-    g = GraphSpec.path(5)
-    field = GraphField.zero(g, {}, 4)
-    step(field, 0)
-    assert energies(field, 1) == (0.0, 0.0)
+    _, log = simulate(GraphSpec.path(5), {}, 1)
+    assert log.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
 def test_graph_validation():
@@ -131,6 +136,10 @@ def test_graph_validation():
                   edges=(Edge("a", "b", 2),))  # c isolated
     with pytest.raises(ValueError):
         Edge("a", "b", 0)
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        Edge("a", "b", 2.5)
+    with pytest.raises(InvalidInputError, match="T must be an integer"):
+        simulate(GraphSpec.path(3), {}, 2.5)
 
 
 def test_graph_json_roundtrip():
@@ -142,9 +151,9 @@ def test_graph_json_roundtrip():
 def test_control_length_mismatch():
     g = GraphSpec.path(4)
     with pytest.raises(ValueError):
-        GraphField.zero(g, {"in": np.zeros(3)}, 5)
+        simulate(g, {"in": np.zeros(3)}, 5)
     with pytest.raises(ValueError):
-        GraphField.zero(g, {"nope": np.zeros(6)}, 5)
+        simulate(g, {"nope": np.zeros(6)}, 5)
 
 
 def test_vertex_rule_is_action_stationarity():
@@ -240,3 +249,74 @@ def test_graph_json_wrong_type_is_rejected(field, value):
         obj["vertices"][0][field] = value
     with pytest.raises(InvalidInputError, match="malformed graph JSON"):
         GraphSpec.from_json(obj)
+
+
+@st.composite
+def graph_runs(draw, max_T=24):
+    """(graph, controls, T) on a connected graph: a path, or a random tree of
+    internal vertices (stars, degree-2 chains, internal leaves of degree 1)
+    with extra parallel or cycle-closing edges, edges of 1..5 segments in
+    either orientation, and boundary vertices left clamped or driven by
+    mixed-sign controls."""
+    seg = st.integers(1, 5)
+    k = draw(st.sampled_from([1, 2, 3, 4, 0]))
+    if k == 0:
+        graph = GraphSpec.path(draw(seg))
+    else:
+        inner = [f"v{i}" for i in range(k)]
+        ends = [(inner[draw(st.integers(0, i - 1))], inner[i]) for i in range(1, k)]
+        if k > 1:
+            for _ in range(draw(st.integers(0, 2))):
+                i, j = draw(st.lists(st.sampled_from(inner), min_size=2, max_size=2, unique=True))
+                ends.append((i, j))
+        outer = [f"b{i}" for i in range(draw(st.integers(1, 5)))]
+        ends += [(b, draw(st.sampled_from(inner))) for b in outer]
+        edges = tuple(Edge(*(reversed(ab) if draw(st.booleans()) else ab), draw(seg)) for ab in ends)
+        graph = GraphSpec(vertices=tuple((v, False) for v in inner) + tuple((b, True) for b in outer),
+                          edges=edges)
+    T = draw(st.integers(0, max_T))
+    values = st.floats(-4.0, 4.0, allow_subnormal=False)
+    driven = graph.boundary[:1] + [b for b in graph.boundary[1:] if draw(st.booleans())]
+    controls = {b: np.array(draw(st.lists(values, min_size=T + 1, max_size=T + 1))) for b in driven}
+    return graph, controls, T
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(graph_runs())
+def test_simulate_matches_per_edge_oracle(run):
+    fld, log = simulate(*run)
+    ref, ref_log = graph_oracle.simulate(*run)
+    assert len(fld.u) == len(ref.u)
+    assert all(np.array_equal(a, b) for a, b in zip(fld.u, ref.u))
+    assert np.array_equal(log, ref_log)
+
+
+def leapfrog_energy(field):
+    """E_t = <u^{t+1}, m u^{t+1}> + <u^t, m u^t> - <u^{t+1}, A u^t> and its two
+    mass terms, t = 0..T-1, over the free nodes while boundary values are 0.
+
+    m is 1 at interior points and p/2 at an internal vertex, i.e. 1/2 for each
+    edge end there, and A counts every lattice segment once each way, so both
+    are sums over the edges.  The vertex rule is m (u^{t+1} + u^{t-1}) = A u^t.
+    """
+    mass, cross = 0.0, 0.0
+    for arr in field.u:
+        w = np.ones(arr.shape[0])
+        w[[0, -1]] = 0.5
+        mass = mass + w @ arr**2
+        cross = cross + np.sum(arr[:-1, 1:] * arr[1:, :-1] + arr[1:, 1:] * arr[:-1, :-1], axis=0)
+    positive = mass[1:] + mass[:-1]
+    return positive - cross, positive
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(graph_runs(max_T=40), st.integers(1, 12))
+def test_leapfrog_energy_is_conserved_once_controls_stop(run, t_off):
+    graph, controls, T = run
+    for c in controls.values():
+        c[t_off + 1 :] = 0.0
+    fld, _ = simulate(graph, controls, T)
+    E, positive = leapfrog_energy(fld)
+    E, positive = E[t_off + 1 :], positive[t_off + 1 :]  # boundary values 0 at t and t+1
+    if E.size:
+        assert np.max(np.abs(E - E[0])) <= 1e-13 * np.max(positive)
