@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import continuous_time as ct
-from .core import JacobiSpec, _json_int, _json_number, _json_pair, free_spec, random_spec, spectral_measure
+from .core import JacobiSpec, _coeff_gap, _json_int, _json_number, _json_pair, free_spec, random_spec, spectral_measure
 from .discrete_wave import ResponseVector, delta_control, response_vector, solve_finite_dirichlet, solve_semi_infinite
 from .errors import BCError, InvalidInputError
 from .graph_wave import GraphSpec, simulate
@@ -211,13 +211,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         spec = _spec_from_config(config, rng)
         states = [toda_solve(spec, float(t)) for t in times]
         oracles = toda_ode_oracle(spec, times, dt)
-        deltas = [
-            max(
-                float(np.max(np.abs(st.spec.a - oracle.a), initial=0.0)),
-                float(np.max(np.abs(st.spec.b - oracle.b))),
-            )
-            for st, oracle in zip(states, oracles)
-        ]
+        deltas = [_coeff_gap(st.spec, oracle) for st, oracle in zip(states, oracles)]
         n = spec.n
         columns = [
             [t for t in times for _ in range(n)],
@@ -281,10 +275,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         spec = ct.string_system(ct.StringSpec(masses=masses, lengths=lengths))["spec"]
         r = ct.response_function(spec, grid.doubled())
         rec, _ = ct.recover_matrix_continuous(r, N, grid)
-        err = max(
-            float(np.max(np.abs(rec.a - spec.a), initial=0.0)),
-            float(np.max(np.abs(rec.b - spec.b))),
-        )
+        err = _coeff_gap(rec, spec)
         k = np.arange(1, N + 1)
         emit_csv("contjacobi_b.csv", ["k", "b_true", "b_recovered"], [k, spec.b, rec.b])
         summary["recovery_error"] = err

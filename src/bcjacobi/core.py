@@ -273,15 +273,21 @@ def moments_of_measure(mu: SpectralMeasure, K: int) -> np.ndarray:
     return out
 
 
-def _as_finite(x, what: str) -> np.ndarray:
-    """Real data as a 1-D float array; a complex dtype or a non-finite entry is refused."""
+def _as_numbers(x, what: str, real: bool = True) -> np.ndarray:
+    """Data as a 1-D float array, or complex unless `real`; strings and other non-numbers are refused."""
     x = np.atleast_1d(np.asarray(x))
-    if np.iscomplexobj(x):
+    cplx = np.iscomplexobj(x)
+    if cplx and real:
         raise InvalidInputError(f"{what} must be real, got dtype {x.dtype}")
     try:
-        x = np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=complex if cplx else float)
     except (TypeError, ValueError):  # strings, None and other non-numbers
-        raise InvalidInputError(f"{what} must be real numbers") from None
+        raise InvalidInputError(f"{what} must be {'real ' if real else ''}numbers") from None
+
+
+def _as_finite(x, what: str, real: bool = True) -> np.ndarray:
+    """`_as_numbers`, refusing a non-finite entry as well."""
+    x = _as_numbers(x, what, real)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{what} must be finite")
     return x
@@ -292,6 +298,11 @@ def _finite_scalar(x, what: str) -> float:
     if np.ndim(x) != 0:
         raise InvalidInputError(f"{what} must be a single number")
     return float(_as_finite(x, what)[0])
+
+
+def _coeff_gap(x: JacobiSpec, y: JacobiSpec) -> float:
+    """Largest entrywise gap between the a and the b vectors of two blocks of one size."""
+    return max(float(np.max(np.abs(x.a - y.a), initial=0.0)), float(np.max(np.abs(x.b - y.b))))
 
 
 def _require_size(what: str, n: int, low: int = 1) -> None:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec, _require_size
-from .errors import InvalidInputError, SpecTooShortError
+from .core import JacobiSpec, _as_finite, _require_size
+from .errors import InvalidInputError, NumericalFailureError, SpecTooShortError
 
 __all__ = [
     "WaveField",
@@ -57,10 +57,8 @@ class ResponseVector:
     def __post_init__(self):
         if self.mode not in ("real", "complex"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
-        dt = float if self.mode == "real" else complex
-        object.__setattr__(self, "r", np.atleast_1d(np.asarray(self.r, dtype=dt)))
-        if not np.all(np.isfinite(self.r)):
-            raise InvalidInputError("response entries must be finite")
+        r = _as_finite(self.r, "response", real=self.mode == "real")
+        object.__setattr__(self, "r", r if self.mode == "real" else np.asarray(r, dtype=complex))
 
     def __len__(self) -> int:
         return self.r.size
@@ -73,8 +71,9 @@ def delta_control(T: int, dtype=float) -> np.ndarray:
     return f
 
 
-def _as_response(r) -> np.ndarray:
-    return r.r if isinstance(r, ResponseVector) else np.atleast_1d(np.asarray(r))
+def _as_response(r, real: bool = False) -> np.ndarray:
+    """A ResponseVector or raw entries as a finite 1-D float (or, unless `real`, complex) array."""
+    return _as_finite(r.r if isinstance(r, ResponseVector) else r, "response", real)
 
 
 def _step_field(
@@ -85,7 +84,8 @@ def _step_field(
     Returns u of shape (n_active + 2, T + 1); row 0 carries the control
     (f_t for t < T = len(f), 0 at t = T).  order=2 is the wave recurrence;
     order=1 drops the u_{t-1} term and gives the heat system
-    v_{t+1} = A v_t, which is defined for real blocks only.
+    v_{t+1} = A v_t, which is defined for real blocks only.  Block and control
+    are finite, so a non-finite field is an overflow; it is checked once, at the end.
     """
     if order == 1 and spec.mode != "real":
         raise InvalidInputError("heat stepping is defined for real blocks")
@@ -100,14 +100,18 @@ def _step_field(
     a_r = np.array([aa[n] if n < aa.size else 0.0 for n in range(1, n_active + 1)], dtype=dt)
     a_l = aa[0:n_active].astype(dt)
     b_c = b[0:n_active].astype(dt)
-    for t in range(T):
-        prev = u[1 : n_active + 1, t - 1] if order == 2 and t >= 1 else 0.0
-        u[1 : n_active + 1, t + 1] = (
-            a_r * u[2 : n_active + 2, t]
-            + a_l * u[0:n_active, t]
-            + b_c * u[1 : n_active + 1, t]
-            - prev
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            prev = u[1 : n_active + 1, t - 1] if order == 2 and t >= 1 else 0.0
+            u[1 : n_active + 1, t + 1] = (
+                a_r * u[2 : n_active + 2, t]
+                + a_l * u[0:n_active, t]
+                + b_c * u[1 : n_active + 1, t]
+                - prev
+            )
+    if not np.all(np.isfinite(u)):
+        t = int(np.argmin(np.all(np.isfinite(u), axis=0)))
+        raise NumericalFailureError(f"the field overflows the float range at t = {t} of T = {T}")
     return u
 
 
@@ -118,7 +122,7 @@ def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
     exact for t <= T by finite speed.  Requires block size >= T + 1 and
     len(f) = T.
     """
-    f = np.atleast_1d(np.asarray(f))
+    f = _as_finite(f, "control", real=False)
     if spec.n < T + 1:
         raise SpecTooShortError(f"block size {spec.n} < T + 1 = {T + 1}")
     u = _step_field(spec, f, T, T)
@@ -127,7 +131,7 @@ def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
 
 def solve_finite_dirichlet(spec: JacobiSpec, f, T: int) -> WaveField:
     """Forward solve on nodes 1..N with a hard zero at n = N + 1."""
-    f = np.atleast_1d(np.asarray(f))
+    f = _as_finite(f, "control", real=False)
     u = _step_field(spec, f, T, spec.n)
     return WaveField(u=u, f=f)
 
@@ -183,9 +187,14 @@ def connecting_from_response(r, T: int) -> np.ndarray:
     """Connecting matrix C^T_{ij} = r_0 * sum_{k=0}^{T-max(i,j)} r_{|i-j|+2k}.
 
     Needs at least 2T - 1 response entries.  The prefactor is taken from
-    r_0 = a_0 (it is 1 under the usual normalization).
+    r_0 = a_0 (it is 1 under the usual normalization).  The sums run
+    sequentially, so C^N is bit for bit the trailing N x N block of C^T.
     """
-    r = _as_response(r)
+    return _connecting(_as_response(r), T)
+
+
+def _connecting(r: np.ndarray, T: int) -> np.ndarray:
+    """`connecting_from_response` on entries already coerced, which may be non-finite."""
     _require_horizon(r, T)
     # diagonal i - j = m holds the running sums of r_m, r_{m+2}, ..., r_{2T-2-m},
     # longest first; cumulative sums avoid the cancellation of prefix-sum differences.

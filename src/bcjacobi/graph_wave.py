@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _json_int, _require_size
+from .core import _as_finite, _json_int, _require_size
 from .errors import InvalidInputError
 
 __all__ = ["Edge", "GraphSpec", "GraphField", "simulate"]
@@ -170,7 +170,7 @@ def simulate(graph: GraphSpec, controls: dict, T: int) -> tuple:
     pulse crosses a vertex of degree != 2.
     """
     _require_size("T", T, low=0)
-    ctr = {k: np.atleast_1d(np.asarray(v, dtype=float)) for k, v in controls.items()}
+    ctr = {k: _as_finite(v, f"control for {k!r}") for k, v in controls.items()}
     for k, v in ctr.items():
         if k not in graph.boundary:
             raise InvalidInputError(f"control key {k!r} is not a boundary vertex")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec
+from .core import JacobiSpec, _as_finite
 from .discrete_wave import _as_response, _step_field, delta_control
 from .errors import InvalidInputError, SpecTooShortError
 from .moments import _reversed_hankel, truncated_moment_naive
@@ -45,7 +45,7 @@ def solve_heat(spec: JacobiSpec, f, T: int) -> HeatField:
     f = np.atleast_1d(np.asarray(f))
     if np.iscomplexobj(f):
         raise InvalidInputError("the heat system takes a real control")
-    f = f.astype(float)
+    f = _as_finite(f, "control")
     if spec.n < T:
         raise SpecTooShortError(f"block size {spec.n} < T = {T}")
     return HeatField(v=_step_field(spec, f, T, T, order=1), f=f)

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import JacobiSpec, chebyshev_values
+from .core import JacobiSpec, _as_numbers, chebyshev_values
 from .discrete_wave import (
     ResponseVector,
     _as_response,
+    _connecting,
     _require_horizon,
     connecting_from_response,
     response_vector,
@@ -126,7 +127,7 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
     m = r[: 2 * T] / r[0]
     n = m.size
     # O(T^2) assembly for the refusal scale: the running column maxima of D C_T D
-    C = reverse_order(connecting_from_response(m, T))
+    C = reverse_order(_connecting(m, T))
     diag = np.abs(np.diag(C)).astype(float)
     diag[diag == 0] = 1.0
     D = 1.0 / np.sqrt(diag)
@@ -214,15 +215,14 @@ def response_matrix(r, T: int) -> np.ndarray:
     """Matrix of the response operator R^T f = r * f_{.-1} on F^T.
 
     Component t of the output is u_{1,t} = sum_{s<t} r_{t-1-s} f_s, so the
-    matrix is strictly lower triangular Toeplitz.
+    matrix is strictly lower triangular Toeplitz.  R^N is its leading N x N
+    block for every N <= T.
     """
     r = _as_response(r)
     if r.size < T - 1:
         raise InvalidInputError("response too short for the requested horizon")
-    M = np.zeros((T, T), dtype=r.dtype)
-    for t in range(1, T):
-        M[t, :t] = r[t - 1 :: -1]
-    return M
+    i = np.arange(T)  # entry (t, s) is r_{t-1-s} below the diagonal; index 0 is the zero
+    return np.concatenate([[0], r[: T - 1]])[np.maximum(i[:, None] - i, 0)]
 
 
 def solve_krein(C: np.ndarray, r, lam, alpha, beta, T: int) -> np.ndarray:
@@ -261,9 +261,10 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
     pivots are the diagnostics: `scaled_pivots` (equal to the inversion's)
     and their smallest modulus `min_scaled_pivot`.  The smallest singular
     values of the nested blocks are a separate O(T^4) call,
-    `nested_min_singular_values`.
+    `nested_min_singular_values`.  Non-numbers are refused; a non-finite entry
+    is a singular block, so it makes the response inadmissible.
     """
-    r = _as_response(r)
+    r = _as_numbers(r.r if isinstance(r, ResponseVector) else r, "response", real=False)
     _require_horizon(r, T)
     if mode == "real":
         if np.iscomplexobj(r) and np.any(r.imag != 0):

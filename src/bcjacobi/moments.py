@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import JacobiSpec, SpectralMeasure, _as_finite, chebyshev_values, spectral_measure
+from .core import JacobiSpec, SpectralMeasure, _as_finite, _require_size, chebyshev_values, spectral_measure
 from .discrete_wave import connecting_from_response, _as_response
 from .errors import InvalidInputError, NotRealizableError, SingularBlockError
 from .inverse_bc import _chebyshev_sweep, response_matrix
@@ -98,7 +98,7 @@ def response_to_moments(r) -> np.ndarray:
 
     Extended precision for the same cancellation reason as the forward map.
     """
-    r = _as_finite(_as_response(r), "response")
+    r = _as_response(r, real=True)
     if r.size == 0:
         raise InvalidInputError("empty response")
     n = r.size
@@ -111,7 +111,8 @@ def response_to_moments(r) -> np.ndarray:
 
 
 def _reversed_hankel(s: np.ndarray, N: int) -> np.ndarray:
-    """N x N Hankel matrix with entries s_{2N-i-j}, i, j = 1..N (needs 2N-1 entries)."""
+    """N x N Hankel matrix with entries s_{2N-i-j}, i, j = 1..N (needs 2N-1 entries);
+    the matrix for n <= N is its trailing n x n block."""
     i = np.arange(1, N + 1)
     return s[2 * N - i[:, None] - i[None, :]]
 
@@ -132,18 +133,19 @@ def build_B(r, N: int) -> np.ndarray:
     annihilated by the shift/embedding trimming, so a response of length 2N
     suffices (a zero pad is inserted when r_{2N} is absent).
     """
-    r = _as_finite(_as_response(r), "response")
+    r = _as_response(r, real=True)
     if r.size < 2 * N:
         raise InvalidInputError(f"need at least 2N = {2 * N} response entries")
-    if r.size < 2 * N + 1:
-        r = np.concatenate([r, [0.0]])  # dropped by the trimming below
-    CN = connecting_from_response(r, N)
-    CN1 = connecting_from_response(r, N + 1)
-    # first term: rows 2..N+1, cols 1..N of C^{N+1}
-    first = CN1[1 : N + 1, 0:N]
-    VN = np.zeros((N, N))
-    VN[np.arange(1, N), np.arange(0, N - 1)] = 1.0
-    return first + CN @ VN
+    C = connecting_from_response(r if r.size > 2 * N else np.append(r, 0.0), N + 1)
+    return _B_from_connecting(C)
+
+
+def _B_from_connecting(C: np.ndarray) -> np.ndarray:
+    """B^N from C = C^{N+1}: rows 2..N+1, columns 1..N of C, plus C^N V^N,
+    which is C^N = C[1:, 1:] shifted one column left (V^N is the shift)."""
+    B = C[1:, :-1].copy()
+    B[:, :-1] += C[1:, 2:]
+    return B
 
 
 def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
@@ -165,8 +167,9 @@ def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
     if s.size < 2 * N:
         s = np.concatenate([s, [0.0]])
     r = moments_to_response(s[: 2 * N])
-    CN = connecting_from_response(r, N)
-    B = build_B(r, N)
+    C = connecting_from_response(np.append(r, 0.0), N + 1)  # r_{2N} is dropped with C[0, 0]
+    CN = C[1:, 1:]
+    B = _B_from_connecting(C)
     B = 0.5 * (B + B.T)  # symmetric up to rounding for realizable data
     try:
         lam, F = eigh(B, CN)  # scipy normalizes f^T C f = 1
@@ -216,20 +219,13 @@ def truncated_moment_naive(s, N: int, extension=None):
     return spec, SpectralMeasure(tuple(zip(mu.lambdas, mass * mu.weights)))
 
 
-def _nested_verdicts(mats, tol: float):
-    """Per-N verdicts {pass, degenerate, fail} from smallest eigenvalues."""
-    out = []
-    for M in mats:
-        emin = float(np.linalg.eigvalsh(M)[0]) if M.size else float("nan")
-        scale = max(1.0, float(np.max(np.abs(M))))
-        if emin > tol * scale:
-            verdict = "pass"
-        elif emin >= -tol * scale:
-            verdict = "degenerate"
-        else:
-            verdict = "fail"
-        out.append((emin, verdict))
-    return out
+def _verdict(M: np.ndarray, tol: float) -> tuple:
+    """Smallest eigenvalue of a symmetric matrix and its verdict {pass, degenerate, fail}."""
+    emin = float(np.linalg.eigvalsh(M)[0])
+    scale = max(1.0, float(np.max(np.abs(M))))
+    if emin > tol * scale:
+        return emin, "pass"
+    return emin, "degenerate" if emin >= -tol * scale else "fail"
 
 
 def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
@@ -239,7 +235,8 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     definite; hausdorff: S^N_0 >= S^N_1 > 0.  'degenerate' marks a singular
     but not indefinite matrix (finitely supported measures reach this state
     once N exceeds the number of atoms); 'fail' requires a genuinely negative
-    eigenvalue.
+    eigenvalue.  Each matrix is built once at N_max; S^N is its trailing
+    N x N block.
     """
     if kind not in ("hamburger", "stieltjes", "hausdorff"):
         raise InvalidInputError(f"unknown kind {kind!r}")
@@ -247,23 +244,17 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     need = 2 * N_max - 1 if kind == "hamburger" else 2 * N_max
     if s.size < need:
         raise InvalidInputError(f"need {need} moments for N_max = {N_max}")
+    mats = {"S0": _reversed_hankel(s, N_max)}
+    if kind != "hamburger":
+        mats["S1"] = _reversed_hankel(s[1:], N_max)
+        if kind == "hausdorff":
+            mats["S0-S1"] = mats["S0"] - mats["S1"]
     rows = []
     for N in range(1, N_max + 1):
-        if kind == "hamburger":
-            checks = {"S0": _reversed_hankel(s, N)}
-        else:
-            pair = build_hankel_pair(s, N)
-            checks = {"S0": pair.s0, "S1": pair.s1}
-            if kind == "hausdorff":
-                checks["S0-S1"] = pair.s0 - pair.s1
         row = {"N": N}
-        ok = True
-        for name, (emin, verdict) in zip(checks, _nested_verdicts(checks.values(), tol)):
-            row[f"min_eig_{name}"] = emin
-            row[f"verdict_{name}"] = verdict
-            if verdict == "fail":
-                ok = False
-        row["solvable"] = ok
+        for name, M in mats.items():
+            row[f"min_eig_{name}"], row[f"verdict_{name}"] = _verdict(M[-N:, -N:], tol)
+        row["solvable"] = all(row[f"verdict_{name}"] != "fail" for name in mats)
         rows.append(row)
     return rows
 
@@ -292,12 +283,16 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
     the returned forms are ((C^N)^{-1} Gamma_N, Gamma_N), the same with
     Delta_N, and the Stieltjes quantities M_N (= the Gamma form) and L_N.
     The theorems involve N -> infinity limits that finite computation cannot
-    decide; the labels are explicitly heuristic.
+    decide; the labels are explicitly heuristic.  C^{N_max} and R^{N_max} are
+    built once; C^N is the trailing and R^N the leading N x N block.
     """
+    _require_size("N_max", N_max)
     s = _as_finite(s, "moments")
     if s.size < 2 * N_max - 1:
         raise InvalidInputError(f"need 2N_max-1 = {2 * N_max - 1} moments")
     r = moments_to_response(s[: 2 * N_max - 1])
+    C = connecting_from_response(r, N_max)
+    R = response_matrix(r, N_max)
     # T_t(0), and T_t'(0) by differentiating the recurrence at lambda = 0
     tvals = chebyshev_values(N_max, 0.0)
     dvals = np.zeros(N_max + 1)
@@ -307,7 +302,7 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
     delta_form = np.full(N_max, np.nan)
     l_seq = np.full(N_max, np.nan)
     for N in range(1, N_max + 1):
-        CN = connecting_from_response(r, N) if r.size >= 2 * N - 1 else None
+        CN = C[-N:, -N:]
         gam = tvals[N:0:-1]
         dlt = dvals[N:0:-1]
         try:
@@ -317,8 +312,7 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
             # L_N = ((C^N)^{-1} (R^N)^* Gamma_N, e1) / ((C^N)^{-1} Gamma_N, e1);
             # R^N is the response operator whose adjoint enters the Krein
             # equation (Gamma_N is kappa^N(0)).
-            R = response_matrix(r, N)
-            num = np.linalg.solve(CN, R.T @ gam)[0]
+            num = np.linalg.solve(CN, R[:N, :N].T @ gam)[0]
             den = x[0]
             l_seq[N - 1] = num / den if den != 0 else np.nan
         except np.linalg.LinAlgError:

@@ -18,6 +18,7 @@ from . import graph_wave as gw
 from .core import (
     JacobiSpec,
     SpectralMeasure,
+    _coeff_gap,
     chebyshev_values,
     eig_spectral_data,
     free_spec,
@@ -252,11 +253,6 @@ def check_complex_counterexample() -> CheckResult:
     )
 
 
-def _coeff_gap(x: JacobiSpec, y: JacobiSpec) -> float:
-    """Largest entrywise gap between the a and the b vectors of two blocks of one size."""
-    return max(float(np.max(np.abs(x.a - y.a), initial=0.0)), float(np.max(np.abs(x.b - y.b))))
-
-
 def check_toda(seed: int = 17) -> CheckResult:
     """Criterion 7: N=2 closed form to 1e-10; RK4 oracle match 1e-6 for N <= 8,
     |t| <= 2, and the paper's Moser-moment route within the same 1e-6;
@@ -384,11 +380,7 @@ def check_continuous_time(seed: int = 31) -> CheckResult:
         grid = ct.TimeGrid(2.0, 800)
         r = ct.response_function(spec, grid.doubled())
         rec, _ = ct.recover_matrix_continuous(r, N, grid)
-        worst_rec = max(
-            worst_rec,
-            float(np.max(np.abs(rec.a - spec.a), initial=0.0)),
-            float(np.max(np.abs(rec.b - spec.b))),
-        )
+        worst_rec = max(worst_rec, _coeff_gap(rec, spec))
     ok = ok_ratio and worst_rec <= 1e-3
     return _result(
         "continuous-time", ok,

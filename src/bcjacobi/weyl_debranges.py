@@ -213,6 +213,5 @@ def beta_sequences(r, N_max: int):
     one dense eigensolve per nested block, since the extreme eigenvalues of a
     block do not follow from those of the block before it.
     """
-    rv = _as_response(r)
-    evs = _leading_eigvalsh(reverse_order(connecting_from_response(rv, N_max)))
+    evs = _leading_eigvalsh(reverse_order(connecting_from_response(r, N_max)))
     return np.array([ev[0] for ev in evs]), np.array([ev[-1] for ev in evs])

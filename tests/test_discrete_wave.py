@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcjacobi.core import JacobiSpec, free_spec, random_spec, spectral_measure, chebyshev_values
 from bcjacobi.discrete_wave import (
+    ResponseVector,
     connecting_from_response,
     control_matrix,
     delta_control,
@@ -11,7 +14,16 @@ from bcjacobi.discrete_wave import (
     solve_finite_dirichlet,
     solve_semi_infinite,
 )
-from bcjacobi.errors import InvalidInputError, SpecTooShortError
+from bcjacobi.errors import InvalidInputError, NumericalFailureError, SpecTooShortError
+from bcjacobi.heat import heat_connecting, heat_control_matrix, heat_response
+from bcjacobi.inverse_bc import (
+    invert_factorization,
+    nested_min_singular_values,
+    response_matrix,
+    schrodinger_check,
+    solve_krein,
+)
+from bcjacobi.weyl_debranges import beta_sequences, weyl_series
 
 
 def naive_forward(spec, f, T, n_nodes, dirichlet_at=None):
@@ -274,3 +286,90 @@ def test_response_vector_rejects_horizon_below_one(T):
     for bc in ("semi_infinite", "dirichlet"):
         with pytest.raises(InvalidInputError, match="T >= 1"):
             response_vector(free_spec(4), T, bc=bc)
+
+
+def test_overflowing_field_is_named_without_numpy_warnings():
+    # a valid block whose field passes the float range before t = 599
+    block = JacobiSpec(a0=1.0, a=np.full(299, 2.0), b=np.ones(300))
+    for respond in (response_vector, heat_response):
+        with pytest.raises(NumericalFailureError, match="overflows the float range"):
+            respond(block, 599)
+
+
+@pytest.mark.parametrize("solve", [solve_semi_infinite, solve_finite_dirichlet])
+def test_forward_solvers_refuse_malformed_controls(solve):
+    for f, match in (([1.0, np.nan], "finite"), (["1", "a"], "numbers")):
+        with pytest.raises(InvalidInputError, match=match):
+            solve(free_spec(3), f, 2)
+
+
+RESPONSE_ENTRY_POINTS = {
+    "ResponseVector": lambda r: ResponseVector(r, mode="complex"),
+    "invert_factorization": lambda r: invert_factorization(r, 2),
+    "connecting_from_response": lambda r: connecting_from_response(r, 2),
+    "heat_connecting": lambda r: heat_connecting(r, 2),
+    "response_matrix": lambda r: response_matrix(r, 2),
+    "solve_krein": lambda r: solve_krein(np.eye(2), r, 0.5, 0.0, 1.0, 2),
+    "schrodinger_check": lambda r: schrodinger_check(r, 2),
+    "nested_min_singular_values": lambda r: nested_min_singular_values(r, 2),
+    "beta_sequences": lambda r: beta_sequences(r, 2),
+    "weyl_series": lambda r: weyl_series(r, 3.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RESPONSE_ENTRY_POINTS))
+def test_response_entry_points_refuse_malformed_entries(entry):
+    call = RESPONSE_ENTRY_POINTS[entry]
+    good = np.r_[1.0, 0.5j, 0.25, np.zeros(37)]  # long enough for the series at lambda = 3
+    call(good)  # complex data stays allowed
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="response must be finite"):
+            call(np.r_[1.0, bad, good[2:]])
+    for bad in (["1", "a", "0"], [1.0, object(), 0.5]):
+        with pytest.raises(InvalidInputError, match="response must be (real )?numbers"):
+            call(bad)
+
+
+def test_real_response_vector_refuses_complex_entries():
+    # a cast to float would drop the imaginary parts with only a warning
+    with pytest.raises(InvalidInputError, match="response must be real"):
+        ResponseVector(np.array([1, 1j, 0]), mode="real")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=39), st.booleans())
+def test_nested_blocks_are_slices_of_one_build(entries, cplx):
+    r = np.array(entries) * (1 + 0.5j if cplx else 1.0)
+    N_max = (r.size + 1) // 2
+    C, R = connecting_from_response(r, N_max), response_matrix(r, N_max)
+    for N in range(1, N_max + 1):
+        assert np.array_equal(connecting_from_response(r, N), C[-N:, -N:])
+        assert np.array_equal(response_matrix(r, N), R[:N, :N])
+    ref = np.zeros((N_max, N_max), dtype=r.dtype)  # the row loop the gather replaced
+    for t in range(1, N_max):
+        ref[t, :t] = r[t - 1 :: -1]
+    assert np.array_equal(R, ref)
+
+
+@st.composite
+def blocks(draw, max_T=24):
+    """A horizon T and a real block of size T + 1 with a0, a_k in [1/4, 4] and b_k in [-4, 4]."""
+    T = draw(st.integers(1, max_T))
+    coeffs = lambda lo, hi, n: draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+    return T, JacobiSpec(a0=draw(st.floats(0.25, 4.0)), a=coeffs(0.25, 4.0, T), b=coeffs(-4.0, 4.0, T + 1))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(blocks())
+def test_gram_identities_hold_to_rounding(block):
+    # C^T = (W^T)^t W^T with W acting on (f_0, ..., f_{T-1}), and its heat
+    # analogue S^T = (V^T)^t V^T (a_0 = 1); random draws stay under 0.7 T eps
+    T, spec = block
+    tol = 8 * T * np.finfo(float).eps
+    W = control_matrix(spec, T)[:, ::-1]
+    C = connecting_from_response(response_vector(spec, 2 * T - 1), T)
+    assert np.max(np.abs(C - W.T @ W)) <= tol * np.max(np.abs(C))
+    spec1 = JacobiSpec(a0=1.0, a=spec.a, b=spec.b)
+    V = heat_control_matrix(spec1, T)
+    S = heat_connecting(heat_response(spec1, 2 * T - 1), T)
+    assert np.max(np.abs(S - V.T @ V)) <= tol * np.max(np.abs(S))

@@ -148,6 +148,17 @@ def test_graph_json_roundtrip():
     assert again == g
 
 
+@pytest.mark.parametrize("control, match", [
+    (np.array([0, 1 + 2j, 0, 0]), "must be real"),  # a cast would drop the imaginary part
+    ([0, 1 + 2j, 0, 0], "must be real"),
+    ("a", "must be real numbers"),
+    ([0.0, np.nan, 0.0, 0.0], "must be finite"),
+])
+def test_simulate_refuses_malformed_controls(control, match):
+    with pytest.raises(InvalidInputError, match=match):
+        simulate(GraphSpec.path(3), {"in": control}, 3)
+
+
 def test_control_length_mismatch():
     g = GraphSpec.path(4)
     with pytest.raises(ValueError):

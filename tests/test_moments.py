@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcjacobi.core import (
     SpectralMeasure,
@@ -266,6 +268,13 @@ def test_indeterminacy_scalar_case():
     assert table["gamma_form"][0] == pytest.approx(1.0)  # Gamma_1 = (T_1(0)) = (1), form 1/s_0
 
 
+@pytest.mark.parametrize("N_max", [0, 2.5, True])
+def test_indeterminacy_refuses_a_size_that_is_not_a_positive_integer(N_max):
+    # N_max = 0 used to return empty sequences, 2.5 to end in a slicing TypeError
+    with pytest.raises(InvalidInputError, match="N_max must be an integer"):
+        indeterminacy_sequences([1.0, 0.0, 1.0, 0.0, 1.0], N_max)
+
+
 def test_indeterminacy_derivative_values():
     # T_1'(0) = 0 and T_2'(0) = 1 enter Delta_N; check through the N = 2 form
     s = moments_of_measure(SpectralMeasure(((-1.0, 0.5), (1.0, 0.5))), 2)
@@ -329,3 +338,23 @@ def test_moment_entry_points_refuse_complex(entry):
     for data in (np.array([1.0, 1j, 1.0, 0.0]), [1.0, 0.0, 1.0 + 0j, 0.0]):
         with pytest.raises(InvalidInputError, match="must be real"):
             MOMENT_ENTRY_POINTS[entry](data)
+
+
+def build_B_reference(r, N):
+    """B^N = E^* (V^{N+1})^* C^{N+1} E + C^N V^N from two connecting builds and a dense shift V^N."""
+    r = r if r.size > 2 * N else np.append(r, 0.0)
+    VN = np.zeros((N, N))
+    VN[np.arange(1, N), np.arange(N - 1)] = 1.0
+    return connecting_from_response(r, N + 1)[1:, :N] + connecting_from_response(r, N) @ VN
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=41))
+def test_nested_moment_blocks_are_slices_of_one_build(entries):
+    x = np.array(entries)
+    N_max = x.size // 2
+    pair = build_hankel_pair(x, N_max)
+    for N in range(1, N_max + 1):
+        assert np.array_equal(build_B(x, N), build_B_reference(x, N))
+        sub = build_hankel_pair(x, N)
+        assert np.array_equal(sub.s0, pair.s0[-N:, -N:]) and np.array_equal(sub.s1, pair.s1[-N:, -N:])
