@@ -65,7 +65,7 @@ from .continuous_time import (
 )
 from .graph_wave import GraphSpec, simulate
 from .heat import heat_connecting, heat_response, invert_heat, solve_heat
-from .toda import moser_evolve, recursion_residual, toda_moments, toda_ode_oracle, toda_solve
+from .toda import moser_evolve, recursion_residual, toda_moments, toda_qr_flow, toda_solve
 from .weyl_debranges import (
     DeBrangesElement,
     beta_sequences,

@@ -24,7 +24,7 @@ from .graph_wave import GraphSpec, simulate
 from .heat import heat_response, invert_heat
 from .inverse_bc import invert_factorization, roundtrip_report
 from .moments import indeterminacy_sequences, solvability, truncated_moment_naive
-from .toda import toda_ode_oracle, toda_solve
+from .toda import toda_qr_flow, toda_solve
 from .verify import run_checks
 from .weyl_debranges import weyl_resolvent, weyl_series
 
@@ -207,11 +207,11 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
     elif command == "toda":
         times = _arg(config, "times", "number[]")
-        dt = _arg(config, "dt", "number", 1e-3)
+        if "dt" in config:
+            raise InvalidInputError("the toda command takes no 'dt': its oracle is the exact QR flow")
         spec = _spec_from_config(config, rng)
         states = [toda_solve(spec, float(t)) for t in times]
-        oracles = toda_ode_oracle(spec, times, dt)
-        deltas = [_coeff_gap(st.spec, oracle) for st, oracle in zip(states, oracles)]
+        deltas = [_coeff_gap(st.spec, toda_qr_flow(spec, st.t)) for st in states]
         n = spec.n
         columns = [
             [t for t in times for _ in range(n)],

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import JacobiSpec, _as_numbers, chebyshev_values
+from .core import JacobiSpec, _as_finite, _as_numbers, chebyshev_values
 from .discrete_wave import (
     ResponseVector,
     _as_response,
@@ -230,15 +230,18 @@ def solve_krein(C: np.ndarray, r, lam, alpha, beta, T: int) -> np.ndarray:
 
     The resulting control drives the system to the state conj(y^T(lambda))
     where y solves the three-term recurrence with y_0 = alpha, y_1 = beta
-    (under the a_0 = 1 normalization).
+    (under the a_0 = 1 normalization).  A singular C raises `SingularBlockError`.
     """
-    C = np.asarray(C)
+    C = _as_finite(C, "C", real=False)
     if C.shape != (T, T):
         raise InvalidInputError("C must be the T x T connecting matrix")
     kap = np.conj(kappa_vector(T, lam))
     R = response_matrix(r, T)
     rhs = beta * kap - alpha * (R.conj().T @ kap)
-    return np.linalg.solve(C, rhs)
+    try:
+        return np.linalg.solve(C, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlockError("C is singular") from exc
 
 
 @dataclass(frozen=True)
@@ -337,7 +340,7 @@ def schrodinger_even_entries(odd_entries, T: int) -> np.ndarray:
     det C^{m+1} = 1 is linear in it: r_{2m} = 1 + c^t C_m^{-1} c - sum_{k<m} r_{2k}.
     Returns the full response (r_0, ..., r_{2T-2}) with r_0 = 1.
     """
-    odd = np.atleast_1d(np.asarray(odd_entries, dtype=float))
+    odd = _as_finite(odd_entries, "odd entries")
     if odd.size < T - 1:
         raise InvalidInputError(f"need T-1 = {T - 1} odd entries")
     r = np.zeros(2 * T - 1)

@@ -3,18 +3,19 @@
 Eigenvalues are constant along the flow; the weights evolve by the Moser
 formula w_k(t) = w_k(0) e^{2 lambda_k t} / sum_j w_j(0) e^{2 lambda_j t}.
 Coefficients at time t are the Jacobi block of the evolved measure, rebuilt
-from its atoms by plane rotations.  A fixed-step RK4 integrator of the
-lattice ODEs serves as an independent oracle.
+from its atoms by plane rotations.  The exact QR flow of the block, which
+uses no spectral data, serves as an independent oracle.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .core import JacobiSpec, SpectralMeasure, moments_of_measure, spectral_measure
+from .core import JacobiSpec, SpectralMeasure, _finite_scalar, moments_of_measure, spectral_measure
 from .errors import InvalidInputError, NumericalFailureError
 
 __all__ = [
@@ -23,7 +24,7 @@ __all__ = [
     "toda_moments",
     "recursion_residual",
     "toda_solve",
-    "toda_ode_oracle",
+    "toda_qr_flow",
 ]
 
 
@@ -128,81 +129,32 @@ def toda_solve(spec0: JacobiSpec, t: float) -> TodaState:
     return TodaState(spec=JacobiSpec(a0=spec0.a0, a=a, b=b), measure=mu_t, t=float(t))
 
 
-def _toda_rhs(y: np.ndarray, n: int) -> np.ndarray:
-    """Lattice ODE right-hand sides with the a_{N,0} = a_{N,N} = 0 convention.
+def toda_qr_flow(spec0: JacobiSpec, t: float) -> JacobiSpec:
+    """Lattice coefficients at time t by the Kostant-Symes QR flow.
 
-    y holds one state per row: a_1..a_{n-1}, then b_1..b_n.
+    L(t) = Q^T L0 Q, where e^{t L0} = QR and R has a positive diagonal
+    (W. W. Symes, Physica D 4, 1982).  One QR of a badly conditioned
+    exponential loses the small directions, so the flow takes
+    k = max(1, ceil(|t| w / 4)) steps of h = t/k, w the Gershgorin width of
+    the block: each step is expm(h L) (Pade, no eigensolver), its QR with the
+    columns of Q flipped to make diag R positive, and L <- Q^T L Q cut back to
+    its symmetric tridiagonal part.  It touches no spectral data, so it is
+    independent of the Moser and RKPW route of `toda_solve`.  a0 is carried
+    over.  A complex block is refused.
     """
-    a, b = y[:, : n - 1], y[:, n - 1 :]
-    sq = np.zeros((y.shape[0], n + 1))
-    np.square(a, out=sq[:, 1:-1])  # sq[:, k] = a_k^2, boundary zeros
-    dy = np.empty_like(y)
-    np.multiply(a, b[:, 1:] - b[:, :-1], out=dy[:, : n - 1])
-    np.multiply(2.0, sq[:, 1:] - sq[:, :-1], out=dy[:, n - 1 :])
-    return dy
-
-
-def toda_ode_oracle(
-    spec0: JacobiSpec | Sequence[JacobiSpec], t: float | Sequence[float], dt: float
-) -> JacobiSpec | list:
-    """Classical fixed-step RK4 on the 2N-1 coupled lattice equations.
-
-    t is one time or a sequence of times; a sequence returns one JacobiSpec
-    per time, in input order, from a single integration.  Time t_i takes
-    n_i = max(1, round(|t_i| / dt)) steps of h_i = t_i / n_i, one state row
-    per time.  The rows are sorted by step count, so the rows still stepping
-    are always a leading slice, and each row is bit-identical to integrating
-    its time alone.
-
-    spec0 is one real block or a sequence of them.  A sequence returns one
-    entry per block, shaped as a single-block call with the same t gives it,
-    from one integration of the direct sum: the a vectors end to end with a
-    coupling of 0 at each seam, the b vectors concatenated.  A seam coupling
-    stays exactly 0, since its derivative is a_k (b_{k+1} - b_k), and its
-    neighbours see a^2 = 0 there, the boundary zero of a lone block; RK4
-    works entry by entry, so each block is bit-identical to integrating it
-    alone.  A complex block is refused before any step.
-    """
-    if not (np.isfinite(dt) and dt > 0):
-        raise InvalidInputError("dt must be positive and finite")
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(np.isfinite(times)):
-        raise InvalidInputError("times must be finite")
-    one_block = isinstance(spec0, JacobiSpec)
-    blocks = [spec0] if one_block else list(spec0)
-    for blk in blocks:
-        if not isinstance(blk, JacobiSpec):
-            raise InvalidInputError("spec0 must be a JacobiSpec or a sequence of them")
-        if blk.mode != "real":
-            raise InvalidInputError("the Toda lattice oracle takes real blocks")
-    if not blocks:
-        return []
-    n_steps = np.array([max(1, round(abs(ti) / dt)) for ti in times.tolist()], dtype=np.int64)
-    order = np.argsort(-n_steps, kind="stable")
-    n_sorted = n_steps[order]
-    h = (times[order] / n_sorted)[:, None]
-    n = sum(blk.n for blk in blocks)
-    a = np.concatenate([np.append(blk.a, 0.0) for blk in blocks])[:-1]
-    y = np.tile(np.concatenate([a] + [blk.b for blk in blocks]), (times.size, 1))
-    done = 0
-    for active in range(times.size, 0, -1):
-        # rows [:active] all have at least n_sorted[active - 1] steps
-        yy, hh = y[:active], h[:active]
-        half, sixth = 0.5 * hh, hh / 6.0
-        for _ in range(n_sorted[active - 1] - done):
-            k1 = _toda_rhs(yy, n)
-            k2 = _toda_rhs(yy + half * k1, n)
-            k3 = _toda_rhs(yy + half * k2, n)
-            k4 = _toda_rhs(yy + hh * k3, n)
-            yy += sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        done = n_sorted[active - 1]
-    out, start = [], 0
-    for blk in blocks:
-        a_blk = y[:, start : start + blk.n - 1]
-        b_blk = y[:, n - 1 + start : n - 1 + start + blk.n]
-        specs = [None] * times.size
-        for row, i in enumerate(order):
-            specs[i] = JacobiSpec(a0=blk.a0, a=a_blk[row], b=b_blk[row])
-        out.append(specs if np.ndim(t) else specs[0])
-        start += blk.n
-    return out[0] if one_block else out
+    if not isinstance(spec0, JacobiSpec):
+        raise InvalidInputError("spec0 must be a JacobiSpec")
+    if spec0.mode != "real":
+        raise InvalidInputError("the Toda lattice oracle takes real blocks")
+    t = _finite_scalar(t, "t")
+    a, b = spec0.a, spec0.b
+    radius = np.append(a, 0.0) + np.append(0.0, a)
+    width = np.max(b + radius) - np.min(b - radius)
+    k = max(1, math.ceil(abs(t) * width / 4.0))
+    for _ in range(k):
+        L = np.diag(b) + np.diag(a, 1) + np.diag(a, -1)
+        q, r = np.linalg.qr(expm((t / k) * L))
+        q *= np.sign(np.diag(r))
+        L = q.T @ L @ q
+        a, b = 0.5 * (np.diag(L, 1) + np.diag(L, -1)), np.diag(L)
+    return JacobiSpec(a0=spec0.a0, a=a, b=b)

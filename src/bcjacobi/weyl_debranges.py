@@ -211,7 +211,9 @@ def beta_sequences(r, N_max: int):
     Returns (beta_min, beta_max); raw sequences for limit-point/limit-circle
     diagnostics (heuristic only; the theorems involve true limits).  O(N_max^4):
     one dense eigensolve per nested block, since the extreme eigenvalues of a
-    block do not follow from those of the block before it.
+    block do not follow from those of the block before it.  The response must
+    be real: a complex one gives complex-symmetric blocks, which are not
+    Hermitian and whose eigenvalues need not be real.
     """
-    evs = _leading_eigvalsh(reverse_order(connecting_from_response(r, N_max)))
+    evs = _leading_eigvalsh(reverse_order(connecting_from_response(_as_response(r, real=True), N_max)))
     return np.array([ev[0] for ev in evs]), np.array([ev[-1] for ev in evs])

@@ -51,20 +51,20 @@ def test_criterion_07_toda():
 
 
 def test_criterion_07_toda_integrates_once(monkeypatch):
-    # the four random blocks share one direct-sum RK4 run, with the same numbers
+    # one QR-flow call per (block, time): the four random blocks at four times each
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return oracle(*args, **kwargs)
 
-    oracle = verify.toda_ode_oracle
-    monkeypatch.setattr(verify, "toda_ode_oracle", counting)
+    oracle = verify.toda_qr_flow
+    monkeypatch.setattr(verify, "toda_qr_flow", counting)
     res = verify.check_toda()
-    assert len(calls) == 1 and [s.n for s in calls[0][0]] == [2, 4, 6, 8]
+    assert [(s.n, t) for s, t in calls] == [(n, t) for n in (2, 4, 6, 8) for t in (-2.0, -0.6, 0.5, 2.0)]
     assert res.passed and res.detail == (
-        "closed form 2.22e-16, oracle 3.26e-13, moment route 2.91e-09, "
-        "eigenvalues 8.88e-16, trace 2.66e-15, recursion 9.14e-09"
+        "closed form 2.22e-16, oracle 1.28e-15, moment route 2.91e-09, "
+        "eigenvalues 8.88e-16, trace 1.22e-15, recursion 9.14e-09"
     )
 
 

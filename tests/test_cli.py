@@ -13,7 +13,7 @@ from bcjacobi.core import JacobiSpec, random_spec
 from bcjacobi.discrete_wave import solve_semi_infinite
 from bcjacobi.errors import BCError
 from bcjacobi.graph_wave import GraphSpec, simulate
-from bcjacobi.toda import toda_ode_oracle, toda_solve
+from bcjacobi.toda import toda_qr_flow, toda_solve
 
 
 def test_response_scenario(tmp_path):
@@ -222,12 +222,12 @@ def test_graph_csv_matches_row_formatter(tmp_path):
 
 def test_toda_csv_matches_row_formatter(tmp_path):
     times = [0, 0.5, -0.25]  # the int prints as "0", as the config gave it
-    config = {"command": "toda", "spec": "random", "N": 3, "times": times, "seed": 2, "dt": 0.01}
+    config = {"command": "toda", "spec": "random", "N": 3, "times": times, "seed": 2}
     run_scenario(config, tmp_path)
     spec = random_spec(3, np.random.default_rng(2))
     rows = []
     for t in times:
-        st, oracle = toda_solve(spec, float(t)), toda_ode_oracle(spec, float(t), 0.01)
+        st, oracle = toda_solve(spec, float(t)), toda_qr_flow(spec, float(t))
         delta = max(float(np.max(np.abs(st.spec.a - oracle.a))), float(np.max(np.abs(st.spec.b - oracle.b))))
         rows += [(t, k + 1, st.spec.a[k] if k < 2 else "", st.spec.b[k], delta) for k in range(3)]
     assert (tmp_path / "toda.csv").read_bytes() == _row_csv(["t", "k", "a_k", "b_k", "oracle_delta"], rows)
@@ -264,6 +264,7 @@ def test_csv_columns_of_every_kind_match_row_formatter():
     {"dt": -1e-3},
     {"dt": 1e400},
     {"dt": False},
+    {"dt": 1e-3},  # the exact QR-flow oracle has no step size to set
 ])
 def test_toda_scenario_rejects_malformed_input(tmp_path, capsys, bad):
     config = {"command": "toda", "spec": {"a0": 1.0, "a": [1.0], "b": [0.0, 0.0]},

@@ -292,7 +292,7 @@ def graph_runs(draw, max_T=24):
     return graph, controls, T
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(graph_runs())
 def test_simulate_matches_per_edge_oracle(run):
     fld, log = simulate(*run)
@@ -320,7 +320,7 @@ def leapfrog_energy(field):
     return positive - cross, positive
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@settings(max_examples=40)
 @given(graph_runs(max_T=40), st.integers(1, 12))
 def test_leapfrog_energy_is_conserved_once_controls_stop(run, t_off):
     graph, controls, T = run

@@ -139,6 +139,18 @@ def test_krein_zero_data():
     assert np.array_equal(f, np.zeros(3))
 
 
+def test_krein_refuses_singular_c():
+    # numpy's LinAlgError used to escape here
+    with pytest.raises(SingularBlockError, match="C is singular"):
+        solve_krein(np.zeros((2, 2)), [1.0, 0.0, 0.0], 0.5, 0.0, 1.0, 2)
+
+
+def test_krein_refuses_non_finite_c():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="C must be finite"):
+            solve_krein(np.array([[1.0, bad], [0.0, 1.0]]), [1.0, 0.0, 0.0], 0.5, 0.0, 1.0, 2)
+
+
 def test_krein_solves_control_problem():
     # W^T f^T = y^T(lambda) for random specs and several lambda
     rng = np.random.default_rng(15)
@@ -229,6 +241,17 @@ def test_schrodinger_even_entry_dependence():
     r = response_vector(spec, 2 * T - 1).r
     rebuilt = schrodinger_even_entries(r[1::2], T)
     assert np.allclose(rebuilt, r, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("odd, message", [
+    ([1j, 0.5], "odd entries must be real"),
+    (["a", 0.5], "odd entries must be real numbers"),
+    ([np.nan, 0.5], "odd entries must be finite"),
+])
+def test_schrodinger_even_entries_refuses_malformed_odd_entries(odd, message):
+    # a float cast used to end in a bare TypeError or ValueError
+    with pytest.raises(InvalidInputError, match=message):
+        schrodinger_even_entries(odd, 3)
 
 
 def test_perturbed_response_fails_characterization():

@@ -348,7 +348,7 @@ def build_B_reference(r, N):
     return connecting_from_response(r, N + 1)[1:, :N] + connecting_from_response(r, N) @ VN
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=41))
 def test_nested_moment_blocks_are_slices_of_one_build(entries):
     x = np.array(entries)

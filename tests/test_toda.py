@@ -2,16 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bcjacobi.core import JacobiSpec, SpectralMeasure, eig_spectral_data, free_spec, random_spec, spectral_measure
+from bcjacobi.core import (
+    JacobiSpec,
+    SpectralMeasure,
+    _coeff_gap,
+    eig_spectral_data,
+    free_spec,
+    random_spec,
+    spectral_measure,
+)
 from bcjacobi.errors import InvalidInputError
 from bcjacobi.toda import (
     moser_evolve,
     recursion_residual,
     toda_moments,
-    toda_ode_oracle,
+    toda_qr_flow,
     toda_solve,
 )
+
+from toda_oracle import rk4_one_time
 
 
 def test_moser_identity_at_zero():
@@ -78,10 +90,10 @@ def test_recursion_residual_second_order():
 
 def test_toda_closed_form_n2():
     for t in (0.0, 0.5, 1.0, -0.8):
-        st = toda_solve(free_spec(2), t)
-        assert st.spec.a[0] == pytest.approx(1 / np.cosh(2 * t), abs=1e-12)
-        assert st.spec.b[0] == pytest.approx(np.tanh(2 * t), abs=1e-12)
-        assert st.spec.b[1] == pytest.approx(-np.tanh(2 * t), abs=1e-12)
+        for spec in (toda_solve(free_spec(2), t).spec, toda_qr_flow(free_spec(2), t)):
+            assert spec.a[0] == pytest.approx(1 / np.cosh(2 * t), abs=1e-12)
+            assert spec.b[0] == pytest.approx(np.tanh(2 * t), abs=1e-12)
+            assert spec.b[1] == pytest.approx(-np.tanh(2 * t), abs=1e-12)
 
 
 def test_toda_identity_at_zero():
@@ -96,14 +108,15 @@ def test_toda_matches_rk4_oracle():
     spec = random_spec(4, rng, a_range=(0.4, 0.9), b_range=(-0.5, 0.5))
     for t in (0.5, -0.5, 1.5):
         st = toda_solve(spec, t)
-        oracle = toda_ode_oracle(spec, t, 1e-3)
-        assert np.max(np.abs(st.spec.a - oracle.a)) <= 1e-6
-        assert np.max(np.abs(st.spec.b - oracle.b)) <= 1e-6
+        a, b = rk4_one_time(spec, t, 1e-3)
+        assert np.max(np.abs(st.spec.a - a)) <= 1e-6
+        assert np.max(np.abs(st.spec.b - b)) <= 1e-6
+        assert _coeff_gap(st.spec, toda_qr_flow(spec, t)) <= 1e-6
 
 
 def test_toda_keeps_a0():
     spec = JacobiSpec(a0=2.0, a=[1.0], b=[0.0, 0.0])
-    assert toda_solve(spec, 0.5).spec.a0 == 2.0 == toda_ode_oracle(spec, 0.5, 1e-2).a0
+    assert toda_solve(spec, 0.5).spec.a0 == 2.0 == toda_qr_flow(spec, 0.5).a0
 
 
 def test_toda_matches_rk4_where_the_moment_route_drifted():
@@ -111,19 +124,19 @@ def test_toda_matches_rk4_where_the_moment_route_drifted():
     rng = np.random.default_rng(3)
     random_spec(8, rng)
     spec = random_spec(12, rng)
-    st, oracle = toda_solve(spec, 2.0), toda_ode_oracle(spec, 2.0, 1e-3)
-    assert np.max(np.abs(st.spec.a - oracle.a)) <= 1e-8
-    assert np.max(np.abs(st.spec.b - oracle.b)) <= 1e-8
+    st, oracle = toda_solve(spec, 2.0), toda_qr_flow(spec, 2.0)
+    for a, b in (rk4_one_time(spec, 2.0, 1e-3), (oracle.a, oracle.b)):
+        assert np.max(np.abs(st.spec.a - a)) <= 1e-8
+        assert np.max(np.abs(st.spec.b - b)) <= 1e-8
 
 
-def test_toda_matches_rk4_up_to_n40():
+def test_toda_matches_qr_flow_up_to_n40():
     # N = 31 and beyond were refused by the moment route's integer Lambda map
     rng = np.random.default_rng(2024)
     blocks = [random_spec(N, rng) for N in (8, 16, 24, 32, 40)]
-    times = (-5.0, -2.0, 0.5, 2.0, 5.0)
-    for spec, oracles in zip(blocks, toda_ode_oracle(blocks, times, 1e-3)):
-        for t, oracle in zip(times, oracles):
-            st = toda_solve(spec, t)
+    for spec in blocks:
+        for t in (-5.0, -2.0, 0.5, 2.0, 5.0):
+            st, oracle = toda_solve(spec, t), toda_qr_flow(spec, t)
             assert np.max(np.abs(st.spec.a - oracle.a)) <= 1e-8, (spec.n, t)
             assert np.max(np.abs(st.spec.b - oracle.b)) <= 1e-8, (spec.n, t)
 
@@ -143,8 +156,8 @@ def test_toda_block_carries_the_evolved_measure():
 
 def test_oracle_n1_constant():
     spec = JacobiSpec(a0=1.0, a=[], b=[0.42])
-    out = toda_ode_oracle(spec, 2.0, 1e-3)
-    assert out.b[0] == 0.42
+    out = toda_qr_flow(spec, 2.0)
+    assert out.b[0] == 0.42 and out.a.size == 0
 
 
 def test_isospectral_and_trace():
@@ -155,7 +168,7 @@ def test_isospectral_and_trace():
         st = toda_solve(spec, t)
         assert np.max(np.abs(eig_spectral_data(st.spec).eigenvalues - eig0)) <= 1e-8
         assert abs(np.sum(st.spec.b) - np.sum(spec.b)) <= 1e-8
-        oracle = toda_ode_oracle(spec, t, 1e-3)
+        oracle = toda_qr_flow(spec, t)
         assert abs(np.sum(oracle.b) - np.sum(spec.b)) <= 1e-9
 
 
@@ -165,93 +178,56 @@ def test_weights_normalized_along_flow():
         assert abs(np.sum(moser_evolve(mu, t).weights) - 1.0) <= 1e-12
 
 
-def _rk4_one_time(spec0, t, dt):
-    """The per-time integration the batched oracle replaces (reference)."""
-
-    def rhs(a, b):
-        a_ext = np.concatenate([[0.0], a, [0.0]])
-        return a * (b[1:] - b[:-1]), 2.0 * (a_ext[1:] ** 2 - a_ext[:-1] ** 2)
-
-    a = spec0.a.copy().astype(float)
-    b = spec0.b.copy().astype(float)
-    n_steps = max(1, int(round(abs(t) / dt)))
-    h = t / n_steps
-    for _ in range(n_steps):
-        k1a, k1b = rhs(a, b)
-        k2a, k2b = rhs(a + 0.5 * h * k1a, b + 0.5 * h * k1b)
-        k3a, k3b = rhs(a + 0.5 * h * k2a, b + 0.5 * h * k2b)
-        k4a, k4b = rhs(a + h * k3a, b + h * k3b)
-        a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        b = b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-    return a, b
-
-
-@pytest.mark.parametrize("N, seed", [(1, 0), (2, 1), (5, 2), (8, 3)])
-def test_batched_oracle_matches_per_time_loop(N, seed):
-    spec = random_spec(N, np.random.default_rng(seed), a_range=(0.3, 0.9), b_range=(-0.5, 0.5))
-    dt = 0.01
-    # 0, negatives, unequal and repeated step counts, times off the dt grid
-    # (0.0137 takes 1 step, 0.333 takes 33 steps of 0.0100909...)
-    times = [0.5, 0.0, -0.2, 0.333, -0.0137, 0.5, 1.004, -0.75]
-    batched = toda_ode_oracle(spec, times, dt)
-    assert isinstance(batched, list) and len(batched) == len(times)
-    for t, out in zip(times, batched):
-        a, b = _rk4_one_time(spec, t, dt)
-        assert np.array_equal(out.a, a) and np.array_equal(out.b, b), t
-        single = toda_ode_oracle(spec, t, dt)
-        assert isinstance(single, JacobiSpec)
-        assert np.array_equal(single.a, a) and np.array_equal(single.b, b), t
-
-
-@pytest.mark.parametrize("seed", [5, 6])
-def test_direct_sum_oracle_matches_per_block_calls(seed):
-    rng = np.random.default_rng(seed)
-    # mixed sizes, an N = 1 block at either end and one between larger blocks
-    blocks = [random_spec(N, rng, a_range=(0.3, 0.9), b_range=(-0.5, 0.5)) for N in (1, 3, 1, 8, 2, 1)]
-    dt = 0.01
-    times = [0.5, 0.0, -0.2, 0.333, -0.0137, 0.5, 1.004, -0.75]
-    for t in (times, -0.41):
-        summed = toda_ode_oracle(blocks, t, dt)
-        assert isinstance(summed, list) and len(summed) == len(blocks)
-        for blk, out in zip(blocks, summed):
-            single = toda_ode_oracle(blk, t, dt)
-            if np.ndim(t):
-                assert isinstance(out, list) and len(out) == len(times)
-            else:
-                out, single = [out], [single]
-            for o, s in zip(out, single):
-                assert isinstance(o, JacobiSpec) and o.a0 == blk.a0
-                assert np.array_equal(o.a, s.a) and np.array_equal(o.b, s.b), t
-    assert toda_ode_oracle(tuple(blocks), [], dt) == [[] for _ in blocks]
-
-
 def test_oracle_refuses_complex_blocks():
     cplx = JacobiSpec(1.0, [1 + 0.5j], [0.1j, 0.2], mode="complex")
-    real = random_spec(2, np.random.default_rng(7))
-    for spec0 in (cplx, [real, cplx], [cplx]):
-        with pytest.raises(InvalidInputError, match="real blocks"):
-            toda_ode_oracle(spec0, 0.5, 1e-2)
+    with pytest.raises(InvalidInputError, match="real blocks"):
+        toda_qr_flow(cplx, 0.5)
 
 
-def test_batched_oracle_edge_cases():
+def test_qr_flow_edge_cases():
     spec = random_spec(3, np.random.default_rng(4))
-    assert toda_ode_oracle(spec, [], 1e-3) == []
-    assert toda_ode_oracle(spec, (), 1e-3) == []
     for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            toda_ode_oracle(spec, bad, 1e-3)
-        with pytest.raises(ValueError, match="finite"):
-            toda_ode_oracle(spec, [0.5, bad], 1e-3)
-    for bad_dt in (0.0, -1e-3, math.inf, math.nan):
-        with pytest.raises(ValueError, match="dt"):
-            toda_ode_oracle(spec, [0.5], bad_dt)
-    # block sequences: empty gives [], bad times and dt still raise
-    assert toda_ode_oracle([], 0.5, 1e-3) == []
-    assert toda_ode_oracle((), [0.5, 1.0], 1e-3) == []
-    for blocks in ([spec, spec], []):
-        with pytest.raises(ValueError, match="finite"):
-            toda_ode_oracle(blocks, [0.5, math.nan], 1e-3)
-        with pytest.raises(ValueError, match="dt"):
-            toda_ode_oracle(blocks, 0.5, 0.0)
-    with pytest.raises(InvalidInputError, match="JacobiSpec"):
-        toda_ode_oracle([spec, {"a0": 1.0}], 0.5, 1e-3)
+        with pytest.raises(InvalidInputError, match="finite"):
+            toda_qr_flow(spec, bad)
+    with pytest.raises(InvalidInputError, match="single number"):
+        toda_qr_flow(spec, [0.5, 1.0])
+    for not_a_block in ([spec], {"a0": 1.0}, spec.to_json()):
+        with pytest.raises(InvalidInputError, match="JacobiSpec"):
+            toda_qr_flow(not_a_block, 0.5)
+
+
+@st.composite
+def small_blocks(draw):
+    N = draw(st.integers(1, 8))
+    a = draw(st.lists(st.floats(0.3, 0.9, exclude_min=True, exclude_max=True), min_size=N - 1, max_size=N - 1))
+    b = draw(st.lists(st.floats(-0.5, 0.5), min_size=N, max_size=N))
+    return JacobiSpec(a0=1.0, a=a, b=b)
+
+
+times = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=40)
+@given(small_blocks(), times)
+def test_qr_flow_matches_rk4_on_drawn_blocks(spec, t):
+    a, b = rk4_one_time(spec, t, 1e-2)
+    out = toda_qr_flow(spec, t)
+    assert max(np.max(np.abs(out.a - a), initial=0.0), np.max(np.abs(out.b - b))) <= 1e-7
+
+
+@settings(max_examples=60)
+@given(small_blocks(), times)
+def test_toda_solve_keeps_eigenvalues_and_trace(spec, t):
+    st_t = toda_solve(spec, t)
+    eig0 = eig_spectral_data(spec).eigenvalues
+    assert np.max(np.abs(eig_spectral_data(st_t.spec).eigenvalues - eig0)) <= 1e-8
+    assert abs(np.sum(st_t.spec.b) - np.sum(spec.b)) <= 1e-8
+
+
+@settings(max_examples=60)
+@given(small_blocks(), times)
+def test_toda_block_returns_the_moser_atoms(spec, t):
+    st_t = toda_solve(spec, t)
+    mu = spectral_measure(st_t.spec)
+    assert np.max(np.abs(mu.lambdas - st_t.measure.lambdas)) <= 1e-12
+    assert np.max(np.abs(mu.weights - st_t.measure.weights)) <= 1e-12
