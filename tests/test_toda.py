@@ -196,6 +196,20 @@ def test_qr_flow_edge_cases():
             toda_qr_flow(not_a_block, 0.5)
 
 
+@pytest.mark.parametrize("N, seed", [(1, 0), (2, 1), (5, 2), (8, 3)])
+def test_batched_oracle_matches_per_time_loop(N, seed):
+    spec = random_spec(N, np.random.default_rng(seed), a_range=(0.3, 0.9), b_range=(-0.5, 0.5))
+    # 0, negatives, repeated times and times off the RK4 reference's dt grid
+    times = [0.5, 0.0, -0.2, 0.333, -0.0137, 0.5, 1.004, -0.75]
+    outs = [toda_qr_flow(spec, t) for t in times]
+    for t, out in zip(times, outs):
+        assert isinstance(out, JacobiSpec)
+        a, b = rk4_one_time(spec, t, 0.01)
+        assert max(np.max(np.abs(out.a - a), initial=0.0), np.max(np.abs(out.b - b))) <= 1e-7, t
+    assert np.array_equal(outs[1].a, spec.a) and np.array_equal(outs[1].b, spec.b)
+    assert np.array_equal(outs[0].a, outs[5].a) and np.array_equal(outs[0].b, outs[5].b)
+
+
 @st.composite
 def small_blocks(draw):
     N = draw(st.integers(1, 8))
