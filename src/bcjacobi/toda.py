@@ -136,9 +136,12 @@ def toda_qr_flow(spec0: JacobiSpec, t: float) -> JacobiSpec:
     (W. W. Symes, Physica D 4, 1982).  One QR of a badly conditioned
     exponential loses the small directions, so the flow takes
     k = max(1, ceil(|t| w / 4)) steps of h = t/k, w the Gershgorin width of
-    the block: each step is expm(h L) (Pade, no eigensolver), its QR with the
-    columns of Q flipped to make diag R positive, and L <- Q^T L Q cut back to
-    its symmetric tridiagonal part.  It touches no spectral data, so it is
+    the block: each step is expm(h (L - cI)) (Pade, no eigensolver), its QR
+    with the columns of Q flipped to make diag R positive, and L <- Q^T L Q
+    cut back to its symmetric tridiagonal part.  c is the midpoint of the
+    Gershgorin interval: the shift scales R by e^{-hc} > 0 and leaves Q as it
+    is, but keeps the exponent within [-2, 2], so a spectrum far from 0
+    neither overflows nor underflows.  It touches no spectral data, so it is
     independent of the Moser and RKPW route of `toda_solve`.  a0 is carried
     over.  A complex block is refused.
     """
@@ -149,11 +152,12 @@ def toda_qr_flow(spec0: JacobiSpec, t: float) -> JacobiSpec:
     t = _finite_scalar(t, "t")
     a, b = spec0.a, spec0.b
     radius = np.append(a, 0.0) + np.append(0.0, a)
-    width = np.max(b + radius) - np.min(b - radius)
-    k = max(1, math.ceil(abs(t) * width / 4.0))
+    hi, lo = np.max(b + radius), np.min(b - radius)
+    k = max(1, math.ceil(abs(t) * (hi - lo) / 4.0))
+    shift = 0.5 * (hi + lo) * np.eye(b.size)
     for _ in range(k):
         L = np.diag(b) + np.diag(a, 1) + np.diag(a, -1)
-        q, r = np.linalg.qr(expm((t / k) * L))
+        q, r = np.linalg.qr(expm((t / k) * (L - shift)))
         q *= np.sign(np.diag(r))
         L = q.T @ L @ q
         a, b = 0.5 * (np.diag(L, 1) + np.diag(L, -1)), np.diag(L)

@@ -63,8 +63,8 @@ def test_criterion_07_toda_integrates_once(monkeypatch):
     res = verify.check_toda()
     assert [(s.n, t) for s, t in calls] == [(n, t) for n in (2, 4, 6, 8) for t in (-2.0, -0.6, 0.5, 2.0)]
     assert res.passed and res.detail == (
-        "closed form 2.22e-16, oracle 1.28e-15, moment route 2.91e-09, "
-        "eigenvalues 8.88e-16, trace 1.22e-15, recursion 9.14e-09"
+        "closed form 2.22e-16, oracle 1.22e-15, moment route 2.91e-09, "
+        "eigenvalues 8.88e-16, trace 1.44e-15, recursion 9.14e-09"
     )
 
 

@@ -70,6 +70,12 @@ def test_toda_scenario_n31_matches_oracle(tmp_path):
     assert (tmp_path / "out" / "toda.csv").exists()
 
 
+def test_toda_scenario_on_a_spectrum_far_from_zero(tmp_path):
+    config = {"command": "toda", "spec": {"a0": 1.0, "a": [0.1], "b": [100.0, 100.2]},
+              "times": [0.0, 8.0]}
+    assert run_scenario(config, tmp_path)["summary"]["worst_oracle_delta"] <= 1e-10
+
+
 def test_invert_scenario_counterexample(tmp_path):
     config = {"command": "invert", "r": [1.0, 1.0, 0.0, 0.0, -1.0], "T": 3}
     with pytest.raises(BCError):

@@ -196,6 +196,25 @@ def test_qr_flow_edge_cases():
             toda_qr_flow(not_a_block, 0.5)
 
 
+@pytest.mark.parametrize(
+    "a, b, t",
+    [
+        ([0.1], [100.0, 100.2], 8.0),  # unshifted, expm(8 L) ~ e^800 overflows
+        ([0.01], [10.0, 10.0], 100.0),
+        ([0.1], [-100.0, -99.8], 8.0),  # unshifted, expm underflows to 0
+        ([0.3, 0.5, 0.2], [1e3, 1e3 + 0.4, 1e3 - 0.3, 1e3 + 0.1], -30.0),
+    ],
+)
+def test_qr_flow_on_a_spectrum_far_from_zero(a, b, t):
+    spec = JacobiSpec(a0=1.0, a=a, b=b)
+    assert _coeff_gap(toda_qr_flow(spec, t), toda_solve(spec, t).spec) <= 1e-10
+    # an offset of the diagonal is an offset of the spectrum, and the flow ignores it
+    moved = toda_qr_flow(JacobiSpec(a0=1.0, a=a, b=np.array(b) - b[0]), t)
+    assert _coeff_gap(toda_qr_flow(spec, t), JacobiSpec(a0=1.0, a=moved.a, b=moved.b + b[0])) <= 1e-10
+
+
+# the fixed times pin what a draw may miss: 0 gives the input bit for bit, a
+# repeated time gives the same block, and N = 1 and off-grid times match RK4
 @pytest.mark.parametrize("N, seed", [(1, 0), (2, 1), (5, 2), (8, 3)])
 def test_batched_oracle_matches_per_time_loop(N, seed):
     spec = random_spec(N, np.random.default_rng(seed), a_range=(0.3, 0.9), b_range=(-0.5, 0.5))
