@@ -202,6 +202,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
             emit_csv("indeterminacy.csv", header, [table[h] for h in header])
             summary["hamburger_trend"] = table["hamburger_trend"]
             summary["stieltjes_trend"] = table["stieltjes_trend"]
+            summary["sweep_depth"] = table["sweep_depth"]
         else:
             raise InvalidInputError(f"unknown moments task {task!r}")
 

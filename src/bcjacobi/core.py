@@ -333,27 +333,30 @@ def random_spec(
     )
 
 
+def _at_zero(b: np.ndarray, a_sq: np.ndarray, n: int):
+    """p_k(0), p_k'(0) and q_k(0), k < n, of p_{k+1} = (lambda - b_{k+1}) p_k - a_k^2 p_{k-1}:
+    p_k monic orthogonal (p_0 = 1, p_{-1} = 0), q_k second kind (q_0 = 0, q_1 = 1)."""
+    p, dp, q = np.zeros((3, n))
+    p[:1] = 1.0
+    if n > 1:
+        p[1], dp[1], q[1] = -b[0], 1.0, 1.0
+    for k in range(1, n - 1):
+        p[k + 1] = -b[k] * p[k] - a_sq[k - 1] * p[k - 1]
+        dp[k + 1] = p[k] - b[k] * dp[k] - a_sq[k - 1] * dp[k - 1]
+        q[k + 1] = -b[k] * q[k] - a_sq[k - 1] * q[k - 1]
+    return p, dp, q
+
+
 def alpha_star_partials(spec: JacobiSpec, n_max: int | None = None) -> np.ndarray:
     """Diagnostic sequence -q_n(0)/p_n(0) of the boundary-parameter limit.
 
     Only finite partial quotients are computable from a finite block; the
     returned values are raw diagnostics, never a certified limit.  Entries
-    where p_n(0) vanishes are NaN.
+    where p_n(0) vanishes are not finite.
     """
     if spec.mode != "real":
         raise BCError("diagnostic defined for the self-adjoint case")
     n_max = spec.n if n_max is None else min(n_max, spec.n)
-    # p: p_1 = 1, p_2 = (lambda - b_1)/a_1; q: q_1 = 0, q_2 = 1/a_1; lambda = 0
-    p = np.zeros(n_max + 1)
-    q = np.zeros(n_max + 1)
-    if n_max >= 1:
-        p[1] = 1.0
-    if n_max >= 2:
-        p[2] = -spec.b[0] / spec.a[0]
-        q[2] = 1.0 / spec.a[0]
-    for k in range(2, n_max):
-        p[k + 1] = (-spec.b[k - 1] * p[k] - spec.a[k - 2] * p[k - 1]) / spec.a[k - 1]
-        q[k + 1] = (-spec.b[k - 1] * q[k] - spec.a[k - 2] * q[k - 1]) / spec.a[k - 1]
+    p, _, q = _at_zero(spec.b, spec.a**2, n_max)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -q[1:] / p[1:]
-    return out
+        return -q / p

@@ -114,14 +114,16 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
     + t_{k-1,l-1} = a_k^2 t_{k,l} needs no pivot ratio, and
     b_{k+1} = t_{k,k+1} - t_{k-1,k} is a plain difference.  Uses m_0..m_{2T-1}:
     2T-1 entries give b_1..b_{T-1}, a 2T-th gives b_T as well.  Returns
-    (b, d, ds) with ds_k = d_k / |(C_T)_kk|, the pivots of the diagonally
-    equilibrated C_T.
+    (b, d, ds, refusal) with ds_k = d_k / |(C_T)_kk|, the pivots of the
+    diagonally equilibrated C_T.
 
-    Visits the nested blocks C_1, ..., C_T in order and raises
-    SingularBlockError at the first pivot with |ds_k| under PIVOT_TOL times
-    the leading-block norm of the equilibrated C_T; every pivot-based verdict
-    and every determinant ratio runs through here, so two callers given the
-    same r cannot disagree.
+    Visits the nested blocks C_1, ..., C_T in order and stops at the first
+    pivot with |ds_k| under PIVOT_TOL times the leading-block norm of the
+    equilibrated C_T: b, d and ds are then cut at the depth reached, exactly
+    what a sweep to that depth returns, and `refusal` names the block (it is
+    None when the sweep gets through).  Every pivot-based verdict and every
+    determinant ratio runs through here, so two callers given the same r
+    cannot disagree.
     """
     _require_horizon(r, T)
     m = r[: 2 * T] / r[0]
@@ -138,10 +140,11 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
     for k in range(T):
         d[k] = u[k] * d[k - 1] if k else u[0]
         if not abs(d[k] / diag[k]) > tol[k]:  # a NaN pivot refuses too
-            raise SingularBlockError(
+            refusal = (
                 f"leading block C_{k + 1} is not invertible "
                 f"(pivot {d[k] / diag[k]:.3e}, tolerance {tol[k]:.3e})"
             )
+            return b[: min(k, b.size)], d[:k], d[:k] / diag[:k], refusal
         cur = u / u[k]
         if k < b.size:
             b[k] = cur[k + 1] - prev[k]
@@ -150,7 +153,7 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
             u = np.zeros_like(m)
             u[lo:hi] = cur[lo + 1 : hi + 1] - b[k] * cur[lo:hi] - prev[lo:hi] + cur[lo - 1 : hi - 1]
             prev = cur
-    return b, d, d / diag
+    return b, d, d / diag, None
 
 
 def _leading_eigvalsh(C: np.ndarray) -> list:
@@ -183,7 +186,9 @@ def invert_factorization(r, T: int) -> InversionReport:
     if mode == "real" and a0 < 0:
         raise SingularBlockError("r_0 = a_0 must be positive in real mode")
     used = rv[: 2 * T - 1]
-    b_rec, d, ds = _chebyshev_sweep(used, T)
+    b_rec, d, ds, refusal = _chebyshev_sweep(used, T)
+    if refusal is not None:
+        raise SingularBlockError(refusal)
     if mode == "real" and np.any(ds.real <= 0):
         raise SingularBlockError("C_T is not positive definite: data is not a response vector")
     with np.errstate(over="ignore"):
@@ -281,10 +286,9 @@ def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
         rn = r.astype(complex) / r[0]
     else:
         raise InvalidInputError(f"unknown mode {mode!r}")
-    try:
-        _, _, ds = _chebyshev_sweep(rn, T)
-    except SingularBlockError as exc:
-        return CharacterizationResult(False, mode, str(exc))
+    _, _, ds, refusal = _chebyshev_sweep(rn, T)
+    if refusal is not None:
+        return CharacterizationResult(False, mode, refusal)
     diag = {"scaled_pivots": ds, "min_scaled_pivot": float(np.min(np.abs(ds)))}
     if mode == "complex":
         return CharacterizationResult(True, mode, "all nested blocks are isomorphisms", diag)
@@ -322,9 +326,8 @@ def schrodinger_check(r, T: int, tol: float = 1e-8) -> SchrodingerResult:
     _require_horizon(r, T)
     if abs(r[0] - 1.0) > tol:
         return SchrodingerResult(False, np.zeros(0), "r_0 != 1")
-    try:
-        _, d, ds = _chebyshev_sweep(r, T)
-    except SingularBlockError:
+    _, d, ds, refusal = _chebyshev_sweep(r, T)
+    if refusal is not None:
         return SchrodingerResult(False, np.zeros(0), "a leading block is singular")
     # the sweep's pivots are those of C(r / r_0) = C(r) / r_0^2
     dets = np.cumprod(r[0] ** 2 * d).real

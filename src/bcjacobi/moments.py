@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import JacobiSpec, SpectralMeasure, _as_finite, _require_size, chebyshev_values, spectral_measure
+from .core import JacobiSpec, SpectralMeasure, _as_finite, _at_zero, _require_size, spectral_measure
 from .discrete_wave import connecting_from_response, _as_response
 from .errors import InvalidInputError, NotRealizableError, SingularBlockError
-from .inverse_bc import _chebyshev_sweep, response_matrix
+from .inverse_bc import _chebyshev_sweep
 
 __all__ = [
     "HankelPair",
@@ -204,7 +204,9 @@ def truncated_moment_naive(s, N: int, extension=None):
         raise NotRealizableError("s_0 must be positive")
     mass = s[0]
     sn = s / mass
-    b_rec, d, _ = _chebyshev_sweep(moments_to_response(sn[: 2 * N]), N)
+    b_rec, d, _, refusal = _chebyshev_sweep(moments_to_response(sn[: 2 * N]), N)
+    if refusal is not None:
+        raise SingularBlockError(refusal)
     if np.any(d <= 0):
         raise SingularBlockError("C_T is not positive definite: data is not a response vector")
     a_full = np.sqrt(d[1:] / d[:-1])
@@ -283,48 +285,38 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
     the returned forms are ((C^N)^{-1} Gamma_N, Gamma_N), the same with
     Delta_N, and the Stieltjes quantities M_N (= the Gamma form) and L_N.
     The theorems involve N -> infinity limits that finite computation cannot
-    decide; the labels are explicitly heuristic.  C^{N_max} and R^{N_max} are
-    built once; C^N is the trailing and R^N the leading N x N block.
+    decide; the labels are explicitly heuristic.
+
+    The forms are Christoffel-Darboux sums (Akhiezer 1965; Simon 1998) on the
+    one modified Chebyshev sweep of r = Lambda s.  With d_k its pivots, p_k the
+    monic orthogonal and q_k the second-kind polynomials of s / s_0: Gamma
+    form_N = sum_{k<N} p_k(0)^2 / (s_0^2 d_k), the Delta form the same with
+    p_k'(0), and L_N = s_0 q_{N-1}(0) / p_{N-1}(0) (NaN where p_{N-1}(0) = 0).
+    The sweep stops at the first singular nested block; `sweep_depth` counts
+    the rows it determines, and the rows past it read +inf, +inf and NaN.
     """
     _require_size("N_max", N_max)
     s = _as_finite(s, "moments")
     if s.size < 2 * N_max - 1:
         raise InvalidInputError(f"need 2N_max-1 = {2 * N_max - 1} moments")
     r = moments_to_response(s[: 2 * N_max - 1])
-    C = connecting_from_response(r, N_max)
-    R = response_matrix(r, N_max)
-    # T_t(0), and T_t'(0) by differentiating the recurrence at lambda = 0
-    tvals = chebyshev_values(N_max, 0.0)
-    dvals = np.zeros(N_max + 1)
-    for t in range(1, N_max):
-        dvals[t + 1] = tvals[t] - dvals[t - 1]
-    gamma_form = np.full(N_max, np.nan)
-    delta_form = np.full(N_max, np.nan)
+    # C^N scales with r_0 = s_0, so at s_0 = 0 no nested block is invertible
+    b, d = (r[:0], r[:0]) if s[0] == 0 else _chebyshev_sweep(r, N_max)[:2]
+    depth = d.size
+    p, dp, q = _at_zero(b, d[1:] / d[:-1], depth)
+    forms = np.full((2, N_max), np.inf)
+    forms[:, :depth] = np.cumsum(np.array([p, dp]) ** 2 / (s[0] ** 2 * d), axis=1)
+    gamma_form, delta_form = forms
     l_seq = np.full(N_max, np.nan)
-    for N in range(1, N_max + 1):
-        CN = C[-N:, -N:]
-        gam = tvals[N:0:-1]
-        dlt = dvals[N:0:-1]
-        try:
-            x = np.linalg.solve(CN, gam)
-            gamma_form[N - 1] = float(gam @ x)
-            delta_form[N - 1] = float(dlt @ np.linalg.solve(CN, dlt))
-            # L_N = ((C^N)^{-1} (R^N)^* Gamma_N, e1) / ((C^N)^{-1} Gamma_N, e1);
-            # R^N is the response operator whose adjoint enters the Krein
-            # equation (Gamma_N is kappa^N(0)).
-            num = np.linalg.solve(CN, R[:N, :N].T @ gam)[0]
-            den = x[0]
-            l_seq[N - 1] = num / den if den != 0 else np.nan
-        except np.linalg.LinAlgError:
-            gamma_form[N - 1] = np.inf
-            delta_form[N - 1] = np.inf
-            l_seq[N - 1] = np.nan
+    nz = np.flatnonzero(p)
+    l_seq[nz] = s[0] * q[nz] / p[nz]
     return {
         "N": np.arange(1, N_max + 1),
         "gamma_form": gamma_form,
         "delta_form": delta_form,
         "M": gamma_form,
         "L": l_seq,
+        "sweep_depth": depth,
         "hamburger_trend": (
             "bounded-looking"
             if _trend_label(gamma_form) == "bounded-looking"

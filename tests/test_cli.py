@@ -9,7 +9,7 @@ import pytest
 
 import bcjacobi
 from bcjacobi.cli import _csv_lines, _fmt, main, run_scenario
-from bcjacobi.core import JacobiSpec, random_spec
+from bcjacobi.core import JacobiSpec, moments_of_measure, random_spec, spectral_measure
 from bcjacobi.discrete_wave import solve_semi_infinite
 from bcjacobi.errors import BCError
 from bcjacobi.graph_wave import GraphSpec, simulate
@@ -155,6 +155,23 @@ def test_moments_scenario(tmp_path):
     rows = (tmp_path / "measure.csv").read_text().splitlines()[1:]
     lams = sorted(float(r.split(",")[0]) for r in rows)
     assert lams == pytest.approx([-1.0, 1.0], abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_indeterminacy_scenario_on_an_eight_atom_measure(tmp_path, seed):
+    # N = 20 runs past the 8 atoms: the rows the sweep determines hold
+    # nonnegative forms, and the rows past its depth read inf, inf, nan
+    mu = spectral_measure(random_spec(8, np.random.default_rng(seed)))
+    s = moments_of_measure(mu, 40)[:39]
+    config = {"command": "moments", "task": "indeterminacy", "s": s.tolist(), "N": 20}
+    summary = run_scenario(config, tmp_path)["summary"]
+    assert summary["hamburger_trend"] == summary["stieltjes_trend"] == "growing"
+    depth = summary["sweep_depth"]
+    assert 8 <= depth < 20
+    rows = [line.split(",") for line in (tmp_path / "indeterminacy.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, 21))
+    assert all(float(row[1]) >= 0 and float(row[2]) >= 0 for row in rows[:depth])
+    assert all(row[1:] == ["inf", "inf", "nan"] for row in rows[depth:])
 
 
 @pytest.mark.parametrize("config", [

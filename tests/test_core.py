@@ -16,6 +16,8 @@ from bcjacobi.core import (
 )
 from bcjacobi.errors import BCError, InvalidInputError
 
+from indeterminacy_oracle import phi_alpha_star
+
 
 def brute_chebyshev(t, lam):
     """Independent oracle: literal recurrence, no shortcuts."""
@@ -280,3 +282,16 @@ def test_alpha_star_partials_free():
     assert seq.shape == (8,)
     assert not np.isfinite(seq[1])  # p_2(0) = 0 for the free system
     assert seq[0] == 0.0  # q_1 = 0
+
+
+def test_alpha_star_partials_matches_phi_loop():
+    # the monic recurrence against the phi-normalized loop it replaced, away
+    # from the zeros of p where the quotient carries no digits
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        spec = random_spec(n, rng)
+        ref, p = phi_alpha_star(spec, n)
+        got = alpha_star_partials(spec)
+        ok = np.abs(p) >= 1e-8
+        assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-12 * np.abs(ref[ok]))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bcjacobi.core import JacobiSpec, free_spec, random_spec
+from bcjacobi.core import JacobiSpec, chebyshev_values, free_spec, random_spec
 from bcjacobi.discrete_wave import (
     connecting_from_response,
     control_matrix,
@@ -345,22 +347,53 @@ def test_partial_sums_match_triangular_solve_reference(mode):
         assert np.max(np.abs(rep.b - b_ref), initial=0.0) <= tol
 
 
+def _assert_sweep_matches_ldl_oracle(r, n):
+    """ds, a_k^2 = d_k / d_{k-1} and b of the sweep against the LDL^t oracle,
+    within n eps cond of the equilibrated C_n."""
+    eps = np.finfo(float).eps
+    b, d, ds, _ = _chebyshev_sweep(r, n)
+    Cs, D = _equilibrate(reverse_order(connecting_from_response(r / r[0], n)))
+    _, ds_ref = _ldl_pivots(Cs)
+    a_sq_ref = (ds_ref[1:] / ds_ref[:-1]) * (D[:-1] / D[1:]) ** 2
+    b_ref, cond = _b_reference(r, n)
+    for got, ref in ((ds, ds_ref), (d[1:] / d[:-1], a_sq_ref), (b, b_ref)):
+        tol = n * eps * cond * max(1.0, np.max(np.abs(ref), initial=0.0))
+        assert np.max(np.abs(got - ref), initial=0.0) <= tol
+
+
 @pytest.mark.parametrize("mode", ["real", "complex"])
 def test_chebyshev_sweep_matches_ldl_oracle(mode):
     rng = np.random.default_rng(26)
-    eps = np.finfo(float).eps
     for _ in range(10):
         n = int(rng.integers(2, 14))
         spec = random_spec(n, rng) if mode == "real" else _complex_spec(n, rng)
-        r = response_vector(spec, 2 * n - 1).r
-        b, d, ds = _chebyshev_sweep(r, n)
-        Cs, D = _equilibrate(reverse_order(connecting_from_response(r / r[0], n)))
-        _, ds_ref = _ldl_pivots(Cs)
-        a_sq_ref = (ds_ref[1:] / ds_ref[:-1]) * (D[:-1] / D[1:]) ** 2
-        b_ref, cond = _b_reference(r, n)
-        for got, ref in ((ds, ds_ref), (d[1:] / d[:-1], a_sq_ref), (b, b_ref)):
-            tol = n * eps * cond * max(1.0, np.max(np.abs(ref), initial=0.0))
-            assert np.max(np.abs(got - ref), initial=0.0) <= tol
+        _assert_sweep_matches_ldl_oracle(response_vector(spec, 2 * n - 1).r, n)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 13).flatmap(lambda n: st.tuples(  # the ranges of random_spec
+    st.lists(st.floats(0.5, 2.0), min_size=n - 1, max_size=n - 1),
+    st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))))
+def test_chebyshev_sweep_matches_ldl_oracle_on_drawn_blocks(ab):
+    spec = JacobiSpec(a0=1.0, a=ab[0], b=ab[1])
+    _assert_sweep_matches_ldl_oracle(response_vector(spec, 2 * spec.n - 1).r, spec.n)
+
+
+@settings(max_examples=100)
+@given(st.integers(2, 12).flatmap(lambda T: st.tuples(st.just(T), st.lists(
+    st.tuples(st.floats(-2.0, 2.0), st.floats(0.05, 1.0)), min_size=1, max_size=T - 1,
+    unique_by=lambda atom: atom[0]))))
+def test_sweep_cut_at_its_depth_equals_a_sweep_to_that_depth(draw):
+    # a measure with fewer atoms than T makes some nested block singular;
+    # the sweep stops there, and what it returns is what a sweep to that depth returns
+    T, atoms = draw
+    lam, w = np.array(atoms).T
+    r = chebyshev_values(2 * T - 1, lam)[1:] @ w  # r_t = sum_j w_j pi_t(lambda_j)
+    b, d, ds, _ = _chebyshev_sweep(r, T)
+    depth = d.size
+    b_ref, d_ref, ds_ref, refusal = _chebyshev_sweep(r, depth)
+    assert refusal is None
+    assert np.array_equal(b, b_ref) and np.array_equal(d, d_ref) and np.array_equal(ds, ds_ref)
 
 
 def _oracle_admits(r, T):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from bcjacobi.moments import (
     truncated_moment_spectral,
 )
 
+from indeterminacy_oracle import dense_indeterminacy
 from ldl_oracle import _equilibrate
 
 
@@ -291,6 +293,67 @@ def test_indeterminacy_determinate_measure_grows():
     # the Gamma form is monotone nondecreasing where finite and exceeds any bound
     g = table["gamma_form"]
     assert np.nanmax(g[np.isfinite(g)]) > 1e3 or np.any(~np.isfinite(g))
+
+
+def test_indeterminacy_of_a_null_mass_determines_no_row():
+    # s_0 = 0 makes every C^N zero: no row is determined, and nothing divides by zero
+    table = indeterminacy_sequences([0.0, 1.0, 2.0], 2)
+    assert table["sweep_depth"] == 0
+    assert np.all(table["gamma_form"] == np.inf) and np.all(np.isnan(table["L"]))
+
+
+def _draw_moments(atoms, N_max, seed):
+    """s_0..s_{2N_max-2} of the spectral measure of random_spec(atoms, default_rng(seed))."""
+    mu = spectral_measure(random_spec(atoms, np.random.default_rng(seed)))
+    return moments_of_measure(mu, 2 * N_max - 2)
+
+
+def _hankel_inverse_diagonal(s, N):
+    """(H_N^{-1})_00 and (H_N^{-1})_11 of the classical Hankel H_N = (s_{i+j}), in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        H = mpmath.matrix([[mpmath.mpf(float(s[i + j])) for j in range(N)] for i in range(N)])
+        e = [mpmath.matrix([float(i == k) for i in range(N)]) for k in range(min(N, 2))]
+        return [float(mpmath.lu_solve(H, ek)[k]) for k, ek in enumerate(e)]
+
+
+@pytest.mark.parametrize("atoms, N_max", [(12, 6), (12, 10), (20, 8)])
+def test_indeterminacy_forms_are_hankel_inverse_entries(atoms, N_max):
+    # Gamma_N = (H_N^{-1})_00 / s_0 and Delta_N = (H_N^{-1})_11 / s_0: the forms
+    # are the reproducing kernel of degree < N polynomials and its second derivative
+    for seed in range(10):
+        s = _draw_moments(atoms, N_max, seed)
+        table = indeterminacy_sequences(s, N_max)
+        assert table["sweep_depth"] == N_max
+        for N in range(1, N_max + 1):
+            ref = _hankel_inverse_diagonal(s, N)
+            for got, want in zip((table["gamma_form"][N - 1], table["delta_form"][N - 1]), ref):
+                assert abs(got - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("atoms, N_max", [(12, 6), (12, 10), (20, 8)])
+def test_indeterminacy_matches_dense_oracle(atoms, N_max):
+    # the dense route is itself up to 4e-10 off the 50-digit reference on these
+    # draws, so the two routes are compared at 1e-8
+    for seed in range(10):
+        s = _draw_moments(atoms, N_max, seed)
+        table = indeterminacy_sequences(s, N_max)
+        for key, ref in zip(("gamma_form", "delta_form", "L"), dense_indeterminacy(s, N_max)):
+            got = table[key]
+            assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+            ok = np.isfinite(ref)
+            assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-8 * np.abs(ref[ok]))
+
+
+@pytest.mark.parametrize("c", [0.2, 3.0])
+@pytest.mark.parametrize("atoms, N_max", [(12, 6), (20, 8)])
+def test_indeterminacy_scales_with_the_mass(atoms, N_max, c):
+    # s -> c s scales the Hankel matrices by c: the forms go as 1/c^2 and L as c
+    for seed in range(10):
+        s = _draw_moments(atoms, N_max, seed)
+        base, scaled = indeterminacy_sequences(s, N_max), indeterminacy_sequences(c * s, N_max)
+        for key, factor in (("gamma_form", c**-2), ("delta_form", c**-2), ("L", c)):
+            want = factor * base[key]
+            assert np.all(np.abs(scaled[key] - want) <= 1e-9 * np.abs(want))
 
 
 def test_solvability_stieltjes_positive_measure():
