@@ -275,6 +275,12 @@ def response_function(spec: JacobiSpec, grid: TimeGrid) -> ResponseFunctionSampl
     return ResponseFunctionSamples(values=vals, grid=grid)
 
 
+def _require_doubled(r: ResponseFunctionSamples, grid: TimeGrid) -> None:
+    """Refuse samples of r that do not cover [0, 2T] with the spacing of `grid`."""
+    if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
+        raise InvalidInputError("response must be sampled on [0, 2T] with the grid spacing")
+
+
 def connecting_dynamic(r: ResponseFunctionSamples, grid: TimeGrid) -> np.ndarray:
     """Kernel matrix K(t_i, s_j) = 1/2 int_{|t-s|}^{2T-s-t} r(tau) dtau.
 
@@ -283,8 +289,7 @@ def connecting_dynamic(r: ResponseFunctionSamples, grid: TimeGrid) -> np.ndarray
     trapezoid, giving an O(dt^2) kernel.  The operator action is
     (C f)(t_i) = sum_j K[i, j] w_j f(s_j) with trapezoid weights w.
     """
-    if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
-        raise InvalidInputError("response must be sampled on [0, 2T] with the grid spacing")
+    _require_doubled(r, grid)
     P = np.concatenate([[0.0], np.cumsum(0.5 * grid.dt * (r.values[1:] + r.values[:-1]))])
     return _kernel_matrix(P, grid.M)
 
@@ -355,8 +360,7 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     """
     if N < 1:
         raise InvalidInputError(f"need N >= 1, got {N}")
-    if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
-        raise InvalidInputError("response must be sampled on [0, 2T] with the grid spacing")
+    _require_doubled(r, grid)
     M = grid.M
     if N > M:
         raise NotRealizableError(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from math import frexp, ldexp
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -335,16 +336,29 @@ def random_spec(
 
 def _at_zero(b: np.ndarray, a_sq: np.ndarray, n: int):
     """p_k(0), p_k'(0) and q_k(0), k < n, of p_{k+1} = (lambda - b_{k+1}) p_k - a_k^2 p_{k-1}:
-    p_k monic orthogonal (p_0 = 1, p_{-1} = 0), q_k second kind (q_0 = 0, q_1 = 1)."""
+    p_k monic orthogonal (p_0 = 1, p_{-1} = 0), q_k second kind (q_0 = 0, q_1 = 1).
+
+    Returns (p, dp, q, e), the values at index k being p[k], dp[k], q[k] times
+    2**e[k]: they grow or shrink like a_1 ... a_k, so an exact power of two
+    leaves a triple outside [2**-500, 2**500].  Values the plain recurrence
+    keeps in the normal range are bit for bit its own.
+    """
     p, dp, q = np.zeros((3, n))
+    e = [0] * n
     p[:1] = 1.0
     if n > 1:
         p[1], dp[1], q[1] = -b[0], 1.0, 1.0
     for k in range(1, n - 1):
-        p[k + 1] = -b[k] * p[k] - a_sq[k - 1] * p[k - 1]
-        dp[k + 1] = p[k] - b[k] * dp[k] - a_sq[k - 1] * dp[k - 1]
-        q[k + 1] = -b[k] * q[k] - a_sq[k - 1] * q[k - 1]
-    return p, dp, q
+        up = e[k - 1] - e[k]  # carries index k - 1 to the scale of index k
+        p[k + 1] = -b[k] * p[k] - ldexp(a_sq[k - 1] * p[k - 1], up)
+        dp[k + 1] = p[k] - b[k] * dp[k] - ldexp(a_sq[k - 1] * dp[k - 1], up)
+        q[k + 1] = -b[k] * q[k] - ldexp(a_sq[k - 1] * q[k - 1], up)
+        shift = frexp(max(abs(p[k + 1]), abs(dp[k + 1]), abs(q[k + 1])))[1]
+        e[k + 1] = e[k]
+        if abs(shift) > 500:
+            p[k + 1], dp[k + 1], q[k + 1] = (ldexp(x[k + 1], -shift) for x in (p, dp, q))
+            e[k + 1] += shift
+    return p, dp, q, np.array(e, dtype=int)
 
 
 def alpha_star_partials(spec: JacobiSpec, n_max: int | None = None) -> np.ndarray:
@@ -357,6 +371,6 @@ def alpha_star_partials(spec: JacobiSpec, n_max: int | None = None) -> np.ndarra
     if spec.mode != "real":
         raise BCError("diagnostic defined for the self-adjoint case")
     n_max = spec.n if n_max is None else min(n_max, spec.n)
-    p, _, q = _at_zero(spec.b, spec.a**2, n_max)
+    p, _, q, _ = _at_zero(spec.b, spec.a**2, n_max)  # one scale per index: the ratio ignores it
     with np.errstate(divide="ignore", invalid="ignore"):
         return -q / p

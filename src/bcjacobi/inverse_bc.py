@@ -97,6 +97,14 @@ class InversionReport:
         )
 
 
+@dataclass(frozen=True)
+class CharacterizationResult:
+    admissible: bool
+    mode: str
+    detail: str
+    diagnostics: dict = field(default_factory=dict)
+
+
 def _chebyshev_sweep(r: np.ndarray, T: int):
     """Modified Chebyshev algorithm on the modified moments m = r / r_0.
 
@@ -121,11 +129,10 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
     pivot with |ds_k| under PIVOT_TOL times the leading-block norm of the
     equilibrated C_T: b, d and ds are then cut at the depth reached, exactly
     what a sweep to that depth returns, and `refusal` names the block (it is
-    None when the sweep gets through).  Every pivot-based verdict and every
-    determinant ratio runs through here, so two callers given the same r
-    cannot disagree.
+    None when the sweep gets through).  `_admit` runs it for every verdict;
+    only `moments.indeterminacy_sequences`, which cuts rather than refuses,
+    calls it directly.  The caller checks the horizon.
     """
-    _require_horizon(r, T)
     m = r[: 2 * T] / r[0]
     n = m.size
     # O(T^2) assembly for the refusal scale: the running column maxima of D C_T D
@@ -165,41 +172,52 @@ def _leading_eigvalsh(C: np.ndarray) -> list:
     return [np.linalg.eigvalsh(C[:k, :k]) for k in range(1, C.shape[0] + 1)]
 
 
+def _admit(r: np.ndarray, T: int):
+    """The one admissibility decision of the discrete inverse, on coerced entries.
+
+    Complex entries are judged in complex mode (r_0 != 0, every nested block
+    invertible), real ones in real mode (r_0 > 0, C^T positive definite): the
+    horizon, r_0, the sweep on r (which divides by r_0 itself), its refusal
+    and in real mode the sign of its pivots, in that order.  Returns
+    (verdict, b, d), the sweep's b and pivots d (None if r_0 refuses).
+    """
+    _require_horizon(r, T)
+    mode = "complex" if np.iscomplexobj(r) else "real"
+    if mode == "real" and r[0] <= 0:
+        return CharacterizationResult(False, mode, "r_0 = a_0 is not positive"), None, None
+    if r[0] == 0:
+        return CharacterizationResult(False, mode, "r_0 = a_0 vanishes"), None, None
+    b, d, ds, refusal = _chebyshev_sweep(r, T)
+    if refusal is not None:
+        return CharacterizationResult(False, mode, refusal), b, d
+    diag = {"scaled_pivots": ds, "min_scaled_pivot": float(np.min(np.abs(ds)))}
+    if mode == "complex":
+        return CharacterizationResult(True, mode, "all nested blocks are isomorphisms", diag), b, d
+    if np.any(ds <= 0):
+        return CharacterizationResult(False, mode, "C^T is not positive definite", diag), b, d
+    return CharacterizationResult(True, mode, "C^T positive definite", diag), b, d
+
+
 def invert_factorization(r, T: int) -> InversionReport:
     """Recover a_0, a_1..a_{T-1}, b_1..b_{T-1} from r_0..r_{2T-2}.
 
-    The data is normalized by a_0 = r_0 first (responses scale linearly in
-    a_0).  Real mode takes the positive root for a_k and additionally checks
-    positive definiteness; complex mode determines a_k^2 only.
+    The mode is a `ResponseVector`'s own, else complex for complex entries.
+    Raises `SingularBlockError` exactly where `characterize` is inadmissible,
+    with its detail.  The data is normalized by a_0 = r_0 (responses scale
+    linearly in a_0); real mode takes a_k > 0, complex mode determines a_k^2.
     """
-    r = r if isinstance(r, ResponseVector) else ResponseVector(
-        np.atleast_1d(np.asarray(r)),
-        mode="complex" if np.iscomplexobj(np.asarray(r)) else "real",
-    )
-    rv = r.r
-    if rv.size < 2 * T - 1:
-        raise InvalidInputError(f"need at least 2T-1 = {2 * T - 1} response entries")
-    mode = r.mode
-    a0 = rv[0]
-    if a0 == 0:
-        raise SingularBlockError("r_0 = a_0 vanishes")
-    if mode == "real" and a0 < 0:
-        raise SingularBlockError("r_0 = a_0 must be positive in real mode")
-    used = rv[: 2 * T - 1]
-    b_rec, d, ds, refusal = _chebyshev_sweep(used, T)
-    if refusal is not None:
-        raise SingularBlockError(refusal)
-    if mode == "real" and np.any(ds.real <= 0):
-        raise SingularBlockError("C_T is not positive definite: data is not a response vector")
+    if not isinstance(r, ResponseVector):
+        r = ResponseVector(r, mode="complex" if np.iscomplexobj(r) else "real")
+    used = r.r[: 2 * T - 1]
+    verdict, b_rec, d = _admit(used, T)
+    if not verdict.admissible:
+        raise SingularBlockError(verdict.detail)
     with np.errstate(over="ignore"):
         dets = np.cumprod(d)
     a_sq = d[1:] / d[:-1]
-    a_rec = np.sqrt(a_sq)  # principal root; the positive one in real mode
-    if mode == "real":
-        a0, a_rec, b_rec, dets, ds = a0.real, a_rec.real, b_rec.real, dets.real, ds.real
     rep = InversionReport(
-        a0=a0, a=a_rec, b=b_rec, determinants=dets, residual=0.0, mode=mode,
-        a_sq=a_sq if mode == "complex" else None, scaled_pivots=ds,
+        a0=used[0], a=np.sqrt(a_sq), b=b_rec, determinants=dets, residual=0.0, mode=r.mode,
+        a_sq=a_sq if r.mode == "complex" else None, scaled_pivots=verdict.diagnostics["scaled_pivots"],
     )
     resim = response_vector(rep.recovered, 2 * T - 1, bc="semi_infinite").r
     residual = float(np.max(np.abs(resim - used)) / max(np.max(np.abs(used)), 1e-300))
@@ -249,52 +267,19 @@ def solve_krein(C: np.ndarray, r, lam, alpha, beta, T: int) -> np.ndarray:
         raise SingularBlockError("C is singular") from exc
 
 
-@dataclass(frozen=True)
-class CharacterizationResult:
-    admissible: bool
-    mode: str
-    detail: str
-    diagnostics: dict = field(default_factory=dict)
-
-
-def characterize(r, T: int, mode: str = "real") -> CharacterizationResult:
+def characterize(r, T: int) -> CharacterizationResult:
     """Decide whether r_0..r_{2T-2} is a response vector of some system.
 
-    Real mode: C^T positive definite.  Complex mode: every nested block
-    C^{T-k}, k = 0..T-1, invertible.  The verdict is the modified Chebyshev
-    sweep of `invert_factorization` on the same normalized data r / r_0 (its
-    pivots d_k = det C_{k+1} / det C_k visit exactly the nested blocks), so a
-    response that passes here never makes the inversion refuse and vice
-    versa.  One O(T^2) sweep decides.  When the sweep runs to the end, its
-    pivots are the diagnostics: `scaled_pivots` (equal to the inversion's)
-    and their smallest modulus `min_scaled_pivot`.  The smallest singular
-    values of the nested blocks are a separate O(T^4) call,
-    `nested_min_singular_values`.  Non-numbers are refused; a non-finite entry
-    is a singular block, so it makes the response inadmissible.
+    The mode is the data's, as in `invert_factorization`: real mode asks for
+    C^T positive definite, complex mode for every nested block C^{T-k}
+    invertible.  The verdict is `_admit`'s, so the inversion raises exactly
+    where this is inadmissible, with this detail.  One O(T^2) sweep decides;
+    when it runs to the end its pivots are the diagnostics, `scaled_pivots`
+    (the inversion's) and their smallest modulus `min_scaled_pivot`.  A
+    non-finite entry is a singular block, so it is inadmissible.  The nested
+    blocks' smallest singular values are `nested_min_singular_values`, O(T^4).
     """
-    r = _as_numbers(r.r if isinstance(r, ResponseVector) else r, "response", real=False)
-    _require_horizon(r, T)
-    if mode == "real":
-        if np.iscomplexobj(r) and np.any(r.imag != 0):
-            return CharacterizationResult(False, mode, "complex entries in real mode")
-        if r[0].real <= 0:
-            return CharacterizationResult(False, mode, "r_0 = a_0 is not positive")
-        rn = r.real / r[0].real
-    elif mode == "complex":
-        if r[0] == 0:
-            return CharacterizationResult(False, mode, "r_0 = a_0 vanishes")
-        rn = r.astype(complex) / r[0]
-    else:
-        raise InvalidInputError(f"unknown mode {mode!r}")
-    _, _, ds, refusal = _chebyshev_sweep(rn, T)
-    if refusal is not None:
-        return CharacterizationResult(False, mode, refusal)
-    diag = {"scaled_pivots": ds, "min_scaled_pivot": float(np.min(np.abs(ds)))}
-    if mode == "complex":
-        return CharacterizationResult(True, mode, "all nested blocks are isomorphisms", diag)
-    if np.any(ds.real <= 0):
-        return CharacterizationResult(False, mode, "C^T is not positive definite", diag)
-    return CharacterizationResult(True, mode, "C^T positive definite", diag)
+    return _admit(_as_numbers(r.r if isinstance(r, ResponseVector) else r, "response", real=False), T)[0]
 
 
 def nested_min_singular_values(r, T: int) -> np.ndarray:
@@ -321,17 +306,19 @@ class SchrodingerResult:
 
 
 def schrodinger_check(r, T: int, tol: float = 1e-8) -> SchrodingerResult:
-    """Check det C^l = 1, l = 1..T: the discrete Schroedinger (a_k = 1) case."""
+    """Check det C^l = 1, l = 1..T: the discrete Schroedinger (a_k = 1) case.
+
+    Fails on r_0 != 1 first, then with the detail of an inadmissible verdict.
+    """
     r = _as_response(r)
-    _require_horizon(r, T)
+    verdict, _, d = _admit(r, T)
     if abs(r[0] - 1.0) > tol:
         return SchrodingerResult(False, np.zeros(0), "r_0 != 1")
-    _, d, ds, refusal = _chebyshev_sweep(r, T)
-    if refusal is not None:
-        return SchrodingerResult(False, np.zeros(0), "a leading block is singular")
+    if not verdict.admissible:
+        return SchrodingerResult(False, np.zeros(0), verdict.detail)
     # the sweep's pivots are those of C(r / r_0) = C(r) / r_0^2
-    dets = np.cumprod(r[0] ** 2 * d).real
-    ok = bool(np.all(np.abs(dets - 1.0) <= tol)) and bool(np.all(ds.real > 0))
+    dets = np.cumprod(r[0] ** 2 * d)
+    ok = bool(np.all(np.abs(dets - 1.0) <= tol))
     detail = "all leading minors equal 1" if ok else "det C^l deviates from 1"
     return SchrodingerResult(ok, dets, detail)
 

@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 from .core import JacobiSpec, SpectralMeasure, _as_finite, _at_zero, _require_size, spectral_measure
 from .discrete_wave import connecting_from_response, _as_response
 from .errors import InvalidInputError, NotRealizableError, SingularBlockError
-from .inverse_bc import _chebyshev_sweep
+from .inverse_bc import _admit, _chebyshev_sweep
 
 __all__ = [
     "HankelPair",
@@ -189,11 +189,12 @@ def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
 def truncated_moment_naive(s, N: int, extension=None):
     """Measure of the order-N truncated problem through matrix recovery.
 
-    s -> r -> modified Chebyshev sweep -> A^N -> eigensolve -> measure.  The
-    last diagonal entry b_N is read off s_{2N-1} when available (paths
-    touching b_N first appear in that moment) and taken as 0 otherwise.
-    `extension` may supply extra (a_k, b_k) pairs appended before the
-    eigensolve, realizing the arbitrary-extension step of the procedure.
+    s -> r -> modified Chebyshev sweep -> A^N -> eigensolve -> measure, refused
+    (`SingularBlockError`) with the detail of `characterize` where that finds
+    r = Lambda (s / s_0) inadmissible.  The last diagonal entry b_N is read off
+    s_{2N-1} when available (paths touching b_N first appear in that moment)
+    and taken as 0 otherwise.  `extension` may supply extra (a_k, b_k) pairs
+    appended before the eigensolve, the arbitrary-extension step.
 
     Returns (spec, measure); the measure weights carry the total mass s_0.
     """
@@ -204,11 +205,9 @@ def truncated_moment_naive(s, N: int, extension=None):
         raise NotRealizableError("s_0 must be positive")
     mass = s[0]
     sn = s / mass
-    b_rec, d, _, refusal = _chebyshev_sweep(moments_to_response(sn[: 2 * N]), N)
-    if refusal is not None:
-        raise SingularBlockError(refusal)
-    if np.any(d <= 0):
-        raise SingularBlockError("C_T is not positive definite: data is not a response vector")
+    verdict, b_rec, d = _admit(moments_to_response(sn[: 2 * N]), N)
+    if not verdict.admissible:
+        raise SingularBlockError(verdict.detail)
     a_full = np.sqrt(d[1:] / d[:-1])
     b_full = np.concatenate([b_rec, np.zeros(N - b_rec.size)])
     if extension is not None:
@@ -303,9 +302,9 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
     # C^N scales with r_0 = s_0, so at s_0 = 0 no nested block is invertible
     b, d = (r[:0], r[:0]) if s[0] == 0 else _chebyshev_sweep(r, N_max)[:2]
     depth = d.size
-    p, dp, q = _at_zero(b, d[1:] / d[:-1], depth)
+    p, dp, q, e = _at_zero(b, d[1:] / d[:-1], depth)
     forms = np.full((2, N_max), np.inf)
-    forms[:, :depth] = np.cumsum(np.array([p, dp]) ** 2 / (s[0] ** 2 * d), axis=1)
+    forms[:, :depth] = np.cumsum(np.ldexp(np.array([p, dp]) ** 2 / (s[0] ** 2 * d), 2 * e), axis=1)
     gamma_form, delta_form = forms
     l_seq = np.full(N_max, np.nan)
     nz = np.flatnonzero(p)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec, chebyshev_values, eig_spectral_data
+from .core import JacobiSpec, _as_finite, chebyshev_values, eig_spectral_data
 from .discrete_wave import _as_response, connecting_from_response, reverse_order
 from .errors import BCError, InvalidInputError, PoleError
 from .inverse_bc import _leading_eigvalsh
@@ -29,6 +29,8 @@ __all__ = [
     "debranges_inner",
     "beta_sequences",
 ]
+
+_WINDOW = 10  # trailing response entries whose largest modulus bounds the series tail
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class DeBrangesElement:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs)))
+        object.__setattr__(self, "coeffs", _as_finite(self.coeffs, "coefficients", real=False))
 
     @property
     def T(self) -> int:
@@ -109,24 +111,18 @@ def weyl_resolvent(spec: JacobiSpec | None, lam, kind: str = "finite") -> comple
     return complex(np.sum(w / (data.eigenvalues - lam)))
 
 
-def weyl_series(
-    r,
-    lam,
-    tol: float = 1e-10,
-    coeff_bound: float | None = None,
-    window: int = 10,
-) -> WeylEvaluation:
+def weyl_series(r, lam, tol: float = 1e-10, coeff_bound: float | None = None) -> WeylEvaluation:
     """m(lambda) = -sum_t z^{t+1} r_t with adaptive truncation.
 
     The extra factor of z against the flat power series is forced by the
     Chebyshev generating function: 1/(x - lambda) = -z / (1 - x z + z^2), so
     the sum reproduces the resolvent (the free system r = (1, 0, ...) then
     gives exactly m_0 = -z).  Terms are added until the geometric tail bound
-    |z|^{t+2}/(1-|z|) * max_recent |r| falls under tol; the running max over a
-    trailing window stands in for the unknown coefficient bound.  Raises when
-    |z| >= 1 (no convergence) or when the data runs out first.  The domain
-    flag is only computed when the generating spec's coefficient bound is
-    supplied.
+    |z|^{t+2}/(1-|z|) * max_recent |r| falls under tol; the running max over
+    the last `_WINDOW` entries stands in for the unknown coefficient bound.
+    Raises when |z| >= 1 (no convergence) or when the data runs out first.
+    The domain flag is only computed when the generating spec's coefficient
+    bound is supplied.
     """
     rv = _as_response(r)
     lam = complex(lam)
@@ -137,11 +133,10 @@ def weyl_series(
     flag = in_domain_D(lam, coeff_bound) if coeff_bound is not None else None
     total = 0.0 + 0.0j
     zt = z
-    recent = 0.0
     for t in range(rv.size):
         total += zt * rv[t]
         zt *= z
-        recent = max(np.abs(rv[max(0, t - window + 1) : t + 1]).max(), 1e-300)
+        recent = max(np.abs(rv[max(0, t - _WINDOW + 1) : t + 1]).max(), 1e-300)
         if abs(zt) / (1.0 - az) * recent < tol:
             return WeylEvaluation(
                 lam=lam, z=z, m_resolvent=None, m_series=-total,
@@ -173,7 +168,7 @@ def debranges_kernel(C_T: np.ndarray, z, T: int) -> DeBrangesElement:
     moderately ill-conditioned C_T.  The kernel function is
     J_z(lambda) = sum_k T_k(lambda) j_k.
     """
-    C_T = np.asarray(C_T)
+    C_T = _as_finite(C_T, "C_T", real=False)
     if C_T.shape != (T, T):
         raise InvalidInputError("C_T must be T x T")
     rhs = np.conj(chebyshev_values(T, complex(z))[1:])
@@ -186,7 +181,7 @@ def debranges_kernel_hankel(S_T: np.ndarray, z, T: int) -> np.ndarray:
     S_T is the classical Hankel matrix; the solution relates to the Chebyshev
     form by f = Lambda_T^t j, and J_z(lambda) = sum_k f_k lambda^k.
     """
-    S_T = np.asarray(S_T)
+    S_T = _as_finite(S_T, "S_T", real=False)
     if S_T.shape != (T, T):
         raise InvalidInputError("S_T must be T x T")
     zc = np.conj(complex(z))
@@ -199,7 +194,7 @@ def debranges_inner(C_T: np.ndarray, F: DeBrangesElement, G: DeBrangesElement):
     Equals the quadrature sum w_k conj(F(lambda_k)) G(lambda_k) against the
     associated spectral measure.
     """
-    C_T = np.asarray(C_T)
+    C_T = _as_finite(C_T, "C_T", real=False)
     if F.T != G.T or C_T.shape != (F.T, F.T):
         raise InvalidInputError("dimension mismatch")
     return np.vdot(C_T @ F.coeffs, G.coeffs)

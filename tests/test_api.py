@@ -49,6 +49,28 @@ def test_every_raise_names_a_bcerror():
     assert offenders == []
 
 
+def _callers(node, name, func=None):
+    """Enclosing function of each call to `name` (plain or attribute) under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _callers(child, name, child.name)
+            continue
+        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+            yield func
+        yield from _callers(child, name, func)
+
+
+def test_one_admissibility_decision():
+    """Every verdict on a discrete response comes from `inverse_bc._admit`: only it
+    and `indeterminacy_sequences`, which cuts rather than refuses, run the sweep."""
+    callers = sorted(
+        f"{path.stem}.{func}"
+        for path in Path(bcjacobi.__file__).parent.glob("*.py")
+        for func in _callers(ast.parse(path.read_text()), "_chebyshev_sweep")
+    )
+    assert callers == ["inverse_bc._admit", "moments.indeterminacy_sequences"]
+
+
 def test_import_does_not_load_scipy_signal():
     """`scipy.signal` costs ~0.4 s to import; the FFT kernel apply uses numpy.fft."""
     src = str(Path(bcjacobi.__file__).resolve().parents[1])

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -284,14 +285,41 @@ def test_alpha_star_partials_free():
     assert seq[0] == 0.0  # q_1 = 0
 
 
+LONG_BLOCKS = [
+    random_spec(3000, np.random.default_rng(1)),
+    JacobiSpec(1.0, np.full(1999, 2.0), np.full(2000, 0.3)),
+    JacobiSpec(1.0, np.full(1999, 0.5), np.full(2000, 0.3)),
+]
+
+
 def test_alpha_star_partials_matches_phi_loop():
     # the monic recurrence against the phi-normalized loop it replaced, away
     # from the zeros of p where the quotient carries no digits
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = int(rng.integers(1, 40))
-        spec = random_spec(n, rng)
-        ref, p = phi_alpha_star(spec, n)
+    specs = [random_spec(int(rng.integers(1, 40)), rng) for _ in range(20)]
+    specs += LONG_BLOCKS[1:]  # the phi loop itself is 1.3e-12 off on LONG_BLOCKS[0]
+    for spec in specs:
+        ref, p = phi_alpha_star(spec, spec.n)
         got = alpha_star_partials(spec)
         ok = np.abs(p) >= 1e-8
+        assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-12 * np.abs(ref[ok]))
+
+
+def test_alpha_star_partials_stay_finite_on_long_blocks():
+    # the monic values grow or shrink like a_1 ... a_k and leave the float
+    # range on these blocks unless rescaled (176, 974 and 925 entries were not
+    # finite).  Reference: the same recurrence in 50 digits, compared where
+    # the phi loop's p clears 1e-8 as above
+    for spec in LONG_BLOCKS:
+        got = alpha_star_partials(spec)
+        assert np.all(np.isfinite(got))
+        with mpmath.workdps(50):
+            b = [mpmath.mpf(x) for x in spec.b]
+            a_sq = [mpmath.mpf(x) ** 2 for x in spec.a]
+            p, q = [mpmath.mpf(1), -b[0]], [mpmath.mpf(0), mpmath.mpf(1)]
+            for k in range(1, spec.n - 1):
+                p.append(-b[k] * p[k] - a_sq[k - 1] * p[k - 1])
+                q.append(-b[k] * q[k] - a_sq[k - 1] * q[k - 1])
+            ref = np.array([float(-qk / pk) for pk, qk in zip(p, q)])
+        ok = np.abs(phi_alpha_star(spec, spec.n)[1]) >= 1e-8
         assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-12 * np.abs(ref[ok]))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bcjacobi.core import JacobiSpec, chebyshev_values, free_spec, random_spec
 from bcjacobi.discrete_wave import (
+    ResponseVector,
     connecting_from_response,
     control_matrix,
     response_vector,
@@ -181,7 +182,7 @@ def test_characterize_free_admissible():
 
 
 def test_characterize_complex_counterexample():
-    res = characterize(np.array([1.0, 1, 0, 0, -1]), 3, mode="complex")
+    res = characterize(ResponseVector([1.0, 1, 0, 0, -1], mode="complex"), 3)
     assert not res.admissible
 
 
@@ -232,6 +233,14 @@ def test_schrodinger_detects_nonunit_a():
     spec = JacobiSpec(a0=1.0, a=[1.6, 0.7, 1.2], b=rng.uniform(-1, 1, 4))
     r = response_vector(spec, 7)
     assert not schrodinger_check(r, 4).passes
+
+
+def test_schrodinger_compares_complex_minors():
+    # det C^2 = a_1^2 = 1 + 0.5j; comparing real parts alone used to pass it
+    spec = JacobiSpec(a0=1.0, a=[np.sqrt(1 + 0.5j)], b=[0.2, 0.0], mode="complex")
+    res = schrodinger_check(response_vector(spec, 3), 2)
+    assert not res.passes and res.detail == "det C^l deviates from 1"
+    assert res.determinants[1] == pytest.approx(1 + 0.5j, abs=1e-12)
 
 
 def test_schrodinger_even_entry_dependence():
@@ -286,6 +295,56 @@ def test_characterize_agrees_with_inversion():
             assert characterize(r, T).admissible == inverts, (seed, T)
 
 
+def _assert_one_decision(r, T):
+    """invert_factorization refuses exactly where characterize is inadmissible, with its detail."""
+    verdict = characterize(r, T)
+    try:
+        invert_factorization(r, T)
+    except SingularBlockError as exc:
+        assert not verdict.admissible and str(exc) == verdict.detail, (T, verdict.detail)
+    else:
+        assert verdict.admissible, (T, verdict.detail)
+    return verdict
+
+
+def test_inversion_refuses_with_the_verdict_of_characterize():
+    # the family of test_characterize_agrees_with_inversion, now with the message
+    refused = 0
+    for T in (22, 24):
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            spec = random_spec(T, rng, a0=rng.uniform(0.3, 3.0))
+            refused += not _assert_one_decision(response_vector(spec, 2 * T - 1), T).admissible
+    assert 0 < refused < 800
+
+
+def test_complex_responses_are_judged_in_complex_mode():
+    # characterize used to default to real mode and call these inadmissible
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        n = int(rng.integers(2, 14))
+        r = response_vector(_complex_spec(n, rng), 2 * n - 1)
+        verdict = _assert_one_decision(r, n)
+        assert verdict.admissible and verdict.mode == "complex"
+        assert characterize(r.r, n).mode == "complex"  # raw complex entries too
+
+
+@pytest.mark.parametrize("r, T, detail", [
+    (ResponseVector([-1.0, 0.0, 1.0]), 2, "r_0 = a_0 is not positive"),
+    (ResponseVector([0.0, 1.0, 0.0], mode="complex"), 2, "r_0 = a_0 vanishes"),
+    (ResponseVector([1.0, 10.0, 0.0]), 2, "C^T is not positive definite"),
+    (ResponseVector([1.0, 10.0, 0.0], mode="complex"), 2, "all nested blocks are isomorphisms"),
+    (ResponseVector([1.0, 1, 0, 0, -1]), 3, "leading block C_2 is not invertible"),
+    (ResponseVector([1.0, 1, 0, 0, -1], mode="complex"), 3, "leading block C_2 is not invertible"),
+])
+def test_one_decision_on_hand_made_data(r, T, detail):
+    verdict = _assert_one_decision(r, T)
+    assert verdict.detail.startswith(detail)
+    if r.r[0] == 1 and not verdict.admissible:  # past its own r_0 = 1 test, the verdict decides
+        checked = schrodinger_check(r, T)
+        assert not checked.passes and checked.detail == verdict.detail
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_characterize_refuses_non_finite_entries(bad):
     res = characterize(np.array([1.0, bad, 1.0]), 2)
@@ -308,7 +367,7 @@ def test_characterize_complex_valid_response():
     b = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
     spec = JacobiSpec(a0=1.0 + 0.1j, a=a, b=b, mode="complex")
     r = response_vector(spec, 2 * n - 1)
-    assert characterize(r, n, mode="complex").admissible
+    assert characterize(r, n).admissible
 
 
 def _complex_spec(n, rng):
@@ -453,7 +512,7 @@ def test_characterize_pivots_equal_inversion_pivots(mode):
         n = int(rng.integers(1, 14))
         spec = random_spec(n, rng) if mode == "real" else _complex_spec(n, rng)
         r = response_vector(spec, 2 * n - 1)
-        diag = characterize(r, n, mode=mode).diagnostics
+        diag = characterize(r, n).diagnostics
         ds = invert_factorization(r, n).scaled_pivots
         assert np.array_equal(diag["scaled_pivots"], ds)
         assert diag["min_scaled_pivot"] == np.min(np.abs(ds)) > 0

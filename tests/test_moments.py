@@ -12,9 +12,9 @@ from bcjacobi.core import (
     spectral_measure,
 )
 from bcjacobi.discrete_wave import connecting_from_response, reverse_order
-from bcjacobi.errors import InvalidInputError, NotRealizableError
+from bcjacobi.errors import InvalidInputError, NotRealizableError, SingularBlockError
 from bcjacobi.heat import heat_response
-from bcjacobi.inverse_bc import invert_factorization
+from bcjacobi.inverse_bc import characterize, invert_factorization
 from bcjacobi.moments import (
     build_B,
     build_hankel_pair,
@@ -233,6 +233,19 @@ def test_truncated_respects_mass():
 def test_truncated_rejects_indefinite():
     with pytest.raises(NotRealizableError):
         truncated_moment_spectral([1.0, 0.0, -1.0], 2)  # s_2 < 0 impossible
+
+
+@pytest.mark.parametrize("s, N", [
+    ([2.0, 0.0, -1.0, 0.0, 1.0], 3),  # s_2 < 0: C^T is not positive definite
+    (moments_of_measure(SpectralMeasure(((-0.5, 1.0), (0.8, 2.0))), 5), 3),  # two atoms, C_3 singular
+])
+def test_truncated_naive_refuses_with_the_verdict_of_characterize(s, N):
+    s = np.asarray(s)
+    verdict = characterize(moments_to_response(s / s[0]), N)
+    assert not verdict.admissible
+    with pytest.raises(SingularBlockError) as exc:
+        truncated_moment_naive(s, N)
+    assert str(exc.value) == verdict.detail
 
 
 def test_truncated_naive_extension():

@@ -3,7 +3,7 @@ import pytest
 
 from bcjacobi.core import JacobiSpec, free_spec, moments_of_measure, phi_eval, random_spec
 from bcjacobi.discrete_wave import connecting_from_response, response_vector, reverse_order
-from bcjacobi.errors import BCError, PoleError
+from bcjacobi.errors import BCError, InvalidInputError, PoleError
 from bcjacobi.moments import lambda_matrix
 from bcjacobi.weyl_debranges import (
     DeBrangesElement,
@@ -221,6 +221,34 @@ def test_kernels_reject_singular_matrix():
         debranges_kernel(np.zeros((3, 3)), 0.2j, 3)
     with pytest.raises(BCError, match="S_T is singular"):
         debranges_kernel_hankel(np.ones((3, 3)), 0.2j, 3)
+
+
+DEBRANGES_ENTRY_POINTS = {
+    "debranges_kernel": lambda M: debranges_kernel(M, 0.2j, 2),
+    "debranges_kernel_hankel": lambda M: debranges_kernel_hankel(M, 0.2j, 2),
+    "debranges_inner": lambda M: debranges_inner(M, DeBrangesElement([1.0, 0.5]), DeBrangesElement([0.5j, 1.0])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEBRANGES_ENTRY_POINTS))
+def test_debranges_entry_points_refuse_malformed_matrices(entry):
+    # a NaN matrix used to give NaN coefficients silently, a string one numpy's UFuncTypeError
+    call = DEBRANGES_ENTRY_POINTS[entry]
+    call(np.array([[2.0, 0.5j], [0.5j, 1.0]]))  # complex matrices stay allowed
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="_T must be finite"):
+            call(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(InvalidInputError, match="_T must be numbers"):
+        call([["1", "a"], ["a", "1"]])
+
+
+def test_debranges_element_refuses_malformed_coefficients():
+    # a bare ValueError used to end the first evaluation
+    with pytest.raises(InvalidInputError, match="coefficients must be numbers"):
+        DeBrangesElement(["x", "y"])
+    with pytest.raises(InvalidInputError, match="coefficients must be finite"):
+        DeBrangesElement([1.0, np.nan])
+    assert DeBrangesElement([1, 2j])(0.5) == 1 + 1j  # T_1 = 1, T_2 = lambda
 
 
 def test_beta_sequences_free():
