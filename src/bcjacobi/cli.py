@@ -11,10 +11,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import platform
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
+import scipy
 
 from . import continuous_time as ct
 from .core import JacobiSpec, _coeff_gap, _json_int, _json_number, _json_pair, free_spec, random_spec, spectral_measure
@@ -118,17 +121,31 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     """Execute one named pipeline; returns the artifact manifest.
 
     A malformed config raises `InvalidInputError` before any file is written.
+    The manifest's "timings" split the run's wall time into writing the
+    files it lists (formatting included) and the rest; "versions" names the
+    python, numpy and scipy that produced them.
     """
+    start = perf_counter()
     command = _arg(config, "command", "str")
     rng = np.random.default_rng(_arg(config, "seed", "int", 0, low=0))
     out_dir.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
     summary: dict = {}
+    write_s = 0.0
+
+    def emit(name: str, lines) -> None:
+        nonlocal write_s
+        t = perf_counter()
+        with open(out_dir / name, "w") as fh:
+            fh.writelines(lines)
+        write_s += perf_counter() - t
+        files.append(name)
 
     def emit_csv(name: str, header: list, columns) -> None:
-        with open(out_dir / name, "w") as fh:
-            fh.writelines(_csv_lines(header, columns))
-        files.append(name)
+        emit(name, _csv_lines(header, columns))
+
+    def emit_json(name: str, obj, sort_keys: bool = False) -> None:
+        emit(name, [json.dumps(obj, indent=2, sort_keys=sort_keys)])
 
     if command == "forward":
         T = _arg(config, "T", "int")
@@ -168,8 +185,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         }
         if rep.a_sq is not None:
             report["a_squared"] = [_fmt(x) for x in rep.a_sq]
-        (out_dir / "inversion.json").write_text(json.dumps(report, indent=2))
-        files.append("inversion.json")
+        emit_json("inversion.json", report)
         summary["residual"] = rep.residual
         summary["min_scaled_pivot"] = rep.min_scaled_pivot
 
@@ -242,8 +258,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         result["z"] = [ev.z.real, ev.z.imag]
         result["truncation"] = ev.truncation
         result["in_domain_D"] = ev.in_domain_D
-        (out_dir / "weyl.json").write_text(json.dumps(result, indent=2))
-        files.append("weyl.json")
+        emit_json("weyl.json", result)
         summary["truncation"] = ev.truncation
 
     elif command == "string":
@@ -321,9 +336,15 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         raise InvalidInputError(f"unknown command {command!r}")
 
     cfg_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
-    sidecar = {"config": config, "config_sha256": cfg_hash}
-    (out_dir / "metadata.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-    manifest = {"command": command, "files": files + ["metadata.json"], "summary": summary}
+    emit_json("metadata.json", {"config": config, "config_sha256": cfg_hash}, sort_keys=True)
+    total_s = perf_counter() - start  # the manifest cannot time its own write
+    manifest = {
+        "command": command,
+        "files": files,
+        "summary": summary,
+        "timings": {"total_s": total_s, "write_s": write_s, "compute_s": total_s - write_s},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
+    }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.linalg import hankel, toeplitz
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -234,6 +233,28 @@ def _simpson_weights(j: int, dt: float) -> np.ndarray:
     return w
 
 
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """int_{t_0}^{t_j} y for j = 1..n-1 on n >= 3 equally spaced samples, by
+    scipy.integrate.cumulative_simpson's equal-interval rule, operation for
+    operation, so the result is bit-identical to it (and scipy.integrate,
+    with the ~200 modules it imports, stays out of the package).
+
+    Each interval's integral is the quadratic through it and its right
+    neighbour, dx/3 (5 f_1/4 + 2 f_2 - f_3/4), or through its left neighbour,
+    the same on the reversed samples; even intervals take the first, odd ones
+    and the last one the second, and one cumulative sum adds them up.
+    """
+    def intervals(f):
+        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    left, right = intervals(y), intervals(y[::-1])[::-1]
+    sub = np.empty(y.size - 1)
+    sub[:-1:2] = left[::2]
+    sub[1::2] = right[::2]
+    sub[-1] = right[-1]
+    return np.cumsum(sub)
+
+
 def _simpson_convolution(f: np.ndarray, k: np.ndarray, dt: float) -> np.ndarray:
     """c_j = int_0^{t_j} f(tau) k(t_j - tau) dtau by `_simpson_weights(j, dt)`
     for every j: one direct (not FFT, so each entry rounds like one dot
@@ -277,6 +298,8 @@ def response_function(spec: JacobiSpec, grid: TimeGrid) -> ResponseFunctionSampl
 
 def _require_doubled(r: ResponseFunctionSamples, grid: TimeGrid) -> None:
     """Refuse samples of r that do not cover [0, 2T] with the spacing of `grid`."""
+    if not (isinstance(r, ResponseFunctionSamples) and isinstance(grid, TimeGrid)):
+        raise InvalidInputError("need ResponseFunctionSamples of r and a TimeGrid")
     if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
         raise InvalidInputError("response must be sampled on [0, 2T] with the grid spacing")
 
@@ -358,8 +381,8 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
 
     Returns (spec, controls) with controls[n] the recovered f_{n+1} samples.
     """
-    if N < 1:
-        raise InvalidInputError(f"need N >= 1, got {N}")
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise InvalidInputError(f"need an integer N >= 1, got {N!r}")
     _require_doubled(r, grid)
     M = grid.M
     if N > M:
@@ -372,7 +395,7 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     # fourth-order antiderivative and quadrature weights: the recovery divides
     # by eigenvalue N of the kernel, so the O(dt^2) trapezoid budget of
     # connecting_dynamic would be amplified past the coefficient tolerance
-    P = np.concatenate([[0.0], cumulative_simpson(r.values, dx=grid.dt)])
+    P = np.concatenate([[0.0], _cumulative_simpson(r.values, grid.dt)])
     w = grid.simpson_weights
     sw = np.sqrt(w)
     op = LinearOperator((M + 1, M + 1), dtype=float,
@@ -387,7 +410,7 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     sig, U = sig[::-1], U[:, ::-1]
     # Richardson estimate of P's error (order 4, step 2 dt against dt); T times
     # it bounds the norm of the kernel's quadrature perturbation
-    P2 = np.concatenate([[0.0], cumulative_simpson(r.values[::2], dx=2.0 * grid.dt)])
+    P2 = np.concatenate([[0.0], _cumulative_simpson(r.values[::2], 2.0 * grid.dt)])
     floor = max(1e-8 * sig[0], grid.T * float(np.max(np.abs(P[::2] - P2))) / 15.0)
     if sig[N - 1] <= floor:
         # mode N is below the floor, so every mode above it is among the N computed
@@ -480,7 +503,10 @@ def triangular_bump(grid: TimeGrid, width: float | None = None) -> np.ndarray:
 
 
 def gauss_test_function(center: float, sigma: float):
-    """Unit-mass Gaussian test function psi and its derivative."""
+    """Unit-mass Gaussian test function psi and its derivative; sigma > 0."""
+    center, sigma = _finite_scalar(center, "center"), _finite_scalar(sigma, "sigma")
+    if sigma <= 0:
+        raise InvalidInputError(f"need sigma > 0, got {sigma}")
     norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
 
     def psi(x):
@@ -495,7 +521,11 @@ def gauss_test_function(center: float, sigma: float):
 
 
 def poly_bump_test_function(center: float, width: float):
-    """Compactly supported C^2 polynomial bump (1 - y^2)^3 on |y| <= 1, unit mass."""
+    """Compactly supported C^2 polynomial bump (1 - y^2)^3 on |y| <= 1, unit
+    mass; y = (x - center) / width with width > 0."""
+    center, width = _finite_scalar(center, "center"), _finite_scalar(width, "width")
+    if width <= 0:
+        raise InvalidInputError(f"need width > 0, got {width}")
     norm = 35.0 / (32.0 * width)  # int (1 - y^2)^3 dy = 32/35
 
     def psi(x):
@@ -509,14 +539,23 @@ def poly_bump_test_function(center: float, width: float):
     return psi, dpsi
 
 
+# each preset's test function and the defaults of every parameter it takes
+_PSI_PRESETS = {
+    "gauss": (gauss_test_function, {"center": 0.45, "sigma": 0.1}),
+    "poly-bump": (poly_bump_test_function, {"center": 0.45, "width": 0.3}),
+}
+
+
 def psi_preset(kind: str, **params):
     """Named presets for pairing experiments: gauss(center, sigma) or
-    poly-bump(center, width)."""
-    if kind == "gauss":
-        return gauss_test_function(params.get("center", 0.45), params.get("sigma", 0.1))
-    if kind == "poly-bump":
-        return poly_bump_test_function(params.get("center", 0.45), params.get("width", 0.3))
-    raise InvalidInputError(f"unknown test function preset {kind!r}")
+    poly-bump(center, width); a parameter the preset does not take is refused."""
+    if kind not in _PSI_PRESETS:
+        raise InvalidInputError(f"unknown test function preset {kind!r}")
+    make, defaults = _PSI_PRESETS[kind]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise InvalidInputError(f"the {kind!r} preset takes no {', '.join(unknown)}")
+    return make(**{**defaults, **params})
 
 
 def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | None = None) -> dict:

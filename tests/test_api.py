@@ -81,3 +81,20 @@ def test_import_does_not_load_scipy_signal():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_only_scipy_linalg_and_sparse():
+    """`scipy.integrate` alone pulled in ~200 modules (optimize, special, fft, ...)
+    and ~0.25 s of every process's start; no code of the package needs them."""
+    src = str(Path(bcjacobi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = (
+        "import sys, scipy, bcjacobi.cli\n"
+        "absent = ['scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.fft', 'scipy.stats']\n"
+        "loaded = [m for m in absent if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "print(sorted(p for p in scipy.__all__ if 'scipy.' + p in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['linalg', 'sparse']"

@@ -1,11 +1,13 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import bcjacobi
 from bcjacobi.cli import _csv_lines, _fmt, main, run_scenario
@@ -26,6 +28,19 @@ def test_response_scenario(tmp_path):
     assert (tmp_path / "metadata.json").exists()
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert "config_sha256" in meta
+
+
+def test_manifest_records_timings_and_versions(tmp_path):
+    config = {"command": "invert", "r": [1.0, 0.0, 1.0], "T": 2}
+    manifest = run_scenario(config, tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
+    assert manifest["files"] == ["inversion.json", "metadata.json"]
+    timings = manifest["timings"]
+    assert set(timings) == {"total_s", "write_s", "compute_s"}
+    assert 0 < timings["write_s"] <= timings["total_s"]
+    assert timings["compute_s"] == timings["total_s"] - timings["write_s"]
+    assert manifest["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                    "scipy": scipy.__version__}
 
 
 def test_roundtrip_scenario(tmp_path):
@@ -358,6 +373,13 @@ MALFORMED = {
     "invert-real-pair": {"command": "invert", "r": [1.0, [0.0, 1.0], 1.0], "T": 2},
     "graph-control-string": {"command": "graph", "graph": PATH_GRAPH, "T": 2, "controls": {"in": "010"}},
     "string-psi-center-string": {"command": "string", "N_values": [25], "psi": {"center": "x"}},
+    # degenerate test functions used to give NaN (and a manifest that is not JSON) or mass -1
+    "string-gauss-sigma-zero": {"command": "string", "N_values": [10, 20], "psi": {"kind": "gauss", "sigma": 0}},
+    "string-gauss-sigma-negative": {"command": "string", "N_values": [10, 20],
+                                    "psi": {"kind": "gauss", "sigma": -0.1}},
+    "string-poly-bump-width-negative": {"command": "string", "N_values": [10, 20],
+                                        "psi": {"kind": "poly-bump", "width": -0.3}},
+    "string-gauss-width": {"command": "string", "N_values": [10, 20], "psi": {"kind": "gauss", "width": 0.3}},
     # nested spec and graph JSON is type-checked, not converted
     "graph-n_interior-float": {"command": "graph", "T": 3, "graph": {
         **PATH_GRAPH, "edges": [{**PATH_GRAPH["edges"][0], "n_interior": 2.7}]}},

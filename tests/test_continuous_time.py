@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_simpson
 
 from bcjacobi.continuous_time import (
     ResponseFunctionSamples,
     StringSpec,
     TimeGrid,
+    _cumulative_simpson,
     _derivative,
     _GridKernels,
     _kernel_apply,
@@ -15,6 +19,8 @@ from bcjacobi.continuous_time import (
     connecting_spectral,
     corrected_response,
     gauss_test_function,
+    poly_bump_test_function,
+    psi_preset,
     recover_matrix_continuous,
     response_function,
     solve_second_order,
@@ -660,3 +666,64 @@ def test_corrected_response_refuses_non_finite_field_time(t_star):
 def test_string_spec_refuses_complex_and_non_finite(masses, lengths, match):
     with pytest.raises(InvalidInputError, match=match):
         StringSpec(masses=masses, lengths=lengths)
+
+
+@settings(max_examples=200)
+@given(arrays(float, st.integers(3, 400), elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_cumulative_simpson_bit_identical_to_scipy(y, dx):
+    # the same operations in the same order: equal bits, and NaN (from an
+    # overflow to inf - inf) at the same places
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(_cumulative_simpson(y, dx), cumulative_simpson(y, dx=dx), equal_nan=True)
+
+
+def test_cumulative_simpson_bit_identical_on_the_recovery_grids():
+    # the antiderivative and its Richardson partner, as recover_matrix_continuous takes them
+    spec = string_family(6, np.random.default_rng(69))
+    for M in (3, 4, 5, 50, 400, 1600):
+        grid = TimeGrid(2.0, M)
+        r = response_function(spec, grid.doubled())
+        assert np.array_equal(_cumulative_simpson(r.values, grid.dt), cumulative_simpson(r.values, dx=grid.dt))
+        assert np.array_equal(_cumulative_simpson(r.values[::2], 2.0 * grid.dt),
+                              cumulative_simpson(r.values[::2], dx=2.0 * grid.dt))
+
+
+@pytest.mark.parametrize("N", [2.5, 2.0, True, "2", None])
+def test_recover_refuses_a_non_integer_rank(N):
+    # 2.5 used to pass the N < 1 and N > M checks and end in ARPACK's SystemError
+    grid = TimeGrid(2.0, 40)
+    r = response_function(string_family(2, np.random.default_rng(70)), grid.doubled())
+    with pytest.raises(InvalidInputError, match="N >= 1"):
+        recover_matrix_continuous(r, N, grid)
+
+
+def test_continuous_inverse_refuses_what_is_not_samples_of_r():
+    grid = TimeGrid(2.0, 40)
+    r = response_function(string_family(2, np.random.default_rng(71)), grid.doubled())
+    for call in (lambda: recover_matrix_continuous("abc", 2, grid),
+                 lambda: recover_matrix_continuous(r.values, 2, grid),
+                 lambda: recover_matrix_continuous(r, 2, "abc"),
+                 lambda: connecting_dynamic("abc", grid),
+                 lambda: connecting_dynamic(r, (2.0, 40))):
+        with pytest.raises(InvalidInputError, match="ResponseFunctionSamples"):
+            call()
+
+
+@pytest.mark.parametrize("make, kwargs, match", [
+    (gauss_test_function, {"center": 0.45, "sigma": 0.0}, "sigma > 0"),
+    (gauss_test_function, {"center": 0.45, "sigma": -0.1}, "sigma > 0"),
+    (gauss_test_function, {"center": 0.45, "sigma": np.nan}, "sigma must be finite"),
+    (gauss_test_function, {"center": np.inf, "sigma": 0.1}, "center must be finite"),
+    (gauss_test_function, {"center": "x", "sigma": 0.1}, "center must be"),
+    (poly_bump_test_function, {"center": 0.45, "width": 0.0}, "width > 0"),
+    (poly_bump_test_function, {"center": 0.45, "width": -0.3}, "width > 0"),
+    (poly_bump_test_function, {"center": [0.4, 0.5], "width": 0.3}, "center must be a single number"),
+    (psi_preset, {"kind": "gauss", "width": 0.3}, "takes no width"),
+    (psi_preset, {"kind": "poly-bump", "sigma": 0.1, "scale": 2.0}, "takes no scale, sigma"),
+    (psi_preset, {"kind": "gauss", "sigma": -0.1}, "sigma > 0"),
+])
+def test_test_functions_refuse_degenerate_parameters(make, kwargs, match):
+    # sigma = 0 gave NaN pairings, sigma or width < 0 a test function of mass -1
+    with pytest.raises(InvalidInputError, match=match):
+        make(**kwargs)
