@@ -1,5 +1,11 @@
 """Boundary-control toolkit for discrete dynamical systems with Jacobi matrices."""
 
+import logging
+
+# DEBUG records (discrete-inverse refusals, CLI scenario timings) reach a
+# handler only when the application attaches one
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 from .core import (
     JacobiSpec,
     SpectralData,

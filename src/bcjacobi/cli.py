@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import platform
 import sys
 from pathlib import Path
@@ -30,6 +31,8 @@ from .moments import indeterminacy_sequences, solvability, truncated_moment_naiv
 from .toda import toda_qr_flow, toda_solve
 from .verify import run_checks
 from .weyl_debranges import weyl_resolvent, weyl_series
+
+_log = logging.getLogger(__name__)
 
 
 def _fmt(x) -> str:
@@ -120,7 +123,8 @@ def _spec_from_config(config: dict, rng) -> JacobiSpec:
 def run_scenario(config: dict, out_dir: Path) -> dict:
     """Execute one named pipeline; returns the artifact manifest.
 
-    A malformed config raises `InvalidInputError` before any file is written.
+    A malformed config raises `InvalidInputError` before any file is written,
+    and `out_dir` is only made with the first file.
     The manifest's "timings" split the run's wall time into writing the
     files it lists (formatting included) and the rest; "versions" names the
     python, numpy and scipy that produced them.
@@ -128,7 +132,6 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     start = perf_counter()
     command = _arg(config, "command", "str")
     rng = np.random.default_rng(_arg(config, "seed", "int", 0, low=0))
-    out_dir.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
     summary: dict = {}
     write_s = 0.0
@@ -136,6 +139,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     def emit(name: str, lines) -> None:
         nonlocal write_s
         t = perf_counter()
+        if not files:
+            out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / name, "w") as fh:
             fh.writelines(lines)
         write_s += perf_counter() - t
@@ -346,6 +351,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _log.debug("run_scenario %s: timings %s", command, manifest["timings"])
     return manifest
 
 

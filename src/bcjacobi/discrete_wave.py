@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import JacobiSpec, _as_finite, _require_size
 from .errors import InvalidInputError, NumericalFailureError, SpecTooShortError
@@ -81,11 +82,12 @@ def _step_field(
 ) -> np.ndarray:
     """Run the recurrence on nodes 1..n_active with a zero wall at n_active+1.
 
-    Returns u of shape (n_active + 2, T + 1); row 0 carries the control
-    (f_t for t < T = len(f), 0 at t = T).  order=2 is the wave recurrence;
-    order=1 drops the u_{t-1} term and gives the heat system
-    v_{t+1} = A v_t, which is defined for real blocks only.  Block and control
-    are finite, so a non-finite field is an overflow; it is checked once, at the end.
+    Returns u of shape (n_active + 2, T + 1), the transposed view of a
+    time-major array; row 0 carries the control (f_t for t < T = len(f), 0 at
+    t = T).  order=2 is the wave recurrence; order=1 drops the u_{t-1} term
+    and gives the heat system v_{t+1} = A v_t, which is defined for real
+    blocks only.  Block and control are finite, so a non-finite field is an
+    overflow; it is checked once, at the end.
     """
     if order == 1 and spec.mode != "real":
         raise InvalidInputError("heat stepping is defined for real blocks")
@@ -93,26 +95,27 @@ def _step_field(
     if f.size != T:
         raise InvalidInputError(f"control must have length T = {T}")
     dt = complex if (spec.mode == "complex" or np.iscomplexobj(f)) else float
-    u = np.zeros((n_active + 2, T + 1), dtype=dt)
-    u[0, :T] = f
+    n = n_active
+    u = np.zeros((T + 1, n + 2), dtype=dt)  # each step writes one contiguous row
+    u[:T, 0] = f
     aa = np.concatenate([[spec.a0], spec.a]).astype(dt)  # aa[n] = a_n
-    b = spec.b
-    a_r = np.array([aa[n] if n < aa.size else 0.0 for n in range(1, n_active + 1)], dtype=dt)
-    a_l = aa[0:n_active].astype(dt)
-    b_c = b[0:n_active].astype(dt)
+    a_r = np.zeros(n, dtype=dt)
+    a_r[: aa.size - 1] = aa[1 : n + 1]
+    a_l = aa[0:n]
+    b_c = spec.b[0:n].astype(dt)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
-            prev = u[1 : n_active + 1, t - 1] if order == 2 and t >= 1 else 0.0
-            u[1 : n_active + 1, t + 1] = (
-                a_r * u[2 : n_active + 2, t]
-                + a_l * u[0:n_active, t]
-                + b_c * u[1 : n_active + 1, t]
-                - prev
-            )
+            row, nxt = u[t], u[t + 1, 1 : n + 1]
+            # ((a_r u_{n+1} + a_l u_{n-1}) + b_c u_n) - u_{n,t-1}, the rounding order of the recurrence
+            np.multiply(a_r, row[2:], out=nxt)
+            nxt += a_l * row[:n]
+            nxt += b_c * row[1 : n + 1]
+            if order == 2 and t:
+                nxt -= u[t - 1, 1 : n + 1]
     if not np.all(np.isfinite(u)):
-        t = int(np.argmin(np.all(np.isfinite(u), axis=0)))
+        t = int(np.argmin(np.all(np.isfinite(u), axis=1)))
         raise NumericalFailureError(f"the field overflows the float range at t = {t} of T = {T}")
-    return u
+    return u.T
 
 
 def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
@@ -159,7 +162,8 @@ def response_vector(spec: JacobiSpec, T: int, bc: str = "semi_infinite") -> Resp
         u = _step_field(spec, delta_control(T), T, spec.n)
     else:
         raise InvalidInputError(f"unknown boundary condition {bc!r}")
-    return ResponseVector(r=u[1, 1 : T + 1], mode=spec.mode)
+    # a copy, since a view of node 1 would keep the whole field alive
+    return ResponseVector(r=u[1, 1 : T + 1].copy(), mode=spec.mode)
 
 
 def control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
@@ -196,16 +200,26 @@ def connecting_from_response(r, T: int) -> np.ndarray:
 def _connecting(r: np.ndarray, T: int) -> np.ndarray:
     """`connecting_from_response` on entries already coerced, which may be non-finite."""
     _require_horizon(r, T)
-    # diagonal i - j = m holds the running sums of r_m, r_{m+2}, ..., r_{2T-2-m},
-    # longest first; cumulative sums avoid the cancellation of prefix-sum differences.
-    # The sums run sequentially (error ~ T eps), not pairwise like np.sum, which
-    # trades some accuracy on long diagonals for O(T^2) work; it can shift the
-    # block at which a borderline response is refused.
-    C = np.empty((T, T), dtype=r.dtype)
-    for m in range(T):
-        idx = np.arange(T - m)
-        C[idx + m, idx] = C[idx, idx + m] = np.cumsum(r[m : 2 * T - 1 - m : 2])[::-1]
-    return r[0] * C
+    # Lower diagonal m of the reversed matrix J C J holds the running sums of
+    # r_m, r_{m+2}, ..., r_{2T-2-m}; cumulative sums avoid the cancellation of
+    # prefix-sum differences.  Row m of one cumsum over the strided view
+    # X[m, k] = r_{m+2k} (zero-padded to 3T entries) runs them all, and it is
+    # written through a view stepping down the diagonals of a (2T, T) buffer:
+    # S[m, k] is entry (m + k, k), so the entries past the diagonal's end land
+    # in rows T and beyond.  The sums run sequentially (error ~ T eps), not
+    # pairwise like np.sum, which trades some accuracy on long diagonals for
+    # O(T^2) work; it can shift the block at which a borderline response is refused.
+    x = np.zeros(3 * T, dtype=r.dtype)
+    x[: 2 * T - 1] = r[: 2 * T - 1]
+    item = x.itemsize
+    X = as_strided(x, (T, T), (item, 2 * item), writeable=False)
+    buf = np.empty(2 * T * T, dtype=r.dtype)
+    np.cumsum(X, axis=1, out=as_strided(buf, (T, T), (T * item, (T + 1) * item)))
+    R = buf[: T * T].reshape(T, T)
+    np.copyto(R, R.T, where=~np.tri(T, dtype=bool))
+    # scaling the un-reversed view gives a fresh C-ordered C^T, not a view
+    # that would keep the (2T, T) buffer alive
+    return r[0] * R[::-1, ::-1]
 
 
 def reverse_order(C: np.ndarray) -> np.ndarray:

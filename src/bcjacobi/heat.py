@@ -65,7 +65,7 @@ def heat_response(spec: JacobiSpec, T: int) -> np.ndarray:
     if spec.n < depth:
         raise SpecTooShortError(f"response of length {T} needs block size >= {depth}")
     v = _step_field(spec, delta_control(T), T, depth, order=1)
-    return v[1, 1 : T + 1]
+    return v[1, 1 : T + 1].copy()  # a view would keep the whole field alive
 
 
 def heat_control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:

@@ -14,6 +14,7 @@ without factoring C; raw determinants are only reported as diagnostics.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,6 +30,8 @@ from .discrete_wave import (
     reverse_order,
 )
 from .errors import InvalidInputError, SingularBlockError
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "InversionReport",
@@ -135,7 +138,8 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
     """
     m = r[: 2 * T] / r[0]
     n = m.size
-    # O(T^2) assembly for the refusal scale: the running column maxima of D C_T D
+    # the refusal scale, the running column maxima of D C_T D: an O(T^2) assembly
+    # (one strided cumsum, `_connecting`) and one pass over the triangle
     C = reverse_order(_connecting(m, T))
     diag = np.abs(np.diag(C)).astype(float)
     diag[diag == 0] = 1.0
@@ -183,19 +187,26 @@ def _admit(r: np.ndarray, T: int):
     """
     _require_horizon(r, T)
     mode = "complex" if np.iscomplexobj(r) else "real"
+    b = d = None
     if mode == "real" and r[0] <= 0:
-        return CharacterizationResult(False, mode, "r_0 = a_0 is not positive"), None, None
-    if r[0] == 0:
-        return CharacterizationResult(False, mode, "r_0 = a_0 vanishes"), None, None
-    b, d, ds, refusal = _chebyshev_sweep(r, T)
-    if refusal is not None:
-        return CharacterizationResult(False, mode, refusal), b, d
-    diag = {"scaled_pivots": ds, "min_scaled_pivot": float(np.min(np.abs(ds)))}
-    if mode == "complex":
-        return CharacterizationResult(True, mode, "all nested blocks are isomorphisms", diag), b, d
-    if np.any(ds <= 0):
-        return CharacterizationResult(False, mode, "C^T is not positive definite", diag), b, d
-    return CharacterizationResult(True, mode, "C^T positive definite", diag), b, d
+        verdict = CharacterizationResult(False, mode, "r_0 = a_0 is not positive")
+    elif r[0] == 0:
+        verdict = CharacterizationResult(False, mode, "r_0 = a_0 vanishes")
+    else:
+        b, d, ds, refusal = _chebyshev_sweep(r, T)
+        if refusal is not None:
+            verdict = CharacterizationResult(False, mode, refusal)
+        else:
+            diag = {"scaled_pivots": ds, "min_scaled_pivot": float(np.min(np.abs(ds)))}
+            if mode == "complex":
+                verdict = CharacterizationResult(True, mode, "all nested blocks are isomorphisms", diag)
+            elif np.any(ds <= 0):
+                verdict = CharacterizationResult(False, mode, "C^T is not positive definite", diag)
+            else:
+                verdict = CharacterizationResult(True, mode, "C^T positive definite", diag)
+    if not verdict.admissible:
+        _log.debug("%s response refused at T = %d: %s", mode, T, verdict.detail)
+    return verdict, b, d
 
 
 def invert_factorization(r, T: int) -> InversionReport:

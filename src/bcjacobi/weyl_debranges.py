@@ -8,9 +8,11 @@ the Chebyshev basis, normed by the reversed connecting matrix.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .core import JacobiSpec, _as_finite, chebyshev_values, eig_spectral_data
 from .discrete_wave import _as_response, connecting_from_response, reverse_order
@@ -148,16 +150,24 @@ def weyl_series(r, lam, tol: float = 1e-10, coeff_bound: float | None = None) ->
 
 
 def _refined_solve(A: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
-    """Solve A x = rhs plus one step of iterative refinement.
+    """Solve A x = rhs plus one step of iterative refinement, on one LU of A.
 
     The refinement keeps the residual at rounding level for moderately
-    ill-conditioned A.  A singular A raises BCError naming the matrix.
+    ill-conditioned A.  A real A with a complex right-hand side is solved on
+    the stacked [Re, Im] columns, so A is factored once and in real
+    arithmetic.  An exactly singular A raises BCError naming the matrix.
     """
-    try:
-        x = np.linalg.solve(A, rhs)
-        return x + np.linalg.solve(A, rhs - A @ x)
-    except np.linalg.LinAlgError as exc:
-        raise BCError(f"{name} is singular") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)  # lu_factor's only word on a zero pivot
+        try:
+            lu = lu_factor(A, check_finite=False)
+        except LinAlgWarning as exc:
+            raise BCError(f"{name} is singular") from exc
+    split = not np.iscomplexobj(A) and np.iscomplexobj(rhs)
+    B = np.column_stack([rhs.real, rhs.imag]) if split else rhs
+    X = lu_solve(lu, B, check_finite=False)
+    X = X + lu_solve(lu, B - A @ X, check_finite=False)
+    return X[:, 0] + 1j * X[:, 1] if split else X
 
 
 def debranges_kernel(C_T: np.ndarray, z, T: int) -> DeBrangesElement:

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import platform
 import subprocess
@@ -42,6 +43,14 @@ def test_manifest_records_timings_and_versions(tmp_path):
     assert manifest["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
                                     "scipy": scipy.__version__}
 
+
+
+def test_run_scenario_logs_its_timings(tmp_path, caplog):
+    caplog.set_level(logging.DEBUG, logger="bcjacobi")
+    manifest = run_scenario({"command": "response", "spec": "free", "N": 10, "T": 5}, tmp_path)
+    records = [rec for rec in caplog.records if rec.name == "bcjacobi.cli"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert records[0].getMessage() == f"run_scenario response: timings {manifest['timings']}"
 
 def test_roundtrip_scenario(tmp_path):
     config = {"command": "roundtrip", "seed": 7, "N": 12}
@@ -311,7 +320,7 @@ def test_toda_scenario_rejects_malformed_input(tmp_path, capsys, bad):
 
 
 def _assert_rejected(config, tmp_path, capsys):
-    """A BCError from run_scenario, exit 2 with one error line from main, and no CSV."""
+    """A BCError from run_scenario, exit 2 with one error line from main, and no output directory."""
     with pytest.raises(BCError):
         run_scenario(config, tmp_path / "direct")
     cfg = tmp_path / "cfg.json"
@@ -320,6 +329,7 @@ def _assert_rejected(config, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "direct").exists() and not (tmp_path / "out").exists()
 
 
 FREE = {"spec": "free", "N": 8}

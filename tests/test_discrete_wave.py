@@ -1,11 +1,14 @@
+import connecting_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import stepper_oracle
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcjacobi.core import JacobiSpec, free_spec, random_spec, spectral_measure, chebyshev_values
 from bcjacobi.discrete_wave import (
     ResponseVector,
+    _connecting,
     connecting_from_response,
     control_matrix,
     delta_control,
@@ -15,7 +18,7 @@ from bcjacobi.discrete_wave import (
     solve_semi_infinite,
 )
 from bcjacobi.errors import InvalidInputError, NumericalFailureError, SpecTooShortError
-from bcjacobi.heat import heat_connecting, heat_control_matrix, heat_response
+from bcjacobi.heat import heat_connecting, heat_control_matrix, heat_response, solve_heat
 from bcjacobi.inverse_bc import (
     invert_factorization,
     nested_min_singular_values,
@@ -381,3 +384,80 @@ def test_gram_identities_hold_to_rounding(block):
     V = heat_control_matrix(spec1, T)
     S = heat_connecting(heat_response(spec1, 2 * T - 1), T)
     assert np.max(np.abs(S - V.T @ V)) <= tol * np.max(np.abs(S))
+
+
+ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([np.inf, -np.inf, np.nan, 1.7e308, -1.7e308])
+
+
+@st.composite
+def responses(draw, max_T=60):
+    """A horizon T and 2T-1 to 2T+2 real or complex entries, some of them +-inf, NaN or near the float limit."""
+    T = draw(st.integers(1, max_T))
+    n = 2 * T - 1 + draw(st.integers(0, 3))  # entries past r_{2T-2} must be ignored
+    part = lambda: draw(st.lists(ENTRY, min_size=n, max_size=n))
+    if not draw(st.booleans()):
+        return T, np.array(part())
+    r = np.empty(n, dtype=complex)
+    r.real, r.imag = part(), part()
+    return T, r
+
+
+def _flags_raised(build, r, T) -> bool:
+    with np.errstate(all="raise"):
+        try:
+            build(r, T)
+        except FloatingPointError:
+            return True
+    return False
+
+
+@settings(max_examples=150)
+@given(responses())
+@example((2, np.array([1.0, -np.inf, 0.0, np.inf])))  # -inf + inf only if r_3 joined a sum
+def test_connecting_matches_diagonal_oracle(case):
+    T, r = case
+    with np.errstate(all="ignore"):  # inf - inf, 0 * inf and overflow are part of the draw
+        C, ref = _connecting(r, T), connecting_oracle.connecting(r, T)
+    assert C.dtype == r.dtype
+    assert np.array_equal(C, ref, equal_nan=True)
+    # sums past a diagonal's end (and entries past r_{2T-2}) raise no floating-point flag of their own
+    assert _flags_raised(_connecting, r, T) == _flags_raised(connecting_oracle.connecting, r, T)
+
+
+@st.composite
+def driven_blocks(draw, max_T=24):
+    """A horizon T, a real or complex block of size T + 1 and a control of length T of its mode."""
+    T = draw(st.integers(1, max_T))
+    vals = lambda lo, hi, n: np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+    a0, a, b, f = draw(st.floats(0.25, 4.0)), vals(0.25, 4.0, T), vals(-4.0, 4.0, T + 1), vals(-1.0, 1.0, T)
+    if not draw(st.booleans()):
+        return T, JacobiSpec(a0=a0, a=a, b=b), f
+    im = lambda n: 1j * vals(-1.0, 1.0, n)
+    return T, JacobiSpec(a0=a0 + im(1)[0], a=a + im(T), b=b + im(T + 1), mode="complex"), f + im(T)
+
+
+@settings(max_examples=80)
+@given(driven_blocks())
+def test_wave_fields_match_column_stepper(case):
+    # every public output of the stepper, in both modes, equals the node-major oracle bit for bit
+    T, spec, f = case
+    oracle = stepper_oracle.step_field
+    same = lambda x, y: x.dtype == y.dtype and np.array_equal(x, y)
+    delta = delta_control(T)
+    assert same(solve_semi_infinite(spec, f, T).u, oracle(spec, f, T, T))
+    assert same(solve_finite_dirichlet(spec, f, T).u, oracle(spec, f, T, spec.n))
+    for t in (T, 2 * T + 1):
+        r = oracle(spec, delta_control(t), t, (t + 1) // 2)[1, 1 : t + 1]
+        assert same(response_vector(spec, t).r, r)
+    assert same(control_matrix(spec, T), np.triu(oracle(spec, delta, T, T)[1 : T + 1, 1 : T + 1]))
+    if spec.mode == "complex":
+        return
+    r = oracle(spec, delta_control(2 * T), 2 * T, spec.n)[1, 1:]
+    assert same(response_vector(spec, 2 * T, bc="dirichlet").r, r)
+    # order 1: the heat system
+    v = oracle(spec, f, T, T, order=1)
+    assert same(solve_heat(spec, f, T).v, v)
+    v = oracle(spec, delta, T, T, order=1)
+    assert same(heat_control_matrix(spec, T), v[1 : T + 1, T:0:-1])
+    s = oracle(spec, delta_control(2 * T + 1), 2 * T + 1, T + 1, order=1)[1, 1:]
+    assert same(heat_response(spec, 2 * T + 1), s)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,18 @@ def test_characterize_indefinite():
     res = characterize(np.array([1.0, 10.0, 0.0]), 2)
     assert not res.admissible  # det of the 2x2 block is 1 - 100 < 0
 
+
+
+def test_each_refusal_logs_one_debug_record(caplog):
+    caplog.set_level(logging.DEBUG, logger="bcjacobi")
+    res = characterize(np.array([1.0, 10.0, 0.0]), 2)
+    with pytest.raises(SingularBlockError):
+        invert_factorization(ResponseVector([1.0, 1, 0, 0, -1], mode="complex"), 3)
+    assert characterize(response_vector(free_spec(8), 9), 5).admissible  # no record
+    refused = [rec for rec in caplog.records if rec.name == "bcjacobi.inverse_bc"]
+    assert [rec.levelno for rec in refused] == [logging.DEBUG] * 2
+    assert refused[0].getMessage() == f"real response refused at T = 2: {res.detail}"
+    assert refused[1].getMessage().startswith("complex response refused at T = 3: leading block C_")
 
 def test_characterization_soundness():
     # every simulated response passes; every failing response makes the

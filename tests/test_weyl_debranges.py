@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bcjacobi.core import JacobiSpec, free_spec, moments_of_measure, phi_eval, random_spec
+from bcjacobi.core import JacobiSpec, chebyshev_values, free_spec, moments_of_measure, phi_eval, random_spec
 from bcjacobi.discrete_wave import connecting_from_response, response_vector, reverse_order
 from bcjacobi.errors import BCError, InvalidInputError, PoleError
 from bcjacobi.moments import lambda_matrix
@@ -222,6 +226,40 @@ def test_kernels_reject_singular_matrix():
     with pytest.raises(BCError, match="S_T is singular"):
         debranges_kernel_hankel(np.ones((3, 3)), 0.2j, 3)
 
+
+
+@pytest.mark.parametrize("action", ["error", "default", "ignore"])
+def test_kernels_refuse_singular_matrix_under_any_warning_filter(action):
+    # the factorization's LinAlgWarning must neither replace the BCError (python -W error)
+    # nor stand in for it (printed or ignored, the solve would go on with a zero pivot)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(BCError, match="C_T is singular"):
+            debranges_kernel(np.zeros((3, 3)), 0.2j, 3)
+        with pytest.raises(BCError, match="S_T is singular"):
+            debranges_kernel_hankel(np.zeros((3, 3)), 0.2j, 3)
+    assert seen == []
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 12),
+    st.lists(st.floats(0.95, 1.05), min_size=12, max_size=12),
+    st.lists(st.floats(-0.1, 0.1), min_size=13, max_size=13),
+    st.floats(-1.5, 1.5),
+    st.floats(0.05, 1.5),
+)
+def test_real_kernel_solve_matches_complex_solve(T, a, b, re, im):
+    # the real C_T is factored once, in real arithmetic, against the stacked [Re, Im]
+    # right-hand side; a near-free block keeps C_T well conditioned (cond < 1e3)
+    spec = JacobiSpec(a0=1.0, a=a[:T], b=b[: T + 1])
+    C_T = reverse_order(connecting_from_response(response_vector(spec, 2 * T - 1), T))
+    z = complex(re, im)
+    rhs = np.conj(chebyshev_values(T, z)[1:])
+    x = np.linalg.solve(C_T, rhs)
+    x = x + np.linalg.solve(C_T, rhs - C_T @ x)
+    j = debranges_kernel(C_T, z, T).coeffs
+    assert np.max(np.abs(j - x)) <= 1e-12 * np.max(np.abs(x))
 
 DEBRANGES_ENTRY_POINTS = {
     "debranges_kernel": lambda M: debranges_kernel(M, 0.2j, 2),
