@@ -71,6 +71,18 @@ def test_one_admissibility_decision():
     assert callers == ["inverse_bc._admit", "moments.indeterminacy_sequences"]
 
 
+def test_import_does_not_load_scipy_signal():
+    """`scipy.signal` costs ~0.4 s to import; the FFT kernel apply uses numpy.fft."""
+    src = str(Path(bcjacobi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bcjacobi; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_import_loads_only_scipy_linalg_and_sparse():
     """`scipy.integrate` alone pulled in ~200 modules (optimize, special, fft, ...)
     and ~0.25 s of every process's start, and `scipy.signal` ~0.4 s; no code of the
