@@ -1,10 +1,10 @@
 """Boundary-control toolkit for discrete dynamical systems with Jacobi matrices."""
 
-import logging
+import logging as _logging
 
 # DEBUG records (discrete-inverse refusals, CLI scenario timings) reach a
 # handler only when the application attaches one
-logging.getLogger(__name__).addHandler(logging.NullHandler())
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 from .core import (
     JacobiSpec,

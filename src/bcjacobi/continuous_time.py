@@ -127,7 +127,9 @@ class Trajectory:
 
 
 def wave_kernel(lam, tau: np.ndarray, derivative: bool = False) -> np.ndarray:
-    """S(tau, lambda), or its time derivative S'(tau, lambda).
+    """S(tau, lambda), or its time derivative S'(tau, lambda), at the
+    arguments as rounded; the package's kernel tables take it through
+    `_node_kernels`, which corrects it to the exact nodes.
 
     lam is one eigenvalue or an array of them; the result has shape
     tau.shape + lam.shape, and its [..., k] slice is the call with lam[k]
@@ -163,24 +165,33 @@ def _two_product(x: np.ndarray, y: np.ndarray) -> tuple:
 
 def _node_kernels(lam: np.ndarray, dt: float, m: np.ndarray) -> tuple:
     """S_k and C_k = S_k' at the exact nodes m dt (m integer), to first order
-    in the rounding of the argument.
+    in every argument rounding: the package's one kernel-table evaluator.
 
-    wave_kernel evaluates at t' = fl(rt fl(m dt)) / rt, rt = sqrt(|lam|); the
-    offset d = m dt - t' is exact in double-double, and S(t' + d) =
-    S(t') + d C(t'), C(t' + d) = C(t') - lam d S(t').  So the only argument
-    rounding left is that of rt itself, the same as in wave_kernel.  Where
-    d rt, the argument's rounding, is not below 1 (float64 no longer resolves
-    a period there) or Veltkamp's split overflows (past ~1e300), the node
-    keeps wave_kernel's value.
+    wave_kernel evaluates at t' = fl(rt fl(m dt)) / rt, rt = fl(sqrt|lam|).
+    The offset of the node, m dt - t', is exact in double-double, and so is
+    rt's own rounding: with p + e = rt rt (Dekker), |lam| - p is exact
+    (Sterbenz), and sqrt|lam| = rt (1 + rel), rel = (|lam| - p - e) / (2 p),
+    to first order.  The argument sqrt|lam| m dt is then rt (t' + d) with
+    d = t_lo + x_lo / rt + t rel, and S(t' + d) = S(t') + d C(t'),
+    C(t' + d) = C(t') - lam d S(t').  What is left is rt's rounding in S's
+    divisor, a relative error below eps.  Where d rt, the argument's
+    rounding, is not below 1 (float64 no longer resolves a period there),
+    Veltkamp's split overflows (past ~1e300) or wave_kernel itself overflows
+    (sinh and cosh past ~710), the node keeps wave_kernel's value.
     """
     rt = np.sqrt(np.abs(lam))
     with np.errstate(over="ignore", invalid="ignore"):
         t, t_lo = _two_product(m.astype(float), dt)
         _, x_lo = _two_product(t[:, None], rt)
-        d = t_lo[:, None] + np.divide(x_lo, rt, out=np.zeros_like(x_lo), where=rt > 0)
+        p, e = _two_product(rt, rt)
+        rel = np.divide((np.abs(lam) - p) - e, 2.0 * p, out=np.zeros_like(p), where=p > 0)
+        d = (t_lo[:, None] + np.divide(x_lo, rt, out=np.zeros_like(x_lo), where=rt > 0)
+             + t[:, None] * rel)
         d = np.where(np.abs(d * rt) < 1.0, d, 0.0)  # NaN compares false
     S, C = wave_kernel(lam, t), wave_kernel(lam, t, derivative=True)
-    return S + d * C, C - lam * d * S
+    with np.errstate(invalid="ignore"):
+        dS, dC = d * C, -lam * d * S
+    return S + np.where(np.isfinite(dS), dS, 0.0), C + np.where(np.isfinite(dC), dC, 0.0)
 
 
 class _GridKernels:
@@ -192,8 +203,9 @@ class _GridKernels:
     b dt and the ceil(n / B) coarse ones a B dt: O(K sqrt(n)) transcendentals
     for K modes in place of O(K n).  Both contractions over the n x K kernel
     matrix are two BLAS products each, and the matrix itself is never formed.
-    The factors are taken at the exact nodes (`_node_kernels`), so the sums
-    carry less argument rounding than sin(sqrt(lam) t_j) mode by mode.
+    The factors are taken at the exact nodes and the exact sqrt|lam|
+    (`_node_kernels`), so the sums carry no argument rounding to first
+    order, unlike sin(sqrt(lam) t_j) mode by mode.
     """
 
     def __init__(self, lam: np.ndarray, dt: float, n: int):
@@ -275,16 +287,16 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
 
     h_k(t) = (1/omega_k) int_0^t f(tau) S_k(t - tau) dtau, with the
     convolution done by composite Simpson on the grid.  Velocities come from
-    the analytically differentiated kernel.
+    the analytically differentiated kernel; both tables are taken at the
+    exact nodes j dt (`_node_kernels`).
     """
     f = _as_finite(f, "control")
     if f.size != grid.M + 1:
         raise InvalidInputError("control must be sampled on the grid")
     data = eig_spectral_data(spec)
     h, hdot = (
-        np.array([_simpson_convolution(f, kern, grid.dt)
-                  for kern in wave_kernel(data.eigenvalues, grid.nodes, d).T]) / data.omegas[:, None]
-        for d in (False, True)
+        np.array([_simpson_convolution(f, kern, grid.dt) for kern in K.T]) / data.omegas[:, None]
+        for K in _node_kernels(data.eigenvalues, grid.dt, np.arange(grid.M + 1))
     )
     return Trajectory(u=(data.phi_vectors @ h).T, udot=(data.phi_vectors @ hdot).T, grid=grid)
 
@@ -355,10 +367,11 @@ def _derivative(y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def connecting_spectral(spec: JacobiSpec, grid: TimeGrid) -> np.ndarray:
-    """Rank-N kernel sum_k (1/omega_k) S_k(T-t) S_k(T-s), assembled exactly."""
+    """Rank-N kernel sum_k (1/omega_k) S_k(T-t) S_k(T-s), assembled exactly,
+    with S_k(T - t_j) taken at the exact nodes (M - j) dt."""
     data = eig_spectral_data(spec)
-    ST = wave_kernel(data.eigenvalues, grid.T - grid.nodes).T
-    return (ST / data.omegas[:, None]).T @ ST
+    S = _node_kernels(data.eigenvalues, grid.dt, np.arange(grid.M, -1, -1))[0]
+    return (S / data.omegas) @ S.T
 
 
 def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid) -> tuple:

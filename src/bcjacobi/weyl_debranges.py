@@ -32,9 +32,6 @@ __all__ = [
     "beta_sequences",
 ]
 
-_WINDOW = 10  # trailing response entries whose largest modulus bounds the series tail
-
-
 @dataclass(frozen=True)
 class WeylEvaluation:
     """One m-function evaluation: resolvent and/or series values."""
@@ -120,8 +117,9 @@ def weyl_series(r, lam, tol: float = 1e-10, coeff_bound: float | None = None) ->
     Chebyshev generating function: 1/(x - lambda) = -z / (1 - x z + z^2), so
     the sum reproduces the resolvent (the free system r = (1, 0, ...) then
     gives exactly m_0 = -z).  Terms are added until the geometric tail bound
-    |z|^{t+2}/(1-|z|) * max_recent |r| falls under tol; the running max over
-    the last `_WINDOW` entries stands in for the unknown coefficient bound.
+    |z|^{t+2}/(1-|z|) * max_{s<=t} |r_s| falls under tol; the running max of
+    the entries so far stands in for the unknown coefficient bound, so a run
+    of zeros after r_0 does not end the sum.
     Raises when |z| >= 1 (no convergence) or when the data runs out first.
     The domain flag is only computed when the generating spec's coefficient
     bound is supplied.
@@ -133,13 +131,13 @@ def weyl_series(r, lam, tol: float = 1e-10, coeff_bound: float | None = None) ->
     if az >= 1.0:
         raise BCError(f"|z| = {az:.6f} >= 1: the series cannot converge at lambda = {lam}")
     flag = in_domain_D(lam, coeff_bound) if coeff_bound is not None else None
+    seen = np.maximum(np.maximum.accumulate(np.abs(rv)), 1e-300)
     total = 0.0 + 0.0j
     zt = z
     for t in range(rv.size):
         total += zt * rv[t]
         zt *= z
-        recent = max(np.abs(rv[max(0, t - _WINDOW + 1) : t + 1]).max(), 1e-300)
-        if abs(zt) / (1.0 - az) * recent < tol:
+        if abs(zt) / (1.0 - az) * seen[t] < tol:
             return WeylEvaluation(
                 lam=lam, z=z, m_resolvent=None, m_series=-total,
                 truncation=t + 1, in_domain_D=flag,

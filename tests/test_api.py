@@ -7,9 +7,11 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+import scipy
 
 import bcjacobi
 from bcjacobi import errors
@@ -71,31 +73,52 @@ def test_one_admissibility_decision():
     assert callers == ["inverse_bc._admit", "moments.indeterminacy_sequences"]
 
 
-def test_import_does_not_load_scipy_signal():
-    """`scipy.signal` costs ~0.4 s to import; the FFT kernel apply uses numpy.fft."""
+def test_one_kernel_evaluator():
+    """Every continuous-time kernel table is taken at exact nodes by
+    `continuous_time._node_kernels`, the only caller of `wave_kernel`."""
+    callers = {
+        f"{path.stem}.{func}"
+        for path in Path(bcjacobi.__file__).parent.glob("*.py")
+        for func in _callers(ast.parse(path.read_text()), "wave_kernel")
+    }
+    assert callers == {"continuous_time._node_kernels"}
+
+
+def test_no_foreign_module_among_public_names():
+    """A module imported by the package for its own use is not part of its API."""
+    foreign = [
+        name for name in dir(bcjacobi)
+        if not name.startswith("_")
+        and isinstance(getattr(bcjacobi, name), types.ModuleType)
+        and not getattr(bcjacobi, name).__name__.startswith("bcjacobi.")
+    ]
+    assert foreign == []
+
+
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """The modules loaded by `import bcjacobi.cli` in a fresh interpreter."""
     src = str(Path(bcjacobi.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bcjacobi; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-c", "import sys, bcjacobi.cli; print(*sys.modules, sep='\\n')"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(proc.stdout.split())
 
 
-def test_cli_import_loads_only_scipy_linalg_and_sparse():
+def test_import_does_not_load_scipy_signal(cli_import_modules):
+    """`scipy.signal` costs ~0.4 s to import; the FFT kernel apply uses numpy.fft."""
+    assert "bcjacobi" in cli_import_modules
+    assert "scipy.signal" not in cli_import_modules
+
+
+def test_cli_import_loads_only_scipy_linalg_and_sparse(cli_import_modules):
     """`scipy.integrate` alone pulled in ~200 modules (optimize, special, fft, ...)
     and ~0.25 s of every process's start, and `scipy.signal` ~0.4 s; no code of the
     package needs them (the FFT kernel apply uses numpy.fft)."""
-    src = str(Path(bcjacobi.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = (
-        "import sys, scipy, bcjacobi.cli\n"
-        "absent = ['scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.fft', 'scipy.stats', 'scipy.signal']\n"
-        "loaded = [m for m in absent if m in sys.modules]\n"
-        "assert not loaded, loaded\n"
-        "print(sorted(p for p in scipy.__all__ if 'scipy.' + p in sys.modules))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['linalg', 'sparse']"
+    absent = ["scipy.integrate", "scipy.optimize", "scipy.special", "scipy.fft", "scipy.stats", "scipy.signal"]
+    loaded = [m for m in absent if m in cli_import_modules]
+    assert not loaded, loaded
+    assert sorted(p for p in scipy.__all__ if "scipy." + p in cli_import_modules) == ["linalg", "sparse"]

@@ -1,4 +1,5 @@
 import numpy as np
+import precision_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from bcjacobi.continuous_time import (
     _GridKernels,
     _kernel_apply,
     _kernel_matrix,
+    _node_kernels,
     _simpson_convolution,
     connecting_dynamic,
     connecting_spectral,
@@ -95,17 +97,27 @@ def test_grid_kernels_match_mpmath(n):
         r_ref = np.array([float(mpmath.fsum(mpmath.mpf(wk) * s for wk, s in zip(w, row))) for row in exact])
         h_ref = np.array([float(mpmath.fsum(mpmath.mpf(g[jj]) * row[k] for jj, row in zip(j, exact)))
                           for k in range(lam.size)])
-    # per node and mode: the rounding of S(a B dt) C(b dt) + C(a B dt) S(b dt),
-    # plus t |C(t)| for the rounding of sqrt(lam), which moves the argument
-    # sqrt(lam) t in any float evaluation of the kernel
+    # per node and mode: the rounding of S(a B dt) C(b dt) + C(a B dt) S(b dt);
+    # the factors carry the rounding of sqrt(lam) and of the node, so neither
+    # adds a t |C(t)| term
     B = kernels.Sb.shape[0]
     a, b = divmod(j, B)
-    scale = (np.abs(kernels.Sa[a] * kernels.Cb[b]) + np.abs(kernels.Ca[a] * kernels.Sb[b])
-             + (j * dt)[:, None] * np.abs(wave_kernel(lam, j * dt, derivative=True)))
+    scale = np.abs(kernels.Sa[a] * kernels.Cb[b]) + np.abs(kernels.Ca[a] * kernels.Sb[b])
     r = kernels.sum_modes(w)
     assert r.shape == (n,) and r[0] == 0.0
     assert np.all(np.abs(r[j] - r_ref) <= 4 * EPS * (scale @ np.abs(w)))
     assert np.all(np.abs(kernels.sum_times(g) - h_ref) <= 4 * EPS * (np.abs(g[j]) @ scale))
+
+
+def test_node_kernels_keep_overflowed_values():
+    """Where sinh and cosh overflow, the exact-node correction must not turn
+    wave_kernel's inf into NaN (d times an infinite kernel)."""
+    lam = np.array([-1e6, -1e-6, 4.0])
+    m = np.array([0, 1, 2, 700000, 800000])
+    with np.errstate(over="ignore"):
+        for got, ref in zip(_node_kernels(lam, 1.0, m), (wave_kernel(lam, m * 1.0, d) for d in (False, True))):
+            assert not np.isnan(got).any()
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
 
 
 def test_solve_single_mode_forced():
@@ -393,13 +405,12 @@ def _convolution_reference(f, k, dt):
 
 
 def _solve_reference(spec, f, grid, absolute=False):
-    """u of solve_second_order by the per-row loop (or its rounding scale)."""
+    """u of solve_second_order by the per-row loop on the extended-precision
+    kernels at the exact nodes j dt (or its rounding scale)."""
     data = eig_spectral_data(spec)
     mag = np.abs if absolute else (lambda x: x)
-    h = np.array([
-        _convolution_reference(mag(f), mag(wave_kernel(lk, grid.nodes)), grid.dt)
-        for lk in data.eigenvalues
-    ]) / mag(data.omegas)[:, None]
+    S, _ = precision_oracle.node_kernels(data.eigenvalues, grid.dt, np.arange(grid.M + 1))
+    h = np.array([_convolution_reference(mag(f), mag(k), grid.dt) for k in S.T]) / mag(data.omegas)[:, None]
     return (mag(data.phi_vectors) @ h).T
 
 
@@ -487,25 +498,42 @@ def test_solve_second_order_matches_row_loop():
 
 def test_corrected_response_matches_row_loop():
     psi, _ = gauss_test_function(0.45, 0.1)
-    for N, M, t_star in ((10, 80, 0.5), (25, 201, 0.37), (200, 1600, 0.5)):
+    # the reference kernels are extended precision at the exact nodes j dt, so
+    # the bound also covers the float64 rounding of sqrt(lam) and of the nodes
+    for N, M, t_star in ((10, 80, 0.5), (25, 201, 0.37), (200, 1600, 0.5), (400, 3200, 0.5)):
         grid = TimeGrid(1.0, M)
         out = corrected_response(N, grid, psi=psi, field_time=t_star)
         sysd = string_system(StringSpec.uniform(N))
         data = eig_spectral_data(sysd["spec"])
         lam, om = data.eigenvalues, data.omegas
-        f, t = triangular_bump(grid), grid.nodes
-        kern = sum((1.0 / ok) * wave_kernel(lk, t) for lk, ok in zip(lam, om))
+        f = triangular_bump(grid)
+        S, _ = precision_oracle.node_kernels(lam, grid.dt, np.arange(M + 1))
+        kern = (S / om).sum(axis=1)
         gain = np.sqrt(N) * sysd["gain"]
         u1 = gain * _convolution_reference(f, kern, grid.dt)
         scale = gain * _convolution_reference(f, np.abs(kern), grid.dt)
         assert np.all(np.abs(out["u1"] - u1) <= 8 * M * EPS * scale)
         j = int(round(t_star / grid.dt))
         row = _simpson_rows_reference(M, grid.dt)[j]
-        terms = np.array([row * f[: j + 1] * wave_kernel(lk, t[j] - t[: j + 1]) for lk in lam]) / om[:, None]
+        terms = row * f[: j + 1] * S[j::-1].T / om[:, None]  # S_k(t_j - t_i) = S_k((j - i) dt)
         signs = (-1.0) ** np.arange(lam.size)
         u_state = gain * signs * (data.phi_vectors @ terms.sum(axis=1))
         bound = gain * (np.abs(data.phi_vectors) @ np.abs(terms).sum(axis=1))
         assert np.all(np.abs(out["field_values"][1:-1] - u_state) <= 8 * M * EPS * bound)
+
+
+def test_connecting_spectral_matches_extended_precision_outer_product():
+    """Each entry is within 8 eps of the sum of its terms' moduli: the kernels
+    are exact at the nodes (M - j) dt up to the rounding of one evaluation."""
+    rng = np.random.default_rng(64)
+    for M in (40, 41, 400, 1600):
+        for spec in (string_family(4, rng), random_spec(4, rng)):
+            grid = TimeGrid(2.0, M)
+            data = eig_spectral_data(spec)
+            S, _ = precision_oracle.node_kernels(data.eigenvalues, grid.dt, np.arange(M, -1, -1))
+            W = S / data.omegas
+            K = connecting_spectral(spec, grid)
+            assert np.all(np.abs(K - W @ S.T) <= 8 * EPS * (np.abs(W) @ np.abs(S).T)), M
 
 
 def test_recover_matches_full_svd():

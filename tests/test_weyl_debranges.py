@@ -83,6 +83,26 @@ def test_series_matches_resolvent():
         assert abs(ev.m_series - weyl_resolvent(spec, lam)) <= 1e-8
 
 
+@pytest.mark.parametrize("site", [5, 6])
+@pytest.mark.parametrize("rho", [0.24, 0.3, 0.5, 0.7])
+def test_series_does_not_stop_on_a_run_of_zeros(site, rho):
+    """With one nonzero b_k the response reads r_0 = 1, then a run of zeros:
+    the stop rule must not take the run for a vanishing tail."""
+    b = np.zeros(40)
+    b[site] = 1.0
+    spec = JacobiSpec(a0=1.0, a=np.ones(39), b=b)
+    r = response_vector(spec, 220, bc="dirichlet")
+    assert np.all(r.r[1:11] == 0.0)
+    z = rho * np.exp(4j)
+    lam = z + 1 / z
+    try:
+        ev = weyl_series(r, lam, tol=1e-10, coeff_bound=1.0)
+    except BCError as err:
+        assert "too short" in str(err)
+        return
+    assert abs(ev.m_series - weyl_resolvent(spec, lam)) <= 1e-10
+
+
 def test_series_rejects_unit_circle():
     r = np.zeros(10)
     r[0] = 1.0
