@@ -17,11 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hankel, toeplitz
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .core import JacobiSpec, _as_finite, _finite_scalar, _require_size, eig_spectral_data
-from .errors import InvalidInputError, NotRealizableError
+from .core import JacobiSpec, _as_finite, _finite_scalar, _hankel, _require_size, _tridiagonal, eig_spectral_data
+from .errors import InvalidInputError, NotRealizableError, NumericalFailureError
 
 __all__ = [
     "TimeGrid",
@@ -282,29 +281,41 @@ def _simpson_convolution(f: np.ndarray, k: np.ndarray, dt: float) -> np.ndarray:
     return c
 
 
+def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """x, refused where a sinh mode (a negative eigenvalue) has overflowed the float range into it."""
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError(f"{what} overflows the float range")
+    return x
+
+
 def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
     """Spectral solution u(t) = sum_k h_k(t) phi^k of u_tt = -A u + f(t) e_1.
 
     h_k(t) = (1/omega_k) int_0^t f(tau) S_k(t - tau) dtau, with the
     convolution done by composite Simpson on the grid.  Velocities come from
     the analytically differentiated kernel; both tables are taken at the
-    exact nodes j dt (`_node_kernels`).
+    exact nodes j dt (`_node_kernels`).  A trajectory past the float range
+    raises NumericalFailureError.
     """
     f = _as_finite(f, "control")
     if f.size != grid.M + 1:
         raise InvalidInputError("control must be sampled on the grid")
     data = eig_spectral_data(spec)
-    h, hdot = (
-        np.array([_simpson_convolution(f, kern, grid.dt) for kern in K.T]) / data.omegas[:, None]
-        for K in _node_kernels(data.eigenvalues, grid.dt, np.arange(grid.M + 1))
-    )
-    return Trajectory(u=(data.phi_vectors @ h).T, udot=(data.phi_vectors @ hdot).T, grid=grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, hdot = (
+            np.array([_simpson_convolution(f, kern, grid.dt) for kern in K.T]) / data.omegas[:, None]
+            for K in _node_kernels(data.eigenvalues, grid.dt, np.arange(grid.M + 1))
+        )
+        u, udot = (data.phi_vectors @ h).T, (data.phi_vectors @ hdot).T
+    u, udot = _require_finite(u, "the trajectory"), _require_finite(udot, "its velocity")
+    return Trajectory(u=u, udot=udot, grid=grid)
 
 
 def response_function(spec: JacobiSpec, grid: TimeGrid) -> ResponseFunctionSamples:
     """Samples of r(t) = sum_k (1/omega_k) S_k(t) at the grid nodes j dt."""
     data = eig_spectral_data(spec)
-    vals = _GridKernels(data.eigenvalues, grid.dt, grid.M + 1).sum_modes(1.0 / data.omegas)
+    with np.errstate(over="ignore", invalid="ignore"):  # ResponseFunctionSamples refuses what overflows
+        vals = _GridKernels(data.eigenvalues, grid.dt, grid.M + 1).sum_modes(1.0 / data.omegas)
     return ResponseFunctionSamples(values=vals, grid=grid)
 
 
@@ -329,26 +340,28 @@ def connecting_dynamic(r: ResponseFunctionSamples, grid: TimeGrid) -> np.ndarray
     return _kernel_matrix(P, grid.M)
 
 
+def _mirrored(seq: np.ndarray, M: int) -> np.ndarray:
+    """seq[|k - M|], k = 0..2M: the kernel's Toeplitz part is its row-reversed Hankel matrix."""
+    return np.concatenate([seq[M:0:-1], seq[: M + 1]])
+
+
 def _kernel_matrix(P: np.ndarray, M: int) -> np.ndarray:
     """K[i, j] = 1/2 (P[2M - i - j] - P[|i - j|]) for i, j = 0..M, from the
     antiderivative P of r sampled at t_0..t_2M: a Hankel minus a Toeplitz."""
-    K = hankel(P[2 * M : M - 1 : -1], P[M::-1])  # column P[2M - i], last row P[M - j]
-    K -= toeplitz(P[: M + 1])
-    K *= 0.5
-    return K
+    K = _hankel(P[2 * M :: -1], M + 1, M + 1) - _hankel(_mirrored(P, M), M + 1, M + 1)[::-1]
+    return np.multiply(K, 0.5, out=K)
 
 
 def _kernel_apply(seq: np.ndarray, x: np.ndarray) -> np.ndarray:
     """_kernel_matrix(seq, M) @ x for x of length M + 1, by FFT in O(M log M).
 
     The Hankel part is entries 2M..M of the linear convolution seq * x, the
-    Toeplitz part entries M..2M of x convolved with seq mirrored about 0."""
+    Toeplitz part entries M..2M of x convolved with `_mirrored(seq, M)`."""
     M = x.size - 1
     n = 1 << (3 * M).bit_length()  # > 3M: neither convolution wraps around
     X = np.fft.rfft(x, n)
-    mirrored = np.concatenate([seq[M:0:-1], seq[: M + 1]])
     hank = np.fft.irfft(np.fft.rfft(seq, n) * X, n)[2 * M : M - 1 : -1]
-    toep = np.fft.irfft(np.fft.rfft(mirrored, n) * X, n)[M : 2 * M + 1]
+    toep = np.fft.irfft(np.fft.rfft(_mirrored(seq, M), n) * X, n)[M : 2 * M + 1]
     return 0.5 * (hank - toep)
 
 
@@ -368,10 +381,16 @@ def _derivative(y: np.ndarray, dt: float) -> np.ndarray:
 
 def connecting_spectral(spec: JacobiSpec, grid: TimeGrid) -> np.ndarray:
     """Rank-N kernel sum_k (1/omega_k) S_k(T-t) S_k(T-s), assembled exactly,
-    with S_k(T - t_j) taken at the exact nodes (M - j) dt."""
+    with S_k(T - t_j) taken at the exact nodes (M - j) dt.  A kernel past the
+    float range raises NumericalFailureError."""
     data = eig_spectral_data(spec)
-    S = _node_kernels(data.eigenvalues, grid.dt, np.arange(grid.M, -1, -1))[0]
-    return (S / data.omegas) @ S.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _node_kernels(data.eigenvalues, grid.dt, np.arange(grid.M, -1, -1))[0]
+        K = (S / data.omegas) @ S.T
+    # an overflowed S_k(T - t_i) makes K_ii inf or NaN, and a finite diagonal
+    # bounds every entry: |K_ij| <= sqrt(K_ii K_jj), as the weights are positive
+    _require_finite(np.diag(K), "the connecting kernel")
+    return K
 
 
 def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid) -> tuple:
@@ -394,8 +413,7 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
 
     Returns (spec, controls) with controls[n] the recovered f_{n+1} samples.
     """
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidInputError(f"need an integer N >= 1, got {N!r}")
+    _require_size("N", N)
     _require_doubled(r, grid)
     M = grid.M
     if N > M:
@@ -479,9 +497,6 @@ def string_system(s: StringSpec) -> dict:
     N1 = m.size  # number of interior masses
     a = 1.0 / l[1:N1]
     b = -(l[:N1] + l[1 : N1 + 1]) / (l[:N1] * l[1 : N1 + 1])
-    A = np.diag(b)
-    i = np.arange(N1 - 1)
-    A[i, i + 1] = A[i + 1, i] = a
     inv_sqrt_m = 1.0 / np.sqrt(m)
     # the diagonals of L = M^{-1/2} (-A) M^{-1/2}, rounded as the dense product rounds them
     spec = JacobiSpec(
@@ -491,7 +506,7 @@ def string_system(s: StringSpec) -> dict:
     )
     return {
         "mass": np.diag(m),
-        "stiffness": A,
+        "stiffness": _tridiagonal(a, b),
         "spec": spec,
         "gain": 1.0 / (l[0] * np.sqrt(m[0])),
         "inv_sqrt_m": inv_sqrt_m,
@@ -579,12 +594,15 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
     r~_N = (u_1 - u_0) / (1/N), and quadrature pairings against the test
     function psi(t): <u_1, psi> (tends to psi(0)), <r~_N, psi> (tends to
     psi'(0)), plus the field pairing int u(x, t*) psi(x) dx at t* =
-    field_time (tends to psi(t*)).  Trends over an N-ladder are the caller's
-    business; nothing here is a certified limit.  Both the kernel sum of u_1
-    and the modal sums at t* run on one `_GridKernels` of the N - 1 modes.
+    field_time (tends to psi(t*)), which must lie in [0, grid.T].  Trends over
+    an N-ladder are the caller's business; nothing here is a certified limit.
+    Both the kernel sum of u_1 and the modal sums at t* run on one
+    `_GridKernels` of the N - 1 modes.
     """
     if field_time is not None:
         field_time = _finite_scalar(field_time, "field_time")
+        if not 0.0 <= field_time <= grid.T:
+            raise InvalidInputError(f"field_time must lie in [0, T] = [0, {grid.T}], got {field_time}")
     if psi is None:
         psi, _ = gauss_test_function(0.45, 0.1)
     sysd = string_system(StringSpec.uniform(N))
@@ -608,7 +626,7 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
         "pair_corrected": pair_corr,
     }
     if field_time is not None:
-        j_star = int(round(min(max(field_time / grid.dt, 0.0), grid.M)))
+        j_star = int(round(field_time / grid.dt))
         # all channels at t*: u = M^{-1/2} D w; D is the sign conjugation
         wf = _simpson_weights(j_star, grid.dt) * f[: j_star + 1]
         h_star = kernels.sum_times(wf[::-1]) / data.omegas  # S_k(t* - t_i) = S_k((j* - i) dt)

@@ -95,10 +95,7 @@ class JacobiSpec:
 
     def matrix(self) -> np.ndarray:
         """Dense N x N tridiagonal matrix A^N."""
-        A = np.diag(self.b)
-        if self.a.size:
-            A += np.diag(self.a, 1) + np.diag(self.a, -1)
-        return A
+        return _tridiagonal(self.a, self.b)
 
     def to_json(self) -> dict:
         def enc(x):
@@ -188,8 +185,6 @@ def chebyshev_u(t: int, lam) -> complex:
     These are Chebyshev polynomials of the second kind in lambda/2:
     T_t(lambda) = U_{t-1}(lambda/2).
     """
-    if t < 0:
-        raise InvalidInputError("t must be nonnegative")
     return chebyshev_values(t, lam)[t]
 
 
@@ -198,6 +193,7 @@ def chebyshev_values(t_max: int, lam) -> np.ndarray:
 
     lam may be a scalar or an ndarray; the leading axis of the result indexes t.
     """
+    _require_size("t", t_max, low=0)
     lam = np.asarray(lam)
     out = np.zeros((t_max + 1,) + lam.shape, dtype=np.result_type(lam.dtype, float))
     if t_max >= 1:
@@ -215,7 +211,8 @@ def phi_eval(spec: JacobiSpec, lam, n_max: int) -> np.ndarray:
     trailing coefficient a_N is taken as 1; the roots of phi_{N+1} are
     unaffected by that scaling.
     """
-    if not 1 <= n_max <= spec.n + 1:
+    _require_size("n_max", n_max)
+    if n_max > spec.n + 1:
         raise InvalidInputError(f"n_max must be in 1..N+1 = {spec.n + 1}")
     dt = complex if (spec.mode == "complex" or np.iscomplexobj(np.asarray(lam))) else float
     phi = np.zeros(n_max + 1, dtype=dt)
@@ -262,8 +259,7 @@ def moments_of_measure(mu: SpectralMeasure, K: int) -> np.ndarray:
     Accumulated in extended precision: the inverse use of moments is
     ill-conditioned enough that the last float64 digits of s_k matter.
     """
-    if K < 0:
-        raise InvalidInputError("K must be >= 0")
+    _require_size("K", K, low=0)
     lam = mu.lambdas.astype(np.longdouble)
     w = mu.weights.astype(np.longdouble)
     powers = np.ones_like(lam)
@@ -306,10 +302,24 @@ def _coeff_gap(x: JacobiSpec, y: JacobiSpec) -> float:
     return max(float(np.max(np.abs(x.a - y.a), initial=0.0)), float(np.max(np.abs(x.b - y.b))))
 
 
+def _hankel(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Read-only (rows, cols) view H[i, j] = x[i + j]: every Hankel matrix, and reversed every Toeplitz one."""
+    if x.size < rows + cols - 1:
+        raise InvalidInputError(f"a {rows} x {cols} Hankel matrix needs {rows + cols - 1} entries")
+    return np.lib.stride_tricks.sliding_window_view(x[: rows + cols - 1], cols)
+
+
+def _tridiagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dense symmetric tridiagonal matrix with diagonal b and off-diagonals a."""
+    return np.diag(b) + np.diag(a, 1) + np.diag(a, -1)
+
+
 def _require_size(what: str, n: int, low: int = 1) -> None:
     """Refuse a non-integer (or bool) size, one below `low` or past what numpy can index."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not low <= n <= _MAX_BLOCK:
-        raise InvalidInputError(f"{what} must be an integer in {low}..{_MAX_BLOCK}, got {n!r}")
+        raise InvalidInputError(
+            f"{what} must be an integer in {low}..{_MAX_BLOCK} (need {what} >= {low}), got {n!r}"
+        )
 
 
 def free_spec(n: int, a0: float = 1.0) -> JacobiSpec:
@@ -370,6 +380,8 @@ def alpha_star_partials(spec: JacobiSpec, n_max: int | None = None) -> np.ndarra
     """
     if spec.mode != "real":
         raise BCError("diagnostic defined for the self-adjoint case")
+    if n_max is not None:
+        _require_size("n_max", n_max)
     n_max = spec.n if n_max is None else min(n_max, spec.n)
     p, _, q, _ = _at_zero(spec.b, spec.a**2, n_max)  # one scale per index: the ratio ignores it
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .core import JacobiSpec, _as_finite, _require_size
+from .core import JacobiSpec, _as_finite, _hankel, _require_size
 from .errors import InvalidInputError, NumericalFailureError, SpecTooShortError
 
 __all__ = [
@@ -147,8 +146,7 @@ def response_vector(spec: JacobiSpec, T: int, bc: str = "semi_infinite") -> Resp
     block must be at least that long.  For the Dirichlet system the reflections
     off n = N + 1 are part of the answer and the full block is used.
     """
-    if T < 1:
-        raise InvalidInputError(f"need T >= 1, got {T}")
+    _require_size("T", T)
     if bc == "semi_infinite":
         depth = (T + 1) // 2
         if spec.n < depth:
@@ -182,9 +180,10 @@ def control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
 
 
 def _require_horizon(r: np.ndarray, T: int) -> None:
-    """Refuse a horizon T that r_0..r_{2T-2} cannot fill."""
-    if T < 1 or r.size < 2 * T - 1:
-        raise InvalidInputError(f"need T >= 1 and at least 2T-1 = {2 * T - 1} response entries")
+    """Refuse a horizon T that is not a size or that r_0..r_{2T-2} cannot fill."""
+    _require_size("T", T)
+    if r.size < 2 * T - 1:
+        raise InvalidInputError(f"need at least 2T-1 = {2 * T - 1} response entries")
 
 
 def connecting_from_response(r, T: int) -> np.ndarray:
@@ -202,19 +201,17 @@ def _connecting(r: np.ndarray, T: int) -> np.ndarray:
     _require_horizon(r, T)
     # Lower diagonal m of the reversed matrix J C J holds the running sums of
     # r_m, r_{m+2}, ..., r_{2T-2-m}; cumulative sums avoid the cancellation of
-    # prefix-sum differences.  Row m of one cumsum over the strided view
-    # X[m, k] = r_{m+2k} (zero-padded to 3T entries) runs them all, and it is
-    # written through a view stepping down the diagonals of a (2T, T) buffer:
+    # prefix-sum differences.  Row m of one cumsum over the even columns
+    # X[m, k] = r_{m+2k} of the Hankel view of r (zero-padded) runs them all,
+    # and it is written through a view stepping down the diagonals of a (2T, T) buffer:
     # S[m, k] is entry (m + k, k), so the entries past the diagonal's end land
     # in rows T and beyond.  The sums run sequentially (error ~ T eps), not
     # pairwise like np.sum, which trades some accuracy on long diagonals for
     # O(T^2) work; it can shift the block at which a borderline response is refused.
-    x = np.zeros(3 * T, dtype=r.dtype)
-    x[: 2 * T - 1] = r[: 2 * T - 1]
-    item = x.itemsize
-    X = as_strided(x, (T, T), (item, 2 * item), writeable=False)
+    x = np.concatenate([r[: 2 * T - 1], np.zeros(T - 1, r.dtype)])
     buf = np.empty(2 * T * T, dtype=r.dtype)
-    np.cumsum(X, axis=1, out=as_strided(buf, (T, T), (T * item, (T + 1) * item)))
+    S = np.lib.stride_tricks.as_strided(buf, (T, T), (T * x.itemsize, (T + 1) * x.itemsize))
+    np.cumsum(_hankel(x, T, 2 * T - 1)[:, ::2], axis=1, out=S)
     R = buf[: T * T].reshape(T, T)
     np.copyto(R, R.T, where=~np.tri(T, dtype=bool))
     # scaling the un-reversed view gives a fresh C-ordered C^T, not a view

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec, _as_finite
+from .core import JacobiSpec, _as_finite, _require_size
 from .discrete_wave import _as_response, _step_field, delta_control
 from .errors import InvalidInputError, SpecTooShortError
 from .moments import _reversed_hankel, truncated_moment_naive
@@ -59,8 +59,7 @@ def heat_response(spec: JacobiSpec, T: int) -> np.ndarray:
     suffices; for a_0 = 1 the entries are the power moments of the block's
     spectral measure.
     """
-    if T < 1:
-        raise InvalidInputError(f"need T >= 1, got {T}")
+    _require_size("T", T)
     depth = (T + 1) // 2
     if spec.n < depth:
         raise SpecTooShortError(f"response of length {T} needs block size >= {depth}")
@@ -85,10 +84,8 @@ def heat_connecting(s, T: int) -> np.ndarray:
 
     Positive definite exactly when the data is realizable.
     """
-    s = _as_response(s)
-    if s.size < 2 * T - 1:
-        raise InvalidInputError(f"need 2T-1 = {2 * T - 1} entries")
-    return _reversed_hankel(s, T)
+    _require_size("T", T)
+    return _reversed_hankel(_as_response(s), T)
 
 
 def invert_heat(s, N: int) -> JacobiSpec:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import JacobiSpec, _as_finite, _as_numbers, chebyshev_values
+from .core import JacobiSpec, _as_finite, _as_numbers, _hankel, _require_size, chebyshev_values
 from .discrete_wave import (
     ResponseVector,
     _as_response,
@@ -219,6 +219,7 @@ def invert_factorization(r, T: int) -> InversionReport:
     """
     if not isinstance(r, ResponseVector):
         r = ResponseVector(r, mode="complex" if np.iscomplexobj(r) else "real")
+    _require_horizon(r.r, T)
     used = r.r[: 2 * T - 1]
     verdict, b_rec, d = _admit(used, T)
     if not verdict.admissible:
@@ -241,6 +242,7 @@ def kappa_vector(T: int, lam) -> np.ndarray:
 
     Equivalently kappa_t = T_{T-t}(lambda).
     """
+    _require_size("T", T)
     vals = chebyshev_values(T, lam)
     return vals[T:0:-1].copy()
 
@@ -249,14 +251,14 @@ def response_matrix(r, T: int) -> np.ndarray:
     """Matrix of the response operator R^T f = r * f_{.-1} on F^T.
 
     Component t of the output is u_{1,t} = sum_{s<t} r_{t-1-s} f_s, so the
-    matrix is strictly lower triangular Toeplitz.  R^N is its leading N x N
-    block for every N <= T.
+    matrix is strictly lower triangular Toeplitz, the column-reversed Hankel
+    matrix of T zeros and r_0..r_{T-2}; R^N is its leading block, N <= T.
     """
+    _require_size("T", T)
     r = _as_response(r)
     if r.size < T - 1:
         raise InvalidInputError("response too short for the requested horizon")
-    i = np.arange(T)  # entry (t, s) is r_{t-1-s} below the diagonal; index 0 is the zero
-    return np.concatenate([[0], r[: T - 1]])[np.maximum(i[:, None] - i, 0)]
+    return _hankel(np.concatenate([np.zeros(T, r.dtype), r[: T - 1]]), T, T)[:, ::-1].copy()
 
 
 def solve_krein(C: np.ndarray, r, lam, alpha, beta, T: int) -> np.ndarray:
@@ -341,6 +343,7 @@ def schrodinger_even_entries(odd_entries, T: int) -> np.ndarray:
     det C^{m+1} = 1 is linear in it: r_{2m} = 1 + c^t C_m^{-1} c - sum_{k<m} r_{2k}.
     Returns the full response (r_0, ..., r_{2T-2}) with r_0 = 1.
     """
+    _require_size("T", T)
     odd = _as_finite(odd_entries, "odd entries")
     if odd.size < T - 1:
         raise InvalidInputError(f"need T-1 = {T - 1} odd entries")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import JacobiSpec, SpectralMeasure, _as_finite, _at_zero, _require_size, spectral_measure
+from .core import JacobiSpec, SpectralMeasure, _as_finite, _at_zero, _hankel, _require_size, spectral_measure
 from .discrete_wave import connecting_from_response, _as_response
 from .errors import InvalidInputError, NotRealizableError, SingularBlockError
 from .inverse_bc import _admit, _chebyshev_sweep
@@ -60,8 +60,7 @@ def lambda_matrix(n: int) -> np.ndarray:
     Row t holds the monomial coefficients of T_t, built by the recurrence
     T_{t+1} = lambda T_t - T_{t-1}.  Entries fit int64 for n <= 60.
     """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    _require_size("n", n)
     if n > 60:
         raise InvalidInputError("integer entries overflow int64 beyond n = 60")
     L = np.zeros((n, n), dtype=np.int64)
@@ -113,13 +112,13 @@ def response_to_moments(r) -> np.ndarray:
 def _reversed_hankel(s: np.ndarray, N: int) -> np.ndarray:
     """N x N Hankel matrix with entries s_{2N-i-j}, i, j = 1..N (needs 2N-1 entries);
     the matrix for n <= N is its trailing n x n block."""
-    i = np.arange(1, N + 1)
-    return s[2 * N - i[:, None] - i[None, :]]
+    return _hankel(s[2 * N - 2 :: -1], N, N).copy()
 
 
 def build_hankel_pair(s, N: int) -> HankelPair:
     """Hankel matrices S^N_0 (needs 2N-1 moments) and S^N_1 (needs 2N), in the
     reversed ordering; `.flipped()` gives the classical pair."""
+    _require_size("N", N)
     s = _as_finite(s, "moments")
     if s.size < 2 * N:
         raise InvalidInputError(f"need 2N = {2 * N} moments for the shifted Hankel")
@@ -133,6 +132,7 @@ def build_B(r, N: int) -> np.ndarray:
     annihilated by the shift/embedding trimming, so a response of length 2N
     suffices (a zero pad is inserted when r_{2N} is absent).
     """
+    _require_size("N", N)
     r = _as_response(r, real=True)
     if r.size < 2 * N:
         raise InvalidInputError(f"need at least 2N = {2 * N} response entries")
@@ -157,6 +157,7 @@ def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
     assumed, which selects one member of the solution family.  The input is
     normalized by s_0 and the weights are scaled back at the end.
     """
+    _require_size("N", N)
     s = _as_finite(s, "moments")
     if s.size < 2 * N - 1:
         raise InvalidInputError(f"need at least 2N-1 = {2 * N - 1} moments")
@@ -198,6 +199,7 @@ def truncated_moment_naive(s, N: int, extension=None):
 
     Returns (spec, measure); the measure weights carry the total mass s_0.
     """
+    _require_size("N", N)
     s = _as_finite(s, "moments")
     if s.size < 2 * N - 1:
         raise InvalidInputError(f"need at least 2N-1 = {2 * N - 1} moments")
@@ -241,6 +243,7 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     """
     if kind not in ("hamburger", "stieltjes", "hausdorff"):
         raise InvalidInputError(f"unknown kind {kind!r}")
+    _require_size("N_max", N_max)
     s = _as_finite(s, "moments")
     need = 2 * N_max - 1 if kind == "hamburger" else 2 * N_max
     if s.size < need:

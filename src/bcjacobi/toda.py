@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import JacobiSpec, SpectralMeasure, _finite_scalar, moments_of_measure, spectral_measure
+from .core import JacobiSpec, SpectralMeasure, _finite_scalar, _tridiagonal, moments_of_measure, spectral_measure
 from .errors import InvalidInputError, NumericalFailureError
 
 __all__ = [
@@ -156,7 +156,7 @@ def toda_qr_flow(spec0: JacobiSpec, t: float) -> JacobiSpec:
     k = max(1, math.ceil(abs(t) * (hi - lo) / 4.0))
     shift = 0.5 * (hi + lo) * np.eye(b.size)
     for _ in range(k):
-        L = np.diag(b) + np.diag(a, 1) + np.diag(a, -1)
+        L = _tridiagonal(a, b)
         q, r = np.linalg.qr(expm((t / k) * (L - shift)))
         q *= np.sign(np.diag(r))
         L = q.T @ L @ q

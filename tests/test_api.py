@@ -10,11 +10,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
 import bcjacobi
-from bcjacobi import errors
+from bcjacobi import continuous_time as ct
+from bcjacobi import core, discrete_wave, errors, heat, inverse_bc, moments, toda, weyl_debranges
 
 MODULES = sorted(
     m.name for m in pkgutil.iter_modules(bcjacobi.__path__) if m.name != "__main__"
@@ -51,15 +53,26 @@ def test_every_raise_names_a_bcerror():
     assert offenders == []
 
 
-def _callers(node, name, func=None):
-    """Enclosing function of each call to `name` (plain or attribute) under node."""
+def _enclosing(node, hit, func=None):
+    """Enclosing function of each node under `node` for which `hit` holds."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _callers(child, name, child.name)
+            yield from _enclosing(child, hit, child.name)
             continue
-        if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+        if hit(child):
             yield func
-        yield from _callers(child, name, func)
+        yield from _enclosing(child, hit, func)
+
+
+def _callers(node, name):
+    """Enclosing function of each call to `name` (plain or attribute) under node."""
+    return _enclosing(node, lambda n: isinstance(n, ast.Call) and name in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None)))
+
+
+def _mentions(node, name):
+    """Enclosing function of each use of `name` under node: a name, an attribute or an imported alias."""
+    return _enclosing(node, lambda n: name in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None)))
 
 
 def test_one_admissibility_decision():
@@ -82,6 +95,27 @@ def test_one_kernel_evaluator():
         for func in _callers(ast.parse(path.read_text()), "wave_kernel")
     }
     assert callers == {"continuous_time._node_kernels"}
+
+
+def test_one_structured_matrix_builder():
+    """Every Hankel and Toeplitz matrix is a gather of `core._hankel`, the only
+    `sliding_window_view` in the package, and every dense tridiagonal one comes
+    from `core._tridiagonal`; scipy's hankel and toeplitz are not used."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(bcjacobi.__file__).parent.glob("*.py")}
+
+    def where(name, find):
+        return {f"{stem}.{func}" for stem, tree in trees.items() for func in find(tree, name)}
+
+    for name in ("hankel", "toeplitz"):
+        assert where(name, _mentions) == set(), name
+    assert where("sliding_window_view", _mentions) == {"core._hankel"}
+    assert where("_hankel", _callers) == {
+        "moments._reversed_hankel", "continuous_time._kernel_matrix", "inverse_bc.response_matrix",
+        "discrete_wave._connecting",
+    }
+    assert where("_tridiagonal", _callers) == {
+        "core.matrix", "toda.toda_qr_flow", "continuous_time.string_system",
+    }
 
 
 def test_no_foreign_module_among_public_names():
@@ -122,3 +156,55 @@ def test_cli_import_loads_only_scipy_linalg_and_sparse(cli_import_modules):
     loaded = [m for m in absent if m in cli_import_modules]
     assert not loaded, loaded
     assert sorted(p for p in scipy.__all__ if "scipy." + p in cli_import_modules) == ["linalg", "sparse"]
+
+
+_R = np.r_[1.0, np.zeros(11)]  # the free response, long enough for every size below 6
+_S = np.array([1.0, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0])  # Catalan moments of the free block
+_MU = core.spectral_measure(core.free_spec(3))
+_GRID = ct.TimeGrid(2.0, 40)
+
+# each public function taking a size, horizon or order argument, called with that argument
+SIZE_ARGUMENTS = {
+    "invert_factorization": lambda n: inverse_bc.invert_factorization(_R, n),
+    "characterize": lambda n: inverse_bc.characterize(_R, n),
+    "connecting_from_response": lambda n: discrete_wave.connecting_from_response(_R, n),
+    "nested_min_singular_values": lambda n: inverse_bc.nested_min_singular_values(_R, n),
+    "schrodinger_check": lambda n: inverse_bc.schrodinger_check(_R, n),
+    "schrodinger_even_entries": lambda n: inverse_bc.schrodinger_even_entries(np.zeros(5), n),
+    "beta_sequences": lambda n: weyl_debranges.beta_sequences(_R, n),
+    "response_matrix": lambda n: inverse_bc.response_matrix(_R, n),
+    "kappa_vector": lambda n: inverse_bc.kappa_vector(n, 0.5),
+    "solvability": lambda n: moments.solvability(_S, "hamburger", n),
+    "truncated_moment_naive": lambda n: moments.truncated_moment_naive(_S, n),
+    "truncated_moment_spectral": lambda n: moments.truncated_moment_spectral(_S, n),
+    "build_hankel_pair": lambda n: moments.build_hankel_pair(_S, n),
+    "build_B": lambda n: moments.build_B(_R, n),
+    "lambda_matrix": lambda n: moments.lambda_matrix(n),
+    "heat_connecting": lambda n: heat.heat_connecting(_S, n),
+    "invert_heat": lambda n: heat.invert_heat(_S, n),
+    "chebyshev_values": lambda n: core.chebyshev_values(n, 0.5),
+    "chebyshev_u": lambda n: core.chebyshev_u(n, 0.5),
+    "phi_eval": lambda n: core.phi_eval(core.free_spec(3), 0.5, n),
+    "alpha_star_partials": lambda n: core.alpha_star_partials(core.free_spec(3), n),
+    "moments_of_measure": lambda n: core.moments_of_measure(_MU, n),
+    "toda_moments": lambda n: toda.toda_moments(_MU, 0.1, n),
+    "recursion_residual": lambda n: toda.recursion_residual(_MU, 0.1, n, 1e-3),
+    "response_vector": lambda n: discrete_wave.response_vector(core.free_spec(3), n),
+    "heat_response": lambda n: heat.heat_response(core.free_spec(3), n),
+    "recover_matrix_continuous": lambda n: ct.recover_matrix_continuous(
+        ct.response_function(core.free_spec(2), _GRID.doubled()), n, _GRID
+    ),
+}
+
+# a polynomial degree or a highest moment index may be 0
+ZERO_IS_A_SIZE = {"chebyshev_values", "chebyshev_u", "moments_of_measure", "toda_moments", "recursion_residual"}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_ARGUMENTS))
+def test_one_size_rule(name):
+    """A size that is not a positive integer (a non-negative one where 0 is a size) is a BCError."""
+    call = SIZE_ARGUMENTS[name]
+    call(2)
+    for bad in (2.5, True) + (() if name in ZERO_IS_A_SIZE else (0,)):
+        with pytest.raises(errors.InvalidInputError, match="must be an integer"):
+            call(bad)

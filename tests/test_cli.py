@@ -214,6 +214,13 @@ def test_continuous_scenarios_reject_bad_sizes(tmp_path, capsys, config):
     _assert_rejected(config, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("field_time", [5.0, -3.0])
+def test_string_scenario_refuses_field_time_outside_the_horizon(tmp_path, capsys, field_time):
+    # the field pairing used to be taken at the clamped time and reported against psi(field_time)
+    config = {"command": "string", "N_values": [10], "M": 100, "field_time": field_time}
+    _assert_rejected(config, tmp_path, capsys)
+
+
 def test_verify_report_carries_metrics(tmp_path, capsys):
     assert main(["verify", "--filter", "free", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify_report.json").read_text())

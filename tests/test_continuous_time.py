@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import precision_oracle
 import pytest
@@ -31,7 +33,7 @@ from bcjacobi.continuous_time import (
     wave_kernel,
 )
 from bcjacobi.core import JacobiSpec, eig_spectral_data, random_spec
-from bcjacobi.errors import InvalidInputError, NotRealizableError
+from bcjacobi.errors import InvalidInputError, NotRealizableError, NumericalFailureError
 
 EPS = np.finfo(float).eps
 
@@ -118,6 +120,23 @@ def test_node_kernels_keep_overflowed_values():
         for got, ref in zip(_node_kernels(lam, 1.0, m), (wave_kernel(lam, m * 1.0, d) for d in (False, True))):
             assert not np.isnan(got).any()
             assert np.array_equal(np.isinf(got), np.isinf(ref))
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_forward_routes_refuse_an_overflowed_sinh_mode(action):
+    # sinh(sqrt(1e6) t) passes the float range before t = 1: the kernel tables hold inf
+    spec, grid = JacobiSpec(a0=1.0, a=[], b=[-1e6]), TimeGrid(1.0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(NumericalFailureError, match="overflows the float range"):
+            connecting_spectral(spec, grid)
+        with pytest.raises(NumericalFailureError, match="overflows the float range"):
+            solve_second_order(spec, np.ones(grid.M + 1), grid)
+        with pytest.raises(InvalidInputError, match="samples of r must be finite"):
+            response_function(spec, grid)
+        # sinh(700) / 700 is finite, its square is not
+        with pytest.raises(NumericalFailureError, match="overflows the float range"):
+            connecting_spectral(JacobiSpec(a0=1.0, a=[], b=[-4.9e5]), grid)
 
 
 def test_solve_single_mode_forced():
@@ -670,6 +689,16 @@ def test_triangular_bump_refuses_bad_width(width):
 def test_time_grid_refuses_non_finite_length(T):
     with pytest.raises(InvalidInputError, match="T must be finite"):
         TimeGrid(T, 10)
+
+
+def test_corrected_response_refuses_field_time_outside_the_horizon():
+    # it used to clamp: 5.0 gave the pairing at 1.0, and -3.0 the one at 0.0
+    grid = TimeGrid(1.0, 100)
+    for t in (5.0, -3.0, 1.0 + 1e-9, -1e-300):
+        with pytest.raises(InvalidInputError, match=r"field_time must lie in \[0, T\]"):
+            corrected_response(10, grid, field_time=t)
+    for t in (0.0, 1.0):
+        assert np.isfinite(corrected_response(10, grid, field_time=t)["pair_field"])
 
 
 @pytest.mark.parametrize("N", [0, 1, 2.5])
