@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .core import JacobiSpec, _as_finite, _finite_scalar, _hankel, _require_size, _tridiagonal, eig_spectral_data
+from .core import (
+    JacobiSpec, _as_finite, _finite_scalar, _hankel, _require_size, _require_type, _tridiagonal, eig_spectral_data,
+)
 from .errors import InvalidInputError, NotRealizableError, NumericalFailureError
 
 __all__ = [
@@ -112,7 +114,7 @@ class ResponseFunctionSamples:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_finite(self.values, "samples of r"))
-        if self.values.shape != (self.grid.M + 1,):
+        if self.values.shape != (_require_type(self.grid, TimeGrid, "grid").M + 1,):
             raise InvalidInputError("need one sample of r per grid node")
 
 
@@ -298,7 +300,7 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
     raises NumericalFailureError.
     """
     f = _as_finite(f, "control")
-    if f.size != grid.M + 1:
+    if f.size != _require_type(grid, TimeGrid, "grid").M + 1:
         raise InvalidInputError("control must be sampled on the grid")
     data = eig_spectral_data(spec)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -313,6 +315,7 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
 
 def response_function(spec: JacobiSpec, grid: TimeGrid) -> ResponseFunctionSamples:
     """Samples of r(t) = sum_k (1/omega_k) S_k(t) at the grid nodes j dt."""
+    _require_type(grid, TimeGrid, "grid")
     data = eig_spectral_data(spec)
     with np.errstate(over="ignore", invalid="ignore"):  # ResponseFunctionSamples refuses what overflows
         vals = _GridKernels(data.eigenvalues, grid.dt, grid.M + 1).sum_modes(1.0 / data.omegas)
@@ -321,8 +324,8 @@ def response_function(spec: JacobiSpec, grid: TimeGrid) -> ResponseFunctionSampl
 
 def _require_doubled(r: ResponseFunctionSamples, grid: TimeGrid) -> None:
     """Refuse samples of r that do not cover [0, 2T] with the spacing of `grid`."""
-    if not (isinstance(r, ResponseFunctionSamples) and isinstance(grid, TimeGrid)):
-        raise InvalidInputError("need ResponseFunctionSamples of r and a TimeGrid")
+    _require_type(r, ResponseFunctionSamples, "r")
+    _require_type(grid, TimeGrid, "grid, the horizon of ResponseFunctionSamples on [0, 2T],")
     if r.grid.M != 2 * grid.M or abs(r.grid.T - 2.0 * grid.T) > 1e-12 * grid.T:
         raise InvalidInputError("response must be sampled on [0, 2T] with the grid spacing")
 
@@ -383,6 +386,7 @@ def connecting_spectral(spec: JacobiSpec, grid: TimeGrid) -> np.ndarray:
     """Rank-N kernel sum_k (1/omega_k) S_k(T-t) S_k(T-s), assembled exactly,
     with S_k(T - t_j) taken at the exact nodes (M - j) dt.  A kernel past the
     float range raises NumericalFailureError."""
+    _require_type(grid, TimeGrid, "grid")
     data = eig_spectral_data(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         S = _node_kernels(data.eigenvalues, grid.dt, np.arange(grid.M, -1, -1))[0]
@@ -493,7 +497,7 @@ def string_system(s: StringSpec) -> dict:
     the returned Jacobi block (first components are unaffected).  The control
     enters channel 1 of the symmetrized system with gain 1/(l_1 sqrt(m_1)).
     """
-    m, l = s.masses, s.lengths
+    m, l = _require_type(s, StringSpec, "s").masses, s.lengths
     N1 = m.size  # number of interior masses
     a = 1.0 / l[1:N1]
     b = -(l[:N1] + l[1 : N1 + 1]) / (l[:N1] * l[1 : N1 + 1])
@@ -519,7 +523,7 @@ def triangular_bump(grid: TimeGrid, width: float | None = None) -> np.ndarray:
     The bump has support [0, width] with peak 2/width at width/2, which
     approximates a delta control on the grid scale.
     """
-    t = grid.nodes
+    t = _require_type(grid, TimeGrid, "grid").nodes
     if width is None:
         width = 16.0 * grid.dt
     if not (np.isfinite(width) and width > 0):
@@ -599,6 +603,7 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
     Both the kernel sum of u_1 and the modal sums at t* run on one
     `_GridKernels` of the N - 1 modes.
     """
+    _require_type(grid, TimeGrid, "grid")
     if field_time is not None:
         field_time = _finite_scalar(field_time, "field_time")
         if not 0.0 <= field_time <= grid.T:

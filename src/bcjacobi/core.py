@@ -137,16 +137,17 @@ class SpectralMeasure:
     atoms: tuple  # of (lambda, weight) pairs
 
     def __post_init__(self):
-        atoms = tuple((float(l), float(w)) for l, w in self.atoms)
-        lam = np.array([l for l, _ in atoms])
-        w = np.array([w for _, w in atoms])
-        if lam.size == 0:
+        x = _as_finite(self.atoms, "atoms")
+        if x.size == 0:
             raise InvalidInputError("empty measure")
+        if x.ndim != 2 or x.shape[1] != 2:
+            raise InvalidInputError("atoms must be (lambda, weight) pairs")
+        lam, w = x.T
         if np.any(np.diff(lam) <= 0):
             raise InvalidInputError("eigenvalues must be strictly increasing")
         if np.any(w <= 0):
             raise InvalidInputError("weights must be positive")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", tuple(map(tuple, x.tolist())))
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -194,7 +195,7 @@ def chebyshev_values(t_max: int, lam) -> np.ndarray:
     lam may be a scalar or an ndarray; the leading axis of the result indexes t.
     """
     _require_size("t", t_max, low=0)
-    lam = np.asarray(lam)
+    lam = _as_lambda(lam)
     out = np.zeros((t_max + 1,) + lam.shape, dtype=np.result_type(lam.dtype, float))
     if t_max >= 1:
         out[1] = 1.0
@@ -211,10 +212,12 @@ def phi_eval(spec: JacobiSpec, lam, n_max: int) -> np.ndarray:
     trailing coefficient a_N is taken as 1; the roots of phi_{N+1} are
     unaffected by that scaling.
     """
+    _require_type(spec, JacobiSpec, "spec")
     _require_size("n_max", n_max)
     if n_max > spec.n + 1:
         raise InvalidInputError(f"n_max must be in 1..N+1 = {spec.n + 1}")
-    dt = complex if (spec.mode == "complex" or np.iscomplexobj(np.asarray(lam))) else float
+    lam = _as_lambda(lam, scalar=True)
+    dt = complex if (spec.mode == "complex" or np.iscomplexobj(lam)) else float
     phi = np.zeros(n_max + 1, dtype=dt)
     phi[1] = 1.0
     a = spec.a
@@ -231,7 +234,7 @@ def eig_spectral_data(spec: JacobiSpec) -> SpectralData:
     Eigenvalues ascending; eigenvectors rescaled so the first component is
     exactly 1 (then phi^k = phi(lambda_k)); omega_k = sum_n (phi^k_n)^2.
     """
-    if spec.mode != "real":
+    if _require_type(spec, JacobiSpec, "spec").mode != "real":
         raise BCError("eigen machinery is restricted to the self-adjoint (real) case")
     if spec.n == 1:
         lam = np.array([spec.b[0]])
@@ -271,15 +274,17 @@ def moments_of_measure(mu: SpectralMeasure, K: int) -> np.ndarray:
 
 
 def _as_numbers(x, what: str, real: bool = True) -> np.ndarray:
-    """Data as a 1-D float array, or complex unless `real`; strings and other non-numbers are refused."""
-    x = np.atleast_1d(np.asarray(x))
-    cplx = np.iscomplexobj(x)
+    """Data as a float array of at least one dimension, or complex unless `real`;
+    strings, ragged lists and other non-numbers are refused."""
+    try:
+        x = np.atleast_1d(np.asarray(x))
+        cplx = np.iscomplexobj(x)
+        y = np.asarray(x, dtype=complex if cplx else float)
+    except (TypeError, ValueError):  # strings, None, ragged lists and other non-numbers
+        raise InvalidInputError(f"{what} must be {'real ' if real else ''}numbers") from None
     if cplx and real:
         raise InvalidInputError(f"{what} must be real, got dtype {x.dtype}")
-    try:
-        return np.asarray(x, dtype=complex if cplx else float)
-    except (TypeError, ValueError):  # strings, None and other non-numbers
-        raise InvalidInputError(f"{what} must be {'real ' if real else ''}numbers") from None
+    return y
 
 
 def _as_finite(x, what: str, real: bool = True) -> np.ndarray:
@@ -297,6 +302,17 @@ def _finite_scalar(x, what: str) -> float:
     return float(_as_finite(x, what)[0])
 
 
+def _as_lambda(lam, scalar: bool = False) -> np.ndarray:
+    """The spectral parameter as a finite real or complex array of its own shape
+    (0-d for a number); strings and other non-numbers, and with `scalar` arrays, are refused."""
+    x = np.asarray(lam)
+    if x.dtype.kind not in "iufc" or (scalar and x.ndim):
+        raise InvalidInputError(f"lambda must be {'a number' if scalar else 'numbers'}, got {lam!r}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"lambda must be finite, got {lam!r}")
+    return x
+
+
 def _coeff_gap(x: JacobiSpec, y: JacobiSpec) -> float:
     """Largest entrywise gap between the a and the b vectors of two blocks of one size."""
     return max(float(np.max(np.abs(x.a - y.a), initial=0.0)), float(np.max(np.abs(x.b - y.b))))
@@ -312,6 +328,13 @@ def _hankel(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def _tridiagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense symmetric tridiagonal matrix with diagonal b and off-diagonals a."""
     return np.diag(b) + np.diag(a, 1) + np.diag(a, -1)
+
+
+def _require_type(x, cls: type, what: str):
+    """x itself if it is a `cls`; anything else, None included, is refused by the type expected."""
+    if not isinstance(x, cls):
+        raise InvalidInputError(f"{what} must be a {cls.__name__}, got {type(x).__name__}")
+    return x
 
 
 def _require_size(what: str, n: int, low: int = 1) -> None:
@@ -378,7 +401,7 @@ def alpha_star_partials(spec: JacobiSpec, n_max: int | None = None) -> np.ndarra
     returned values are raw diagnostics, never a certified limit.  Entries
     where p_n(0) vanishes are not finite.
     """
-    if spec.mode != "real":
+    if _require_type(spec, JacobiSpec, "spec").mode != "real":
         raise BCError("diagnostic defined for the self-adjoint case")
     if n_max is not None:
         _require_size("n_max", n_max)

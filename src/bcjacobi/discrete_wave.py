@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec, _as_finite, _hankel, _require_size
+from .core import JacobiSpec, _as_finite, _hankel, _require_size, _require_type
 from .errors import InvalidInputError, NumericalFailureError, SpecTooShortError
 
 __all__ = [
@@ -124,6 +124,7 @@ def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
     exact for t <= T by finite speed.  Requires block size >= T + 1 and
     len(f) = T.
     """
+    _require_type(spec, JacobiSpec, "spec")
     f = _as_finite(f, "control", real=False)
     if spec.n < T + 1:
         raise SpecTooShortError(f"block size {spec.n} < T + 1 = {T + 1}")
@@ -133,6 +134,7 @@ def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
 
 def solve_finite_dirichlet(spec: JacobiSpec, f, T: int) -> WaveField:
     """Forward solve on nodes 1..N with a hard zero at n = N + 1."""
+    _require_type(spec, JacobiSpec, "spec")
     f = _as_finite(f, "control", real=False)
     u = _step_field(spec, f, T, spec.n)
     return WaveField(u=u, f=f)
@@ -146,6 +148,7 @@ def response_vector(spec: JacobiSpec, T: int, bc: str = "semi_infinite") -> Resp
     block must be at least that long.  For the Dirichlet system the reflections
     off n = N + 1 are part of the answer and the full block is used.
     """
+    _require_type(spec, JacobiSpec, "spec")
     _require_size("T", T)
     if bc == "semi_infinite":
         depth = (T + 1) // 2
@@ -172,7 +175,7 @@ def control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
     The diagonal is prod_{k<n} a_k.  Assembled from one delta forward solve;
     the columns are time slices by time invariance.
     """
-    if spec.n < T:
+    if _require_type(spec, JacobiSpec, "spec").n < T:
         raise SpecTooShortError(f"control matrix at horizon {T} needs block size >= {T}")
     u = _step_field(spec, delta_control(T), T, T)
     W = np.triu(u[1 : T + 1, 1 : T + 1])
@@ -199,23 +202,15 @@ def connecting_from_response(r, T: int) -> np.ndarray:
 def _connecting(r: np.ndarray, T: int) -> np.ndarray:
     """`connecting_from_response` on entries already coerced, which may be non-finite."""
     _require_horizon(r, T)
-    # Lower diagonal m of the reversed matrix J C J holds the running sums of
-    # r_m, r_{m+2}, ..., r_{2T-2-m}; cumulative sums avoid the cancellation of
-    # prefix-sum differences.  Row m of one cumsum over the even columns
-    # X[m, k] = r_{m+2k} of the Hankel view of r (zero-padded) runs them all,
-    # and it is written through a view stepping down the diagonals of a (2T, T) buffer:
-    # S[m, k] is entry (m + k, k), so the entries past the diagonal's end land
-    # in rows T and beyond.  The sums run sequentially (error ~ T eps), not
-    # pairwise like np.sum, which trades some accuracy on long diagonals for
-    # O(T^2) work; it can shift the block at which a borderline response is refused.
-    x = np.concatenate([r[: 2 * T - 1], np.zeros(T - 1, r.dtype)])
-    buf = np.empty(2 * T * T, dtype=r.dtype)
-    S = np.lib.stride_tricks.as_strided(buf, (T, T), (T * x.itemsize, (T + 1) * x.itemsize))
-    np.cumsum(_hankel(x, T, 2 * T - 1)[:, ::2], axis=1, out=S)
-    R = buf[: T * T].reshape(T, T)
-    np.copyto(R, R.T, where=~np.tri(T, dtype=bool))
-    # scaling the un-reversed view gives a fresh C-ordered C^T, not a view
-    # that would keep the (2T, T) buffer alive
+    # J C J is the running sum down each diagonal of the Hankel matrix H[k, j] = r_{k+j}:
+    # each row is the row above, shifted one column, plus its own Hankel row, and both
+    # triangles run the same chains, so the result is symmetric without a mirror.  The sums
+    # run sequentially (error ~ T eps), not pairwise like np.sum, which trades some accuracy
+    # on long diagonals for O(T^2) work; it can shift the block at which a borderline
+    # response is refused.
+    R = _hankel(r, T, T).copy()
+    for prev, row in zip(R[:-1, :-1], R[1:, 1:]):
+        np.add(prev, row, out=row)
     return r[0] * R[::-1, ::-1]
 
 

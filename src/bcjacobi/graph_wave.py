@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_finite, _json_int, _require_size
+from .core import _as_finite, _json_int, _require_size, _require_type
 from .errors import InvalidInputError
 
 __all__ = ["Edge", "GraphSpec", "GraphField", "simulate"]
@@ -169,6 +169,7 @@ def simulate(graph: GraphSpec, controls: dict, T: int) -> tuple:
     segments (and identically on p = 2 chains); it dips transiently while a
     pulse crosses a vertex of degree != 2.
     """
+    _require_type(graph, GraphSpec, "graph")
     _require_size("T", T, low=0)
     ctr = {k: _as_finite(v, f"control for {k!r}") for k, v in controls.items()}
     for k, v in ctr.items():

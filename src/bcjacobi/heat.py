@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec, _as_finite, _require_size
+from .core import JacobiSpec, _as_finite, _require_size, _require_type
 from .discrete_wave import _as_response, _step_field, delta_control
 from .errors import InvalidInputError, SpecTooShortError
 from .moments import _reversed_hankel, truncated_moment_naive
@@ -42,6 +42,7 @@ class HeatField:
 def solve_heat(spec: JacobiSpec, f, T: int) -> HeatField:
     """Explicit stepping through time T on nodes 1..T (finite speed makes
     the zero wall at n = T + 1 exact)."""
+    _require_type(spec, JacobiSpec, "spec")
     f = np.atleast_1d(np.asarray(f))
     if np.iscomplexobj(f):
         raise InvalidInputError("the heat system takes a real control")
@@ -59,6 +60,7 @@ def heat_response(spec: JacobiSpec, T: int) -> np.ndarray:
     suffices; for a_0 = 1 the entries are the power moments of the block's
     spectral measure.
     """
+    _require_type(spec, JacobiSpec, "spec")
     _require_size("T", T)
     depth = (T + 1) // 2
     if spec.n < depth:
@@ -73,7 +75,7 @@ def heat_control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
     By time invariance V[n, s] = v^delta_{n, T-s}; used for the Gram identity
     S^T = (V^T)^* V^T.
     """
-    if spec.n < T:
+    if _require_type(spec, JacobiSpec, "spec").n < T:
         raise SpecTooShortError(f"control matrix at horizon {T} needs block size >= {T}")
     v = _step_field(spec, delta_control(T), T, T, order=1)
     return v[1 : T + 1, T:0:-1]

@@ -62,9 +62,10 @@ class InversionReport:
 
     In complex mode only a_k^2 is determined by the data (the response is even
     in every a_k); `a` then holds principal square roots, which reproduce the
-    same response.  `determinants` lists det C_1..det C_T of the reversed
-    connecting matrix.  `residual` is the max relative error of the
-    re-simulated response against the input.  `scaled_pivots` are the LDL^t
+    same response.  `determinants` lists the leading minors det C_1..det C_T
+    of the reversed connecting matrix C(r) of the unnormalized data, for any
+    r_0 = a_0 (each is r_0^(2k) times the minor of C(r / r_0)).  `residual`
+    is the max relative error of the re-simulated response against the input.  `scaled_pivots` are the LDL^t
     pivots of the diagonally equilibrated reversed connecting matrix of
     r / r_0 (read off the modified Chebyshev sweep, C is never factored), the
     conditioning profile of the data: a pivot near zero marks a nested block
@@ -139,7 +140,7 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
     m = r[: 2 * T] / r[0]
     n = m.size
     # the refusal scale, the running column maxima of D C_T D: an O(T^2) assembly
-    # (one strided cumsum, `_connecting`) and one pass over the triangle
+    # (one row recurrence, `_connecting`) and one pass over the triangle
     C = reverse_order(_connecting(m, T))
     diag = np.abs(np.diag(C)).astype(float)
     diag[diag == 0] = 1.0
@@ -165,6 +166,13 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
             u[lo:hi] = cur[lo + 1 : hi + 1] - b[k] * cur[lo:hi] - prev[lo:hi] + cur[lo - 1 : hi - 1]
             prev = cur
     return b, d, d / diag, None
+
+
+def _leading_minors(r0, d: np.ndarray) -> np.ndarray:
+    """det C_1..det C_k of the reversed connecting matrix of r from the sweep's
+    pivots d, which are those of C(r / r_0) = C(r) / r_0^2."""
+    with np.errstate(over="ignore"):
+        return np.cumprod(r0**2 * d)
 
 
 def _leading_eigvalsh(C: np.ndarray) -> list:
@@ -224,12 +232,11 @@ def invert_factorization(r, T: int) -> InversionReport:
     verdict, b_rec, d = _admit(used, T)
     if not verdict.admissible:
         raise SingularBlockError(verdict.detail)
-    with np.errstate(over="ignore"):
-        dets = np.cumprod(d)
     a_sq = d[1:] / d[:-1]
     rep = InversionReport(
-        a0=used[0], a=np.sqrt(a_sq), b=b_rec, determinants=dets, residual=0.0, mode=r.mode,
-        a_sq=a_sq if r.mode == "complex" else None, scaled_pivots=verdict.diagnostics["scaled_pivots"],
+        a0=used[0], a=np.sqrt(a_sq), b=b_rec, determinants=_leading_minors(used[0], d), residual=0.0,
+        mode=r.mode, a_sq=a_sq if r.mode == "complex" else None,
+        scaled_pivots=verdict.diagnostics["scaled_pivots"],
     )
     resim = response_vector(rep.recovered, 2 * T - 1, bc="semi_infinite").r
     residual = float(np.max(np.abs(resim - used)) / max(np.max(np.abs(used)), 1e-300))
@@ -329,8 +336,7 @@ def schrodinger_check(r, T: int, tol: float = 1e-8) -> SchrodingerResult:
         return SchrodingerResult(False, np.zeros(0), "r_0 != 1")
     if not verdict.admissible:
         return SchrodingerResult(False, np.zeros(0), verdict.detail)
-    # the sweep's pivots are those of C(r / r_0) = C(r) / r_0^2
-    dets = np.cumprod(r[0] ** 2 * d)
+    dets = _leading_minors(r[0], d)
     ok = bool(np.all(np.abs(dets - 1.0) <= tol))
     detail = "all leading minors equal 1" if ok else "det C^l deviates from 1"
     return SchrodingerResult(ok, dets, detail)

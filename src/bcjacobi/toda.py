@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import JacobiSpec, SpectralMeasure, _finite_scalar, _tridiagonal, moments_of_measure, spectral_measure
+from .core import (
+    JacobiSpec, SpectralMeasure, _finite_scalar, _require_type, _tridiagonal, moments_of_measure, spectral_measure,
+)
 from .errors import InvalidInputError, NumericalFailureError
 
 __all__ = [
@@ -51,7 +53,8 @@ def moser_evolve(mu0: SpectralMeasure, t: float) -> SpectralMeasure:
     shifted form is exact up to rounding.  A weight that underflows to zero is
     reported as a conditioning failure rather than silently dropped.
     """
-    lam, shifted, _ = _log_weights(mu0, t)
+    _require_type(mu0, SpectralMeasure, "mu0")
+    lam, shifted, _ = _log_weights(mu0, _finite_scalar(t, "t"))
     w = np.exp(shifted)
     w /= np.sum(w)
     if np.any(w == 0.0):
@@ -63,7 +66,7 @@ def moser_evolve(mu0: SpectralMeasure, t: float) -> SpectralMeasure:
 
 def toda_moments(mu0: SpectralMeasure, t: float, K: int) -> np.ndarray:
     """Moments s_0(t)..s_K(t) of the evolved measure; s_0(t) = 1 always."""
-    return moments_of_measure(moser_evolve(mu0, t), K)
+    return moments_of_measure(moser_evolve(mu0, _finite_scalar(t, "t")), K)
 
 
 def recursion_residual(mu0: SpectralMeasure, t: float, K: int, h: float) -> float:
@@ -73,6 +76,7 @@ def recursion_residual(mu0: SpectralMeasure, t: float, K: int, h: float) -> floa
     evaluated from shifted log-sums so the check stays finite at large |t|.
     The residual vanishes analytically and decays O(h^2) in the step.
     """
+    t, h = _finite_scalar(t, "t"), _finite_scalar(h, "h")
     if h <= 0:
         raise InvalidInputError("h must be positive")
 
@@ -124,9 +128,10 @@ def toda_solve(spec0: JacobiSpec, t: float) -> TodaState:
     `_jacobi_from_atoms`; a0 is carried over from spec0.  The one refusal is
     `moser_evolve`'s, when a weight underflows at large |t|.
     """
+    t = _finite_scalar(t, "t")
     mu_t = moser_evolve(spectral_measure(spec0), t)
     a, b = _jacobi_from_atoms(mu_t.lambdas, mu_t.weights)
-    return TodaState(spec=JacobiSpec(a0=spec0.a0, a=a, b=b), measure=mu_t, t=float(t))
+    return TodaState(spec=JacobiSpec(a0=spec0.a0, a=a, b=b), measure=mu_t, t=t)
 
 
 def toda_qr_flow(spec0: JacobiSpec, t: float) -> JacobiSpec:
@@ -145,9 +150,7 @@ def toda_qr_flow(spec0: JacobiSpec, t: float) -> JacobiSpec:
     independent of the Moser and RKPW route of `toda_solve`.  a0 is carried
     over.  A complex block is refused.
     """
-    if not isinstance(spec0, JacobiSpec):
-        raise InvalidInputError("spec0 must be a JacobiSpec")
-    if spec0.mode != "real":
+    if _require_type(spec0, JacobiSpec, "spec0").mode != "real":
         raise InvalidInputError("the Toda lattice oracle takes real blocks")
     t = _finite_scalar(t, "t")
     a, b = spec0.a, spec0.b

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .core import JacobiSpec, _as_finite, chebyshev_values, eig_spectral_data
+from .core import (
+    JacobiSpec, _as_finite, _as_lambda, _finite_scalar, _require_type, chebyshev_values, eig_spectral_data,
+)
 from .discrete_wave import _as_response, connecting_from_response, reverse_order
 from .errors import BCError, InvalidInputError, PoleError
 from .inverse_bc import _leading_eigvalsh
@@ -69,7 +71,7 @@ def joukowsky_z(lam) -> complex:
     lower half disk when lambda is in the upper half-plane; z + 1/z
     reproduces lambda to machine precision.
     """
-    lam = complex(lam)
+    lam = complex(_as_lambda(lam, scalar=True))
     s = np.sqrt(lam * lam - 4.0 + 0j)
     z1 = (lam - s) / 2.0
     z2 = (lam + s) / 2.0
@@ -83,8 +85,8 @@ def in_domain_D(lam, B: float) -> bool:
     Joukowsky image of the circle |z| = 1/R (an ellipse with semi-axes
     R + 1/R and R - 1/R); equivalently |z(lambda)| < 1/R and Im lambda > 0.
     """
-    lam = complex(lam)
-    R = 3.0 * B + 1.0
+    lam = complex(_as_lambda(lam, scalar=True))
+    R = 3.0 * _finite_scalar(B, "B") + 1.0
     return lam.imag > 0 and abs(joukowsky_z(lam)) < 1.0 / R
 
 
@@ -92,15 +94,13 @@ def weyl_resolvent(spec: JacobiSpec | None, lam, kind: str = "finite") -> comple
     """m(lambda) = ((A - lambda)^{-1} e_1, e_1).
 
     finite: sum_k w_k / (lambda_k - lambda) from the block's spectral data;
-    free: m_0(lambda) = -z.
+    free: m_0(lambda) = -z, and spec may be None.
     """
-    lam = complex(lam)
+    lam = complex(_as_lambda(lam, scalar=True))
     if kind == "free":
         return -joukowsky_z(lam)
     if kind != "finite":
         raise InvalidInputError(f"unknown kind {kind!r}")
-    if spec is None:
-        raise InvalidInputError("finite resolvent needs a spec")
     data = eig_spectral_data(spec)
     w = 1.0 / data.omegas
     gap = np.min(np.abs(data.eigenvalues - lam))
@@ -125,7 +125,7 @@ def weyl_series(r, lam, tol: float = 1e-10, coeff_bound: float | None = None) ->
     bound is supplied.
     """
     rv = _as_response(r)
-    lam = complex(lam)
+    lam = complex(_as_lambda(lam, scalar=True))
     z = joukowsky_z(lam)
     az = abs(z)
     if az >= 1.0:
@@ -179,7 +179,7 @@ def debranges_kernel(C_T: np.ndarray, z, T: int) -> DeBrangesElement:
     C_T = _as_finite(C_T, "C_T", real=False)
     if C_T.shape != (T, T):
         raise InvalidInputError("C_T must be T x T")
-    rhs = np.conj(chebyshev_values(T, complex(z))[1:])
+    rhs = np.conj(chebyshev_values(T, complex(_as_lambda(z, scalar=True)))[1:])
     return DeBrangesElement(coeffs=_refined_solve(C_T, rhs, "C_T"))
 
 
@@ -192,7 +192,7 @@ def debranges_kernel_hankel(S_T: np.ndarray, z, T: int) -> np.ndarray:
     S_T = _as_finite(S_T, "S_T", real=False)
     if S_T.shape != (T, T):
         raise InvalidInputError("S_T must be T x T")
-    zc = np.conj(complex(z))
+    zc = np.conj(complex(_as_lambda(z, scalar=True)))
     return _refined_solve(S_T, zc ** np.arange(T), "S_T")
 
 
@@ -203,6 +203,8 @@ def debranges_inner(C_T: np.ndarray, F: DeBrangesElement, G: DeBrangesElement):
     associated spectral measure.
     """
     C_T = _as_finite(C_T, "C_T", real=False)
+    _require_type(F, DeBrangesElement, "F")
+    _require_type(G, DeBrangesElement, "G")
     if F.T != G.T or C_T.shape != (F.T, F.T):
         raise InvalidInputError("dimension mismatch")
     return np.vdot(C_T @ F.coeffs, G.coeffs)

@@ -3,7 +3,8 @@
 Diagonal i - j = m of C^T holds the running sums of r_m, r_{m+2}, ...,
 r_{2T-2-m}, longest first; this loop takes one `np.cumsum` per diagonal and
 writes it into both triangles.  `discrete_wave._connecting` runs every
-diagonal in one strided cumsum and must agree with this bit for bit.
+diagonal at once by the row recurrence C_T[k, j] = C_T[k-1, j-1] + r_{k+j}
+of the reversed matrix and must agree with this bit for bit.
 """
 
 import numpy as np

@@ -16,7 +16,7 @@ import scipy
 
 import bcjacobi
 from bcjacobi import continuous_time as ct
-from bcjacobi import core, discrete_wave, errors, heat, inverse_bc, moments, toda, weyl_debranges
+from bcjacobi import core, discrete_wave, errors, graph_wave, heat, inverse_bc, moments, toda, weyl_debranges
 
 MODULES = sorted(
     m.name for m in pkgutil.iter_modules(bcjacobi.__path__) if m.name != "__main__"
@@ -100,13 +100,14 @@ def test_one_kernel_evaluator():
 def test_one_structured_matrix_builder():
     """Every Hankel and Toeplitz matrix is a gather of `core._hankel`, the only
     `sliding_window_view` in the package, and every dense tridiagonal one comes
-    from `core._tridiagonal`; scipy's hankel and toeplitz are not used."""
+    from `core._tridiagonal`; scipy's hankel and toeplitz and numpy's writable
+    `as_strided` views are not used."""
     trees = {path.stem: ast.parse(path.read_text()) for path in Path(bcjacobi.__file__).parent.glob("*.py")}
 
     def where(name, find):
         return {f"{stem}.{func}" for stem, tree in trees.items() for func in find(tree, name)}
 
-    for name in ("hankel", "toeplitz"):
+    for name in ("hankel", "toeplitz", "as_strided"):
         assert where(name, _mentions) == set(), name
     assert where("sliding_window_view", _mentions) == {"core._hankel"}
     assert where("_hankel", _callers) == {
@@ -208,3 +209,104 @@ def test_one_size_rule(name):
     for bad in (2.5, True) + (() if name in ZERO_IS_A_SIZE else (0,)):
         with pytest.raises(errors.InvalidInputError, match="must be an integer"):
             call(bad)
+
+
+_FREE = core.free_spec(3)
+_F = weyl_debranges.DeBrangesElement(np.ones(3))
+# a valid and a wrong value of each structured argument type
+_TYPED = {
+    ct.TimeGrid: (_GRID, (2.0, 40)),
+    core.JacobiSpec: (_FREE, _MU),
+    core.SpectralMeasure: (_MU, [(0.0, 1.0)]),
+    ct.StringSpec: (ct.StringSpec.uniform(3), _FREE),
+    graph_wave.GraphSpec: (graph_wave.GraphSpec.path(2), {"edges": []}),
+    weyl_debranges.DeBrangesElement: (_F, np.ones(3)),
+}
+
+# each public function taking a structured argument, called with that argument
+TYPE_ARGUMENTS = {
+    "solve_second_order": (ct.TimeGrid, lambda g: ct.solve_second_order(_FREE, np.zeros(41), g)),
+    "response_function": (ct.TimeGrid, lambda g: ct.response_function(_FREE, g)),
+    "connecting_spectral": (ct.TimeGrid, lambda g: ct.connecting_spectral(_FREE, g)),
+    "corrected_response": (ct.TimeGrid, lambda g: ct.corrected_response(3, g)),
+    "triangular_bump": (ct.TimeGrid, lambda g: ct.triangular_bump(g)),
+    "ResponseFunctionSamples": (ct.TimeGrid, lambda g: ct.ResponseFunctionSamples(np.zeros(41), g)),
+    "response_vector": (core.JacobiSpec, lambda s: discrete_wave.response_vector(s, 3)),
+    "control_matrix": (core.JacobiSpec, lambda s: discrete_wave.control_matrix(s, 3)),
+    "solve_semi_infinite": (core.JacobiSpec, lambda s: discrete_wave.solve_semi_infinite(s, np.ones(2), 2)),
+    "solve_finite_dirichlet": (core.JacobiSpec, lambda s: discrete_wave.solve_finite_dirichlet(s, np.ones(2), 2)),
+    "solve_heat": (core.JacobiSpec, lambda s: heat.solve_heat(s, np.ones(2), 2)),
+    "heat_response": (core.JacobiSpec, lambda s: heat.heat_response(s, 3)),
+    "heat_control_matrix": (core.JacobiSpec, lambda s: heat.heat_control_matrix(s, 3)),
+    "eig_spectral_data": (core.JacobiSpec, core.eig_spectral_data),
+    "spectral_measure": (core.JacobiSpec, core.spectral_measure),
+    "toda_solve": (core.JacobiSpec, lambda s: toda.toda_solve(s, 0.1)),
+    "toda_qr_flow": (core.JacobiSpec, lambda s: toda.toda_qr_flow(s, 0.1)),
+    "weyl_resolvent": (core.JacobiSpec, lambda s: weyl_debranges.weyl_resolvent(s, 10.0)),
+    "phi_eval": (core.JacobiSpec, lambda s: core.phi_eval(s, 0.5, 2)),
+    "alpha_star_partials": (core.JacobiSpec, core.alpha_star_partials),
+    "roundtrip_report": (core.JacobiSpec, lambda s: inverse_bc.roundtrip_report(s, 2)),
+    "moser_evolve": (core.SpectralMeasure, lambda m: toda.moser_evolve(m, 0.1)),
+    "toda_moments": (core.SpectralMeasure, lambda m: toda.toda_moments(m, 0.1, 2)),
+    "recursion_residual": (core.SpectralMeasure, lambda m: toda.recursion_residual(m, 0.1, 2, 1e-3)),
+    "string_system": (ct.StringSpec, ct.string_system),
+    "simulate": (graph_wave.GraphSpec, lambda g: graph_wave.simulate(g, {}, 2)),
+    "debranges_inner[F]": (weyl_debranges.DeBrangesElement, lambda F: weyl_debranges.debranges_inner(np.eye(3), F, _F)),
+    "debranges_inner[G]": (weyl_debranges.DeBrangesElement, lambda G: weyl_debranges.debranges_inner(np.eye(3), _F, G)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_ARGUMENTS))
+def test_one_type_rule(name):
+    """None or a value of another type in a structured argument is a BCError naming the type expected."""
+    cls, call = TYPE_ARGUMENTS[name]
+    good, wrong = _TYPED[cls]
+    call(good)
+    for bad in (None, wrong):
+        with pytest.raises(errors.InvalidInputError, match=f"must be a {cls.__name__}, got {type(bad).__name__}"):
+            call(bad)
+
+
+def test_free_resolvent_takes_no_spec():
+    assert weyl_debranges.weyl_resolvent(None, 2.5, kind="free") == -0.5
+
+
+# each public function taking a spectral parameter lambda, called with it
+LAMBDA_ARGUMENTS = {
+    "chebyshev_values": lambda x: core.chebyshev_values(3, x),
+    "chebyshev_u": lambda x: core.chebyshev_u(3, x),
+    "kappa_vector": lambda x: inverse_bc.kappa_vector(3, x),
+    "DeBrangesElement": lambda x: _F(x),
+    "solve_krein": lambda x: inverse_bc.solve_krein(np.eye(3), _R, x, 0.0, 1.0, 3),
+    "phi_eval": lambda x: core.phi_eval(_FREE, x, 2),
+    "weyl_series": lambda x: weyl_debranges.weyl_series(_R, x),
+    "weyl_resolvent": lambda x: weyl_debranges.weyl_resolvent(_FREE, x),
+    "weyl_resolvent[free]": lambda x: weyl_debranges.weyl_resolvent(None, x, kind="free"),
+    "in_domain_D": lambda x: weyl_debranges.in_domain_D(x, 1.0),
+    "joukowsky_z": weyl_debranges.joukowsky_z,
+    "debranges_kernel": lambda x: weyl_debranges.debranges_kernel(np.eye(3), x, 3),
+    "debranges_kernel_hankel": lambda x: weyl_debranges.debranges_kernel_hankel(np.eye(3), x, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAMBDA_ARGUMENTS))
+def test_one_lambda_rule(name):
+    """A lambda that is not a finite number is a BCError."""
+    call = LAMBDA_ARGUMENTS[name]
+    call(10.0)
+    call(10.0 + 1.0j)
+    for bad in ("x", None, np.nan, np.inf, complex(1.0, -np.inf)):
+        with pytest.raises(errors.InvalidInputError, match="lambda must be"):
+            call(bad)
+
+
+def test_lambda_keeps_its_shape():
+    lam = np.array([[0.5, -1.5, 3.0]])
+    vals = core.chebyshev_values(4, lam)
+    assert vals.shape == (5, 1, 3)
+    for j, x in enumerate(lam[0]):
+        assert np.array_equal(vals[:, 0, j], core.chebyshev_values(4, x))
+    with pytest.raises(errors.InvalidInputError, match="lambda must be a number"):
+        weyl_debranges.weyl_series(_R, lam)
+    with pytest.raises(errors.InvalidInputError, match="B must be"):
+        weyl_debranges.in_domain_D(1j, "x")

@@ -402,6 +402,14 @@ def responses(draw, max_T=60):
     return T, r
 
 
+def _with_specials(rng, n) -> np.ndarray:
+    """n complex entries, one in eight of their parts +-inf or NaN."""
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    r.real[rng.integers(0, n, n // 8)] = rng.choice([np.inf, -np.inf, np.nan], n // 8)
+    r.imag[rng.integers(0, n, n // 8)] = rng.choice([np.inf, -np.inf, np.nan], n // 8)
+    return r
+
+
 def _flags_raised(build, r, T) -> bool:
     with np.errstate(all="raise"):
         try:
@@ -414,6 +422,9 @@ def _flags_raised(build, r, T) -> bool:
 @settings(max_examples=150)
 @given(responses())
 @example((2, np.array([1.0, -np.inf, 0.0, np.inf])))  # -inf + inf only if r_3 joined a sum
+@example((3, np.array([np.nan, 0.0, np.inf, 0.0, -np.inf])))  # inf - inf only if r_4 ran on past diagonal 2's end
+@example((400, np.random.default_rng(400).standard_normal(799)))
+@example((257, _with_specials(np.random.default_rng(257), 513)))
 def test_connecting_matches_diagonal_oracle(case):
     T, r = case
     with np.errstate(all="ignore"):  # inf - inf, 0 * inf and overflow are part of the draw

@@ -97,6 +97,19 @@ def test_determinant_diagnostics_length():
     assert rep.determinants.shape == (6,)
 
 
+@pytest.mark.parametrize("a0", [2.0, 0.7 - 1.3j])
+def test_determinants_are_the_leading_minors_for_any_a0(a0):
+    # det C_k of the unnormalized data, r_0^(2k) times the minors of r / r_0
+    rng = np.random.default_rng(3)
+    spec = random_spec(6, rng, a0=2.0)
+    if isinstance(a0, complex):
+        spec = JacobiSpec(a0=a0, a=spec.a + 0.2j, b=spec.b - 0.1j, mode="complex")
+    r = response_vector(spec, 9)
+    C = reverse_order(connecting_from_response(r, 5))
+    minors = [np.linalg.det(C[:k, :k]) for k in range(1, 6)]
+    assert invert_factorization(r, 5).determinants == pytest.approx(minors, rel=1e-10)
+
+
 def test_factorization_diagonal_identity():
     # q_{kk} prod_{j<k} a_j = 1 from the computed W inverse on a small instance
     rng = np.random.default_rng(14)

@@ -264,3 +264,31 @@ def test_toda_block_returns_the_moser_atoms(spec, t):
     mu = spectral_measure(st_t.spec)
     assert np.max(np.abs(mu.lambdas - st_t.measure.lambdas)) <= 1e-12
     assert np.max(np.abs(mu.weights - st_t.measure.weights)) <= 1e-12
+
+
+@pytest.mark.parametrize("atoms, match", [
+    (((0.0, np.nan),), "finite"),
+    (((np.inf, 1.0),), "finite"),
+    (((-1.0, 0.5), (1.0, -np.inf)), "finite"),
+    ((("x", 1.0),), "numbers"),
+    (((1.0,),), "pairs"),
+    (((0.0, 1.0), (1.0,)), "numbers"),
+    (((1.0 + 1.0j, 1.0),), "real"),
+])
+def test_measure_refuses_malformed_atoms(atoms, match):
+    with pytest.raises(InvalidInputError, match=match):
+        SpectralMeasure(atoms)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, "x", 1j])
+def test_flow_times_must_be_finite(t):
+    mu = SpectralMeasure(((-1.0, 0.5), (1.0, 0.5)))
+    for call in (
+        lambda: moser_evolve(mu, t),
+        lambda: toda_moments(mu, t, 3),
+        lambda: recursion_residual(mu, t, 3, 1e-3),
+        lambda: recursion_residual(mu, 0.1, 3, t),
+        lambda: toda_solve(free_spec(3), t),
+    ):
+        with pytest.raises(InvalidInputError, match=r"\b[th] must be"):
+            call()
