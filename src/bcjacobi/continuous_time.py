@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+from scipy.linalg import eigh_tridiagonal
 
 from .core import (
     JacobiSpec, _as_finite, _finite_scalar, _hankel, _require_size, _require_type, _tridiagonal, eig_spectral_data,
@@ -164,15 +164,17 @@ def _two_product(x: np.ndarray, y: np.ndarray) -> tuple:
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
-def _node_kernels(lam: np.ndarray, dt: float, m: np.ndarray) -> tuple:
+def _node_kernels(lam: np.ndarray, dt: float, m: np.ndarray, lam_lo: np.ndarray | None = None) -> tuple:
     """S_k and C_k = S_k' at the exact nodes m dt (m integer), to first order
     in every argument rounding: the package's one kernel-table evaluator.
+    With `lam_lo`, the eigenvalues are lam + lam_lo in double-double.
 
     wave_kernel evaluates at t' = fl(rt fl(m dt)) / rt, rt = fl(sqrt|lam|).
     The offset of the node, m dt - t', is exact in double-double, and so is
     rt's own rounding: with p + e = rt rt (Dekker), |lam| - p is exact
     (Sterbenz), and sqrt|lam| = rt (1 + rel), rel = (|lam| - p - e) / (2 p),
-    to first order.  The argument sqrt|lam| m dt is then rt (t' + d) with
+    to first order (plus sign(lam) lam_lo / (2 p) with a low part).  The
+    argument sqrt|lam| m dt is then rt (t' + d) with
     d = t_lo + x_lo / rt + t rel, and S(t' + d) = S(t') + d C(t'),
     C(t' + d) = C(t') - lam d S(t').  What is left is rt's rounding in S's
     divisor, a relative error below eps.  Where d rt, the argument's
@@ -185,7 +187,10 @@ def _node_kernels(lam: np.ndarray, dt: float, m: np.ndarray) -> tuple:
         t, t_lo = _two_product(m.astype(float), dt)
         _, x_lo = _two_product(t[:, None], rt)
         p, e = _two_product(rt, rt)
-        rel = np.divide((np.abs(lam) - p) - e, 2.0 * p, out=np.zeros_like(p), where=p > 0)
+        gap = (np.abs(lam) - p) - e
+        if lam_lo is not None:
+            gap = gap + np.sign(lam) * lam_lo
+        rel = np.divide(gap, 2.0 * p, out=np.zeros_like(p), where=p > 0)
         d = (t_lo[:, None] + np.divide(x_lo, rt, out=np.zeros_like(x_lo), where=rt > 0)
              + t[:, None] * rel)
         d = np.where(np.abs(d * rt) < 1.0, d, 0.0)  # NaN compares false
@@ -209,11 +214,11 @@ class _GridKernels:
     order, unlike sin(sqrt(lam) t_j) mode by mode.
     """
 
-    def __init__(self, lam: np.ndarray, dt: float, n: int):
+    def __init__(self, lam: np.ndarray, dt: float, n: int, lam_lo: np.ndarray | None = None):
         self.n = n
         B = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-        self.Sb, self.Cb = _node_kernels(lam, dt, np.arange(B))
-        self.Sa, self.Ca = _node_kernels(lam, dt, B * np.arange(-(-n // B)))
+        self.Sb, self.Cb = _node_kernels(lam, dt, np.arange(B), lam_lo)
+        self.Sa, self.Ca = _node_kernels(lam, dt, B * np.arange(-(-n // B)), lam_lo)
 
     def sum_modes(self, w: np.ndarray) -> np.ndarray:
         """r_j = sum_k w_k S_k(j dt) for j < n."""
@@ -272,10 +277,19 @@ def _simpson_convolution(f: np.ndarray, k: np.ndarray, dt: float) -> np.ndarray:
     """c_j = int_0^{t_j} f(tau) k(t_j - tau) dtau by `_simpson_weights(j, dt)`
     for every j: one direct (not FFT, so each entry rounds like one dot
     product) convolution with the interior pattern dt/3 (1, 4, 2, 4, ...),
-    then a patch of the last one (even j) or two (odd j) weights of row j."""
+    then a patch of the last one (even j) or two (odd j) weights of row j.
+
+    The convolution runs over the nonzero span lo..hi of the weighted control
+    alone (a bump's 17 nodes, not all n): c_j for j < lo is 0, and the zeros
+    outside the span add nothing to any entry.  For a control with no zero at
+    either end it is the same single np.convolve."""
     n = f.size
-    p = _simpson_weights(2 * n, dt)[:n]  # the rule's interior pattern
-    c = np.convolve(p * f, k)[:n]
+    pf = _simpson_weights(2 * n, dt)[:n] * f  # the rule's interior pattern
+    c = np.zeros(n)
+    span = np.flatnonzero(pf)
+    if span.size:
+        lo, hi = span[0], span[-1] + 1
+        c[lo:] = np.convolve(pf[lo:hi], k[: n - lo])[: n - lo]
     fk0 = f * k[0]
     c[2::2] -= (dt / 3.0) * fk0[2::2]
     c[1::2] += (dt / 6.0) * f[0:-1:2] * k[1] - (5.0 * dt / 6.0) * fk0[1::2]
@@ -397,14 +411,65 @@ def connecting_spectral(spec: JacobiSpec, grid: TimeGrid) -> np.ndarray:
     return K
 
 
+def _top_eigenpairs(apply, n: int, k: int) -> tuple:
+    """The k largest eigenpairs (descending) of the symmetric n x n operator
+    `apply`, by Lanczos with full reorthogonalization (Parlett, The Symmetric
+    Eigenvalue Problem, 1980).
+
+    The start vector is ones, so the result is the same bit for bit from call
+    to call.  Each new vector is orthogonalized against all earlier ones
+    twice, and from step k on the tridiagonal's top k Ritz pairs are taken.
+    The run stops when every wanted Ritz estimate |beta_m y_{m,i}| is at the
+    apply's rounding level eps |theta|_max (below it the apply cannot tell
+    the residual from its own rounding), on an invariant subspace (beta_m =
+    0), or at m = n, where the Krylov space is the whole space; an unconverged
+    pair is never returned.  An invariant subspace of dimension below k (the
+    zero operator, say) is a breakdown: NotRealizableError.
+    """
+    Q = np.empty((n, min(n, 2 * k + 2)))  # the Lanczos vectors, grown by doubling
+    q = np.full(n, 1.0 / math.sqrt(n))
+    alpha, beta = np.empty(n), np.empty(n)
+    for m in range(n):
+        if m == Q.shape[1]:
+            Q = np.concatenate([Q, np.empty((n, min(n, 2 * m) - m))], axis=1)
+        Q[:, m] = q
+        V = Q[:, : m + 1]
+        x = apply(q)
+        h = V.T @ x
+        x -= V @ h
+        h2 = V.T @ x
+        x -= V @ h2
+        alpha[m] = h[m] + h2[m]
+        top = float(np.max(np.abs(x)))
+        if not np.isfinite(top):
+            raise NumericalFailureError("the connecting kernel overflows the float range")
+        beta[m] = b = top * float(np.linalg.norm(x / top)) if top else 0.0  # x @ x overflows past 1e154
+        if m + 1 >= k:
+            # stebz squares the entries: an exact power of two brings them near 1
+            e = math.frexp(max(np.max(np.abs(alpha[: m + 1])), np.max(beta[:m], initial=0.0)))[1]
+            theta, Y = eigh_tridiagonal(np.ldexp(alpha[: m + 1], -e), np.ldexp(beta[:m], -e),
+                                        select="i", select_range=(m + 1 - k, m))
+            theta = np.ldexp(theta, e)
+            if m + 1 == n or np.all(b * np.abs(Y[-1]) <= np.finfo(float).eps * np.max(np.abs(theta))):
+                return theta[::-1], (V @ Y)[:, ::-1]
+        elif b == 0.0:
+            raise NotRealizableError(
+                f"Lanczos broke down (invariant subspace of dimension {m + 1}): "
+                f"the data does not support rank {k}"
+            )
+        q = x / b
+
+
 def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid) -> tuple:
     """Recover the N x N block and the special controls f_1..f_N from r on [0, 2T].
 
     Reads r.values alone.  C f = K (w f), with K the kernel of
     `connecting_dynamic` on the Simpson antiderivative P of r and w the
     Simpson weights, is applied by FFT (`_kernel_apply`) and restricted to
-    its range by the top N eigenpairs of sqrt(w) K sqrt(w), which Lanczos
-    (ARPACK `eigsh`) finds from that apply.  N > M is refused, and
+    its range by the top N eigenpairs of sqrt(w) K sqrt(w), which the
+    package's Lanczos (`_top_eigenpairs`: full reorthogonalization, start
+    vector ones) finds from that apply; an invariant subspace below rank N
+    is a breakdown, NotRealizableError.  N > M is refused, and
     eigenvalue N must clear the noise floor max(1e-8 lambda_1, T max|P_dt -
     P_2dt| / 15), a Richardson estimate of P's error, else NotRealizableError
     names the numerical rank counted against it.  With C f_1 = r(T - .),
@@ -433,16 +498,7 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     P = np.concatenate([[0.0], _cumulative_simpson(r.values, grid.dt)])
     w = grid.simpson_weights
     sw = np.sqrt(w)
-    op = LinearOperator((M + 1, M + 1), dtype=float,
-                        matvec=lambda v: sw * _kernel_apply(P, sw * v.ravel()))
-    try:
-        # ARPACK's default random start moves the result at rounding level from call to call
-        sig, U = eigsh(op, k=N, which="LA", v0=np.ones(M + 1))
-    except ArpackError as err:  # r = 0: the Krylov space of the start vector is {0}
-        raise NotRealizableError(
-            f"Lanczos broke down ({err}): the data does not support rank {N}"
-        ) from None
-    sig, U = sig[::-1], U[:, ::-1]
+    sig, U = _top_eigenpairs(lambda v: sw * _kernel_apply(P, sw * v), M + 1, N)
     # Richardson estimate of P's error (order 4, step 2 dt against dt); T times
     # it bounds the norm of the kernel's quadrature perturbation
     P2 = np.concatenate([[0.0], _cumulative_simpson(r.values[::2], 2.0 * grid.dt)])
@@ -590,6 +646,47 @@ def psi_preset(kind: str, **params):
     return make(**{**defaults, **params})
 
 
+class _UniformString:
+    """Modes of the uniform N-piece string in closed form.
+
+    Its symmetrized block is exactly N^2 tridiag(1, 2, 1), whose modes,
+    eigenvalues ascending (k = N - 1, ..., 1), are
+
+        lam_k = 4 N^2 cos^2(k pi / 2N),  omega_k = N / (2 sin^2(k pi / N)),
+        phi^k_j = sin(j k pi / N) / sin(k pi / N),  j = 1..N-1.
+
+    Every sine is taken at an exactly reduced integer argument, in the first
+    quadrant: cos(k pi / 2N) = sin((N - k) pi / 2N), sin(k pi / N) =
+    sin(min(k, N - k) pi / N).  They are evaluated in np.longdouble, so
+    omega_k and sin(k pi / N) are rounded once to float64 and lam_k is carried
+    as a double-double, lam_k + lam_lo_k, into the kernel tables: a float64
+    lam_k alone moves sqrt(lam_k) t by up to sqrt(lam_k) t eps / 4, which the
+    cancelling sum over the modes does not absorb.  (Where np.longdouble is
+    float64, lam_lo is 0 and each value is float64's.)  No N x N matrix is
+    formed: the modal sum sum_k phi^k_j c_k is a sine transform, one real
+    FFT.  The eigensolver route (`string_system`, then `eig_spectral_data`)
+    is its test oracle.
+    """
+
+    def __init__(self, N: int):
+        self.N = N
+        self.k = np.arange(N - 1, 0, -1)
+        pi = np.longdouble(np.pi) + np.longdouble(1.2246467991473532e-16)  # pi - fl(pi), rounded
+        lam = (2 * N * np.sin((N - self.k) * pi / (2 * N))) ** 2
+        first = np.sin(np.minimum(self.k, N - self.k) * pi / N)
+        self.eigenvalues = lam.astype(float)
+        self.lam_lo = (lam - self.eigenvalues).astype(float)
+        self.first = first.astype(float)  # sin(k pi / N)
+        self.omegas = (N / (2 * first**2)).astype(float)
+
+    def modal_sum(self, c: np.ndarray) -> np.ndarray:
+        """sum_k phi^k_j c_k for j = 1..N-1, along the first axis of c: minus
+        the imaginary part of the DFT of length 2N of c_k / sin(k pi / N) at k."""
+        x = np.zeros((2 * self.N,) + c.shape[1:])
+        x[self.k] = (c.T / self.first).T
+        return -np.fft.rfft(x, axis=0)[1 : self.N].imag
+
+
 def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | None = None) -> dict:
     """Uniform-string delta-approximation experiment.
 
@@ -600,9 +697,11 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
     psi'(0)), plus the field pairing int u(x, t*) psi(x) dx at t* =
     field_time (tends to psi(t*)), which must lie in [0, grid.T].  Trends over
     an N-ladder are the caller's business; nothing here is a certified limit.
-    Both the kernel sum of u_1 and the modal sums at t* run on one
-    `_GridKernels` of the N - 1 modes.
+    The N - 1 modes are the string's closed form (`_UniformString`), not an
+    eigensolve.  Both the kernel sum of u_1 and the modal sums at t* run on
+    one `_GridKernels` of them; the state at t* is one sine transform.
     """
+    _require_size("N", N, low=2)
     _require_type(grid, TimeGrid, "grid")
     if field_time is not None:
         field_time = _finite_scalar(field_time, "field_time")
@@ -610,15 +709,15 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
             raise InvalidInputError(f"field_time must lie in [0, T] = [0, {grid.T}], got {field_time}")
     if psi is None:
         psi, _ = gauss_test_function(0.45, 0.1)
-    sysd = string_system(StringSpec.uniform(N))
-    data = eig_spectral_data(sysd["spec"])
-    kernels = _GridKernels(data.eigenvalues, grid.dt, grid.M + 1)
+    modes = _UniformString(N)
+    kernels = _GridKernels(modes.eigenvalues, grid.dt, grid.M + 1, modes.lam_lo)
     f = triangular_bump(grid)
     t = grid.nodes
     w = grid.trapezoid_weights
-    # u_1(t) = sqrt(N) * w_1(t); control gain in the symmetrized system
-    conv = _simpson_convolution(f, kernels.sum_modes(1.0 / data.omegas), grid.dt)
-    u1 = np.sqrt(N) * sysd["gain"] * conv
+    # u = M^{-1/2} D w, so u_1 = sqrt(N) w_1, and the control enters channel 1
+    # of the symmetrized system with gain 1/(l_1 sqrt(m_1)) = N sqrt(N)
+    gain = float(N) ** 2
+    u1 = gain * _simpson_convolution(f, kernels.sum_modes(1.0 / modes.omegas), grid.dt)
     u0 = f
     corrected = (u1 - u0) * N
     pair_raw = float(np.sum(w * u1 * psi(t)))
@@ -632,12 +731,11 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
     }
     if field_time is not None:
         j_star = int(round(field_time / grid.dt))
-        # all channels at t*: u = M^{-1/2} D w; D is the sign conjugation
+        # all channels at t*; D is the sign conjugation
         wf = _simpson_weights(j_star, grid.dt) * f[: j_star + 1]
-        h_star = kernels.sum_times(wf[::-1]) / data.omegas  # S_k(t* - t_i) = S_k((j* - i) dt)
+        h_star = kernels.sum_times(wf[::-1]) / modes.omegas  # S_k(t* - t_i) = S_k((j* - i) dt)
         signs = (-1.0) ** np.arange(N - 1)  # undo the conjugation, channel 1 positive
-        w_state = data.phi_vectors @ h_star * sysd["gain"]
-        u_state = np.sqrt(N) * signs * w_state
+        u_state = gain * signs * modes.modal_sum(h_star)
         # piecewise-affine field through (x_i, u_i), x_i = i/N, clamped at x = 1
         xs = np.arange(N + 1) / N
         field_vals = np.concatenate([[u0[j_star]], u_state, [0.0]])

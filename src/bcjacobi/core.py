@@ -69,10 +69,9 @@ class JacobiSpec:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         for name in ("a", "b"):
             x = getattr(self, name)
-            if self.mode == "real":
-                x = _as_finite(x, "coefficients")
-            else:
-                x = np.atleast_1d(np.asarray(x, dtype=complex))
+            x = _as_finite(x, "coefficients", real=self.mode == "real")
+            if self.mode == "complex":
+                x = x.astype(complex)
             object.__setattr__(self, name, x)
         if self.b.size == 0:
             raise InvalidInputError("degenerate N=0 block")
@@ -85,7 +84,7 @@ class JacobiSpec:
             if self.a0 <= 0 or np.any(self.a <= 0):
                 raise InvalidInputError("real mode requires a0 > 0 and a_k > 0")
         else:
-            object.__setattr__(self, "a0", complex(self.a0))
+            object.__setattr__(self, "a0", complex(_as_lambda(self.a0, scalar=True, what="a0")))
             if self.a0 == 0 or np.any(self.a == 0):
                 raise InvalidInputError("complex mode requires nonzero a0 and a_k")
 
@@ -302,15 +301,24 @@ def _finite_scalar(x, what: str) -> float:
     return float(_as_finite(x, what)[0])
 
 
-def _as_lambda(lam, scalar: bool = False) -> np.ndarray:
-    """The spectral parameter as a finite real or complex array of its own shape
-    (0-d for a number); strings and other non-numbers, and with `scalar` arrays, are refused."""
+def _as_lambda(lam, scalar: bool = False, what: str = "lambda") -> np.ndarray:
+    """The spectral parameter (or another real or complex argument, named by
+    `what`) as a finite real or complex array of its own shape (0-d for a
+    number); strings and other non-numbers, and with `scalar` arrays, are refused."""
     x = np.asarray(lam)
     if x.dtype.kind not in "iufc" or (scalar and x.ndim):
-        raise InvalidInputError(f"lambda must be {'a number' if scalar else 'numbers'}, got {lam!r}")
+        raise InvalidInputError(f"{what} must be {'a number' if scalar else 'numbers'}, got {lam!r}")
     if not np.all(np.isfinite(x)):
-        raise InvalidInputError(f"lambda must be finite, got {lam!r}")
+        raise InvalidInputError(f"{what} must be finite, got {lam!r}")
     return x
+
+
+def _tolerance(tol) -> float:
+    """A tolerance as a float: a finite number > 0, anything else refused."""
+    tol = _finite_scalar(tol, "tol")
+    if not tol > 0:
+        raise InvalidInputError(f"tol must be > 0, got {tol}")
+    return tol
 
 
 def _coeff_gap(x: JacobiSpec, y: JacobiSpec) -> float:

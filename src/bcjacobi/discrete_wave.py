@@ -65,7 +65,14 @@ class ResponseVector:
 
 
 def delta_control(T: int, dtype=float) -> np.ndarray:
+    """The unit impulse (1, 0, ..., 0) of length T, float or complex."""
     _require_size("T", T)
+    try:
+        known = dtype is not None and np.dtype(dtype) in (np.dtype(float), np.dtype(complex))
+    except TypeError:  # "x", an array and other things that are no dtype
+        known = False
+    if not known:
+        raise InvalidInputError(f"dtype must be float or complex, got {dtype!r}")
     f = np.zeros(T, dtype=dtype)
     f[0] = 1.0
     return f

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import JacobiSpec, _as_finite, _as_numbers, _hankel, _require_size, chebyshev_values
+from .core import (
+    JacobiSpec, _as_finite, _as_lambda, _as_numbers, _hankel, _require_size, _tolerance, chebyshev_values,
+)
 from .discrete_wave import (
     ResponseVector,
     _as_response,
@@ -276,6 +278,7 @@ def solve_krein(C: np.ndarray, r, lam, alpha, beta, T: int) -> np.ndarray:
     (under the a_0 = 1 normalization).  A singular C raises `SingularBlockError`.
     """
     C = _as_finite(C, "C", real=False)
+    alpha, beta = (_as_lambda(x, scalar=True, what=name) for x, name in ((alpha, "alpha"), (beta, "beta")))
     if C.shape != (T, T):
         raise InvalidInputError("C must be the T x T connecting matrix")
     kap = np.conj(kappa_vector(T, lam))
@@ -331,6 +334,7 @@ def schrodinger_check(r, T: int, tol: float = 1e-8) -> SchrodingerResult:
     Fails on r_0 != 1 first, then with the detail of an inadmissible verdict.
     """
     r = _as_response(r)
+    tol = _tolerance(tol)
     verdict, _, d = _admit(r, T)
     if abs(r[0] - 1.0) > tol:
         return SchrodingerResult(False, np.zeros(0), "r_0 != 1")

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import JacobiSpec, SpectralMeasure, _as_finite, _at_zero, _hankel, _require_size, spectral_measure
+from .core import (
+    JacobiSpec, SpectralMeasure, _as_finite, _at_zero, _hankel, _require_size, _tolerance, spectral_measure,
+)
 from .discrete_wave import connecting_from_response, _as_response
 from .errors import InvalidInputError, NotRealizableError, SingularBlockError
 from .inverse_bc import _admit, _chebyshev_sweep
@@ -244,6 +246,7 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     if kind not in ("hamburger", "stieltjes", "hausdorff"):
         raise InvalidInputError(f"unknown kind {kind!r}")
     _require_size("N_max", N_max)
+    tol = _tolerance(tol)
     s = _as_finite(s, "moments")
     need = 2 * N_max - 1 if kind == "hamburger" else 2 * N_max
     if s.size < need:

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .core import (
-    JacobiSpec, _as_finite, _as_lambda, _finite_scalar, _require_type, chebyshev_values, eig_spectral_data,
+    JacobiSpec, _as_finite, _as_lambda, _finite_scalar, _require_type, _tolerance, chebyshev_values,
+    eig_spectral_data,
 )
 from .discrete_wave import _as_response, connecting_from_response, reverse_order
 from .errors import BCError, InvalidInputError, PoleError
@@ -126,6 +127,7 @@ def weyl_series(r, lam, tol: float = 1e-10, coeff_bound: float | None = None) ->
     """
     rv = _as_response(r)
     lam = complex(_as_lambda(lam, scalar=True))
+    tol = _tolerance(tol)
     z = joukowsky_z(lam)
     az = abs(z)
     if az >= 1.0:

@@ -22,3 +22,18 @@ def node_kernels(lam, dt: float, m) -> tuple:
         S[:, pick] = s(x) / rt[pick]
         C[:, pick] = c(x)
     return S, C
+
+
+def uniform_string_modes(N: int) -> tuple:
+    """lam_k, omega_k and phi^k_j (rows j = 1..N-1, columns k) of the uniform
+    N-piece string's block N^2 tridiag(1, 2, 1) in np.longdouble, eigenvalues
+    ascending (k = N - 1, ..., 1): 4 N^2 cos^2(k pi / 2N), N / (2 sin^2(k pi / N))
+    and sin(j k pi / N) / sin(k pi / N), with pi and every argument in np.longdouble.
+    The cosine is taken as sin((N - k) pi / 2N): near pi / 2 the rounding of
+    its argument would cost the small eigenvalues their last digits."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    k = np.arange(N - 1, 0, -1).astype(np.longdouble)
+    j = np.arange(1, N).astype(np.longdouble)[:, None]
+    first = np.sin(k * pi / N)
+    lam = 4 * np.longdouble(N) ** 2 * np.sin((N - k) * pi / (2 * N)) ** 2
+    return lam, N / (2 * first**2), np.sin(j * k * pi / N) / first

@@ -149,14 +149,16 @@ def test_import_does_not_load_scipy_signal(cli_import_modules):
     assert "scipy.signal" not in cli_import_modules
 
 
-def test_cli_import_loads_only_scipy_linalg_and_sparse(cli_import_modules):
+def test_cli_import_loads_only_scipy_linalg(cli_import_modules):
     """`scipy.integrate` alone pulled in ~200 modules (optimize, special, fft, ...)
     and ~0.25 s of every process's start, and `scipy.signal` ~0.4 s; no code of the
-    package needs them (the FFT kernel apply uses numpy.fft)."""
-    absent = ["scipy.integrate", "scipy.optimize", "scipy.special", "scipy.fft", "scipy.stats", "scipy.signal"]
+    package needs them (the FFT kernel apply uses numpy.fft).  `scipy.sparse`
+    came in for ARPACK alone; the continuous-time inverse runs its own Lanczos."""
+    absent = ["scipy.integrate", "scipy.optimize", "scipy.special", "scipy.fft", "scipy.stats", "scipy.signal",
+              "scipy.sparse"]
     loaded = [m for m in absent if m in cli_import_modules]
     assert not loaded, loaded
-    assert sorted(p for p in scipy.__all__ if "scipy." + p in cli_import_modules) == ["linalg", "sparse"]
+    assert sorted(p for p in scipy.__all__ if "scipy." + p in cli_import_modules) == ["linalg"]
 
 
 _R = np.r_[1.0, np.zeros(11)]  # the free response, long enough for every size below 6
@@ -310,3 +312,63 @@ def test_lambda_keeps_its_shape():
         weyl_debranges.weyl_series(_R, lam)
     with pytest.raises(errors.InvalidInputError, match="B must be"):
         weyl_debranges.in_domain_D(1j, "x")
+
+
+# each public function taking a real or complex scalar coefficient, called with it
+SCALAR_ARGUMENTS = {
+    "solve_krein[alpha]": ("alpha", lambda x: inverse_bc.solve_krein(np.eye(3), _R, 0.5, x, 1.0, 3)),
+    "solve_krein[beta]": ("beta", lambda x: inverse_bc.solve_krein(np.eye(3), _R, 0.5, 0.0, x, 3)),
+    "JacobiSpec[complex a0]": ("a0", lambda x: core.JacobiSpec(a0=x, a=[1.0], b=[0.0, 0.0], mode="complex")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_ARGUMENTS))
+def test_scalar_coefficients_must_be_finite_numbers(name):
+    """alpha and beta of solve_krein and a complex block's a0: NaN gave an all-NaN
+    control or block, and "x" numpy's UFuncTypeError or complex()'s ValueError."""
+    what, call = SCALAR_ARGUMENTS[name]
+    call(0.5)
+    call(0.5 + 1.0j)
+    for bad in ("x", None, np.nan, np.inf, complex(1.0, np.nan), [1.0, 2.0]):
+        with pytest.raises(errors.InvalidInputError, match=f"{what} must be"):
+            call(bad)
+
+
+@pytest.mark.parametrize("a, b", [(["x"], [0.0, 0.0]), ([1.0], ["x", 0.0]), ([np.nan], [0.0, 0.0]),
+                                  ([1.0], [0.0, np.inf]), ([[1.0], [2.0, 3.0]], [0.0, 0.0])])
+def test_complex_block_coefficients_are_coerced(a, b):
+    with pytest.raises(errors.InvalidInputError, match="coefficients must be"):
+        core.JacobiSpec(a0=1.0, a=a, b=b, mode="complex")
+
+
+def test_complex_block_stays_complex():
+    spec = core.JacobiSpec(a0=2, a=[1], b=[0, 1], mode="complex")
+    assert spec.a0 == 2 + 0j and spec.a.dtype == complex and spec.b.dtype == complex
+
+
+# each public function taking a tolerance, called with it
+TOL_ARGUMENTS = {
+    "weyl_series": lambda tol: weyl_debranges.weyl_series(_R, 10.0, tol=tol),
+    "schrodinger_check": lambda tol: inverse_bc.schrodinger_check(_R, 2, tol=tol),
+    "solvability": lambda tol: moments.solvability(_S, "hamburger", 2, tol=tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOL_ARGUMENTS))
+def test_one_tolerance_rule(name):
+    """A tolerance must be a finite number > 0: "x" ended in UFuncTypeError, and
+    NaN or -1 in weyl_series in a "too short" BCError that named no tolerance."""
+    call = TOL_ARGUMENTS[name]
+    call(1e-8)
+    for bad in ("x", None, [1e-8], np.nan, np.inf, -1.0, 0.0, 1j):
+        with pytest.raises(errors.InvalidInputError, match="tol must be"):
+            call(bad)
+
+
+def test_delta_control_takes_float_or_complex():
+    assert discrete_wave.delta_control(3).dtype == float
+    for dtype in (complex, np.complex128, np.dtype(complex), "complex128"):
+        assert discrete_wave.delta_control(3, dtype=dtype).dtype == complex
+    for bad in ("x", None, int, np.float32, np.ones(2)):
+        with pytest.raises(errors.InvalidInputError, match="dtype must be float or complex"):
+            discrete_wave.delta_control(3, dtype=bad)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_simpson
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from bcjacobi.continuous_time import (
     ResponseFunctionSamples,
@@ -18,7 +19,10 @@ from bcjacobi.continuous_time import (
     _kernel_apply,
     _kernel_matrix,
     _node_kernels,
+    _simpson_weights,
     _simpson_convolution,
+    _top_eigenpairs,
+    _UniformString,
     connecting_dynamic,
     connecting_spectral,
     corrected_response,
@@ -491,6 +495,54 @@ def test_simpson_convolution_matches_row_loop():
         assert np.all(np.abs(c - ref) <= 8 * M * EPS * scale), M
 
 
+def test_simpson_convolution_on_the_support_matches_row_loop():
+    # zeros before and after the control: only its nonzero span is convolved
+    rng = np.random.default_rng(72)
+    for M, lo, hi in ((2, 1, 2), (3, 0, 2), (10, 3, 5), (41, 0, 17), (41, 24, 41), (200, 7, 24), (401, 100, 117)):
+        f, k = np.zeros(M + 1), rng.standard_normal(M + 1)
+        f[lo:hi] = rng.standard_normal(hi - lo)
+        dt = rng.uniform(0.01, 1.0)
+        c = _simpson_convolution(f, k, dt)
+        ref = _convolution_reference(f, k, dt)
+        scale = _convolution_reference(np.abs(f), np.abs(k), dt)
+        assert c[0] == 0.0
+        assert np.all(np.abs(c - ref) <= 8 * M * EPS * scale), M
+    f = np.zeros(41)
+    assert np.array_equal(_simpson_convolution(f, rng.standard_normal(41), 0.1), f)
+
+
+def test_simpson_convolution_of_a_full_support_control_is_one_convolve():
+    # no zero at either end: the single np.convolve of the whole control, bit for bit
+    rng = np.random.default_rng(73)
+    for M in (2, 3, 40, 41, 400):
+        f, k = rng.standard_normal((2, M + 1))
+        dt = rng.uniform(0.01, 1.0)
+        n = M + 1
+        ref = np.convolve(_simpson_weights(2 * n, dt)[:n] * f, k)[:n]
+        fk0 = f * k[0]
+        ref[2::2] -= (dt / 3.0) * fk0[2::2]
+        ref[1::2] += (dt / 6.0) * f[0:-1:2] * k[1] - (5.0 * dt / 6.0) * fk0[1::2]
+        ref[0] = 0.0
+        assert np.array_equal(_simpson_convolution(f, k, dt), ref), M
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_solve_refuses_a_kernel_that_overflows_inside_the_support(action):
+    # sinh(1000 t) passes the float range near t = 0.71; the control starts at
+    # t = 0.1 and lasts to the end, so the overflowed kernel meets it
+    spec, grid = JacobiSpec(a0=1.0, a=[], b=[-1e6]), TimeGrid(1.0, 100)
+    f = np.zeros(grid.M + 1)
+    f[10:] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(NumericalFailureError, match="overflows the float range"):
+            solve_second_order(spec, f, grid)
+        f[:] = 0.0
+        f[10:20] = 1.0  # the trailing zeros still meet sinh(1000 t) for t past 0.71
+        with pytest.raises(NumericalFailureError, match="overflows the float range"):
+            solve_second_order(spec, f, grid)
+
+
 def test_kernel_matrix_bit_identical_to_meshgrid():
     rng = np.random.default_rng(61)
     for M in (2, 3, 10, 41):
@@ -517,18 +569,17 @@ def test_solve_second_order_matches_row_loop():
 
 def test_corrected_response_matches_row_loop():
     psi, _ = gauss_test_function(0.45, 0.1)
-    # the reference kernels are extended precision at the exact nodes j dt, so
-    # the bound also covers the float64 rounding of sqrt(lam) and of the nodes
+    # the reference modes and kernels are extended precision, the kernels at the
+    # exact nodes j dt, so the bound also covers the float64 rounding of the
+    # closed-form modes, of sqrt(lam) and of the nodes
     for N, M, t_star in ((10, 80, 0.5), (25, 201, 0.37), (200, 1600, 0.5), (400, 3200, 0.5)):
         grid = TimeGrid(1.0, M)
         out = corrected_response(N, grid, psi=psi, field_time=t_star)
-        sysd = string_system(StringSpec.uniform(N))
-        data = eig_spectral_data(sysd["spec"])
-        lam, om = data.eigenvalues, data.omegas
+        lam, om, phi = precision_oracle.uniform_string_modes(N)
         f = triangular_bump(grid)
         S, _ = precision_oracle.node_kernels(lam, grid.dt, np.arange(M + 1))
         kern = (S / om).sum(axis=1)
-        gain = np.sqrt(N) * sysd["gain"]
+        gain = np.longdouble(N) ** 2  # sqrt(N), times the gain 1/(l_1 sqrt(m_1)) = N sqrt(N)
         u1 = gain * _convolution_reference(f, kern, grid.dt)
         scale = gain * _convolution_reference(f, np.abs(kern), grid.dt)
         assert np.all(np.abs(out["u1"] - u1) <= 8 * M * EPS * scale)
@@ -536,9 +587,91 @@ def test_corrected_response_matches_row_loop():
         row = _simpson_rows_reference(M, grid.dt)[j]
         terms = row * f[: j + 1] * S[j::-1].T / om[:, None]  # S_k(t_j - t_i) = S_k((j - i) dt)
         signs = (-1.0) ** np.arange(lam.size)
-        u_state = gain * signs * (data.phi_vectors @ terms.sum(axis=1))
-        bound = gain * (np.abs(data.phi_vectors) @ np.abs(terms).sum(axis=1))
+        u_state = gain * signs * (phi @ terms.sum(axis=1))
+        bound = gain * (np.abs(phi) @ np.abs(terms).sum(axis=1))
         assert np.all(np.abs(out["field_values"][1:-1] - u_state) <= 8 * M * EPS * bound)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 10, 51, 200, 400])
+def test_uniform_string_modes_match_the_eigensolver(N):
+    """The closed-form modes against eig_spectral_data of the uniform string's
+    block, within the eigensolver's error: eps ||A|| in each eigenvalue, eps
+    ||A|| / gap_k in the direction of each eigenvector (Davis-Kahan)."""
+    modes = _UniformString(N)
+    data = eig_spectral_data(string_system(StringSpec.uniform(N))["spec"])
+    lam = modes.eigenvalues
+    norm = 4.0 * N * N  # ||N^2 tridiag(1, 2, 1)|| < 4 N^2
+    gap = np.min(np.abs(lam[:, None] - lam) + np.where(np.eye(N - 1), np.inf, 0.0), axis=1, initial=norm)
+    angle = EPS * norm / gap
+    assert np.all(np.abs(lam - data.eigenvalues) <= 8 * EPS * norm)
+    assert np.all(np.abs(modes.omegas - data.omegas) <= 16 * angle * modes.omegas)
+    phi = modes.modal_sum(np.eye(N - 1))  # column k: sum_k' phi^k'_j delta_k'k
+    assert np.all(np.abs(phi - data.phi_vectors) <= 8 * angle * np.sqrt(modes.omegas))
+
+
+@pytest.mark.parametrize("N", [200, 400, 800])
+def test_uniform_string_modes_are_exact_to_rounding(N):
+    """Against the longdouble closed form: lam and omega within one rounding,
+    at least 10x closer in omega than the eigensolver route (8.5e-13 to
+    3.5e-12 off), and phi within the sine transform's rounding."""
+    lam, om, phi = precision_oracle.uniform_string_modes(N)
+    modes = _UniformString(N)
+    eig = eig_spectral_data(string_system(StringSpec.uniform(N))["spec"])
+    assert np.all(np.abs(modes.eigenvalues - lam) <= EPS / 2 * lam)
+    assert np.all(np.abs((modes.eigenvalues.astype(np.longdouble) + modes.lam_lo) - lam) <= 1e-2 * EPS * lam)
+    closed, eigensolver = (np.max(np.abs(o - om) / om) for o in (modes.omegas, eig.omegas))
+    assert closed <= EPS and 10 * closed <= eigensolver
+    assert np.max(np.abs(modes.modal_sum(np.eye(N - 1)) - phi)) <= 8 * np.log2(2 * N) * EPS * np.max(np.sqrt(om))
+
+
+def _recovery_operator(N, M, seed):
+    """The symmetrized kernel apply of recover_matrix_continuous and its dense matrix."""
+    spec = string_family(N, np.random.default_rng(seed))
+    grid = TimeGrid(2.0, M)
+    r = response_function(spec, grid.doubled())
+    P = np.concatenate([[0.0], cumulative_simpson(r.values, dx=grid.dt)])
+    sw = np.sqrt(grid.simpson_weights)
+    return (lambda v: sw * _kernel_apply(P, sw * v)), sw[:, None] * _kernel_meshgrid(P, M) * sw
+
+
+@pytest.mark.parametrize("N, M, k, seed", [(2, 400, 2, 54), (4, 200, 4, 54), (6, 400, 6, 54), (6, 1600, 6, 54),
+                                           (3, 200, 4, 64), (3, 200, 6, 64)])
+def test_lanczos_matches_arpack(N, M, k, seed):
+    """_top_eigenpairs against scipy's ARPACK eigsh (with the start vector it
+    was given in recover_matrix_continuous): eigenvalues within 10 eps sigma_1,
+    true residuals no larger than eigsh's, and the same bits on every call.
+    k > N takes the quadrature-noise modes the rank refusal reads."""
+    apply, K = _recovery_operator(N, M, seed)
+    sig, U = _top_eigenpairs(apply, M + 1, k)
+    ref, V = eigsh(LinearOperator((M + 1, M + 1), matvec=lambda v: apply(v.ravel()), dtype=float),
+                   k=k, which="LA", v0=np.ones(M + 1))
+    ref, V = ref[::-1], V[:, ::-1]
+    assert np.all(np.diff(sig) <= 0)
+    assert np.max(np.abs(sig - ref)) <= 10 * EPS * ref[0]
+    assert np.max(np.abs(U.T @ U - np.eye(k))) <= 10 * EPS * np.sqrt(M)
+    residual = np.linalg.norm(K @ U - U * sig, axis=0)
+    assert np.max(residual) <= np.max(np.linalg.norm(K @ V - V * ref, axis=0))
+    again = _top_eigenpairs(apply, M + 1, k)
+    assert np.array_equal(again[0], sig) and np.array_equal(again[1], U)
+
+
+def test_lanczos_refuses_an_invariant_subspace_below_the_rank():
+    # the zero operator: the Krylov space of the start vector is one-dimensional
+    with pytest.raises(NotRealizableError, match="Lanczos broke down .*rank 2"):
+        _top_eigenpairs(lambda v: 0.0 * v, 10, 2)
+    sig, U = _top_eigenpairs(lambda v: 0.0 * v, 10, 1)
+    assert sig.tolist() == [0.0] and U.shape == (10, 1)
+
+
+def test_lanczos_takes_the_whole_space_at_the_last_step():
+    # equally spaced eigenvalues, equal weight on every eigenvector: the top
+    # three converge only with the full space, and come out exact
+    d = np.linspace(1.0, 2.0, 12)
+    applies = []
+    sig, U = _top_eigenpairs(lambda v: applies.append(1) or d * v, 12, 3)
+    assert len(applies) == 12
+    assert np.allclose(sig, d[::-1][:3], rtol=0, atol=10 * EPS)
+    assert np.allclose(np.abs(U), np.eye(12)[:, ::-1][:, :3], rtol=0, atol=1e-12)
 
 
 def test_connecting_spectral_matches_extended_precision_outer_product():
