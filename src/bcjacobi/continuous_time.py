@@ -580,9 +580,8 @@ def triangular_bump(grid: TimeGrid, width: float | None = None) -> np.ndarray:
     approximates a delta control on the grid scale.
     """
     t = _require_type(grid, TimeGrid, "grid").nodes
-    if width is None:
-        width = 16.0 * grid.dt
-    if not (np.isfinite(width) and width > 0):
+    width = 16.0 * grid.dt if width is None else _finite_scalar(width, "width")
+    if not width > 0:
         raise InvalidInputError("width must be positive and finite")
     peak = 2.0 / width
     half = width / 2.0

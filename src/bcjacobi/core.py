@@ -366,13 +366,22 @@ def random_spec(
     b_range=(-1.0, 1.0),
     a0: float = 1.0,
 ) -> JacobiSpec:
-    """Random real block with a_k in a_range and b_k in b_range."""
+    """Random real block with a_k in a_range and b_k in b_range, each a (low, high) pair."""
     _require_size("block size", n)
+    _require_type(rng, np.random.Generator, "rng")
     return JacobiSpec(
         a0=a0,
-        a=rng.uniform(*a_range, size=max(n - 1, 0)),
-        b=rng.uniform(*b_range, size=n),
+        a=rng.uniform(*_interval(a_range, "a_range"), size=max(n - 1, 0)),
+        b=rng.uniform(*_interval(b_range, "b_range"), size=n),
     )
+
+
+def _interval(x, what: str) -> np.ndarray:
+    """A (low, high) pair of finite numbers with low <= high."""
+    x = _as_finite(x, what)
+    if x.shape != (2,) or not x[0] <= x[1]:
+        raise InvalidInputError(f"{what} must be two finite numbers low <= high, got {x.tolist()}")
+    return x
 
 
 def _at_zero(b: np.ndarray, a_sq: np.ndarray, n: int):

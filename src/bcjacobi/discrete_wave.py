@@ -64,16 +64,10 @@ class ResponseVector:
         return self.r.size
 
 
-def delta_control(T: int, dtype=float) -> np.ndarray:
-    """The unit impulse (1, 0, ..., 0) of length T, float or complex."""
+def delta_control(T: int) -> np.ndarray:
+    """The unit impulse (1, 0, ..., 0) of length T; a complex block's stepper casts it."""
     _require_size("T", T)
-    try:
-        known = dtype is not None and np.dtype(dtype) in (np.dtype(float), np.dtype(complex))
-    except TypeError:  # "x", an array and other things that are no dtype
-        known = False
-    if not known:
-        raise InvalidInputError(f"dtype must be float or complex, got {dtype!r}")
-    f = np.zeros(T, dtype=dtype)
+    f = np.zeros(T)
     f[0] = 1.0
     return f
 
@@ -124,54 +118,66 @@ def _step_field(
     return u.T
 
 
-def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
-    """Forward solve of the semi-infinite system through time T.
+def _semi_infinite_field(spec: JacobiSpec, f: np.ndarray, T: int, order: int = 2) -> np.ndarray:
+    """The semi-infinite field through time T: `_step_field` on nodes 1..T with the
+    wall at T + 1.  The front reaches node T at time T and a_T only ever multiplies
+    the zero wall, so the wall is exact and a block of size T suffices."""
+    _require_type(spec, JacobiSpec, "spec")
+    _require_size("T", T, low=0)
+    if spec.n < T:
+        raise SpecTooShortError(f"a field through time {T} needs block size >= {T}, got {spec.n}")
+    return _step_field(spec, f, T, T, order)
 
-    The lattice is truncated at n = T + 1 with a zero value there, which is
-    exact for t <= T by finite speed.  Requires block size >= T + 1 and
-    len(f) = T.
+
+def _node1_response(spec: JacobiSpec, T: int, order: int = 2) -> np.ndarray:
+    """Node 1's response (u_{1,1}, ..., u_{1,T}) to the unit impulse.
+
+    Its entries only involve coefficients with index <= (T+1)//2, so a wall just
+    beyond that depth is exact and a block of that size suffices.
     """
     _require_type(spec, JacobiSpec, "spec")
+    _require_size("T", T)
+    depth = (T + 1) // 2
+    if spec.n < depth:
+        raise SpecTooShortError(f"a response of length {T} needs block size >= {depth}, got {spec.n}")
+    # a copy, since a view of node 1 would keep the whole field alive
+    return _step_field(spec, delta_control(T), T, depth, order)[1, 1:].copy()
+
+
+def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
+    """Forward solve of the semi-infinite system through time T; len(f) = T.
+
+    The lattice is truncated at n = T + 1 with a zero value there, which is
+    exact for t <= T by finite speed; the block needs size >= T.
+    """
     f = _as_finite(f, "control", real=False)
-    if spec.n < T + 1:
-        raise SpecTooShortError(f"block size {spec.n} < T + 1 = {T + 1}")
-    u = _step_field(spec, f, T, T)
-    return WaveField(u=u, f=f)
+    return WaveField(u=_semi_infinite_field(spec, f, T), f=f)
 
 
 def solve_finite_dirichlet(spec: JacobiSpec, f, T: int) -> WaveField:
     """Forward solve on nodes 1..N with a hard zero at n = N + 1."""
     _require_type(spec, JacobiSpec, "spec")
+    _require_size("T", T, low=0)
     f = _as_finite(f, "control", real=False)
-    u = _step_field(spec, f, T, spec.n)
-    return WaveField(u=u, f=f)
+    return WaveField(u=_step_field(spec, f, T, spec.n), f=f)
 
 
 def response_vector(spec: JacobiSpec, T: int, bc: str = "semi_infinite") -> ResponseVector:
     """Response vector r_{t-1} = u^delta_{1,t}, t = 1..T.
 
-    For the semi-infinite system, r_0..r_{T-1} only involve coefficients with
-    index <= (T+1)//2, so a wall placed just beyond that depth is exact; the
-    block must be at least that long.  For the Dirichlet system the reflections
-    off n = N + 1 are part of the answer and the full block is used.
+    For the semi-infinite system a block of size (T+1)//2 suffices (see
+    `_node1_response`).  For the Dirichlet system the reflections off n = N + 1
+    are part of the answer and the full block is used.
     """
-    _require_type(spec, JacobiSpec, "spec")
-    _require_size("T", T)
     if bc == "semi_infinite":
-        depth = (T + 1) // 2
-        if spec.n < depth:
-            raise SpecTooShortError(
-                f"semi-infinite response of length {T} needs block size >= {depth}"
-            )
-        u = _step_field(spec, delta_control(T), T, depth)
+        r = _node1_response(spec, T)
     elif bc == "dirichlet":
-        if spec.mode != "real":
+        if _require_type(spec, JacobiSpec, "spec").mode != "real":
             raise InvalidInputError("dirichlet responses are defined for real mode")
-        u = _step_field(spec, delta_control(T), T, spec.n)
+        r = solve_finite_dirichlet(spec, delta_control(T), T).u[1, 1:].copy()
     else:
         raise InvalidInputError(f"unknown boundary condition {bc!r}")
-    # a copy, since a view of node 1 would keep the whole field alive
-    return ResponseVector(r=u[1, 1 : T + 1].copy(), mode=spec.mode)
+    return ResponseVector(r=r, mode=spec.mode)
 
 
 def control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
@@ -182,11 +188,7 @@ def control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
     The diagonal is prod_{k<n} a_k.  Assembled from one delta forward solve;
     the columns are time slices by time invariance.
     """
-    if _require_type(spec, JacobiSpec, "spec").n < T:
-        raise SpecTooShortError(f"control matrix at horizon {T} needs block size >= {T}")
-    u = _step_field(spec, delta_control(T), T, T)
-    W = np.triu(u[1 : T + 1, 1 : T + 1])
-    return W
+    return np.triu(_semi_infinite_field(spec, delta_control(T), T)[1 : T + 1, 1:])
 
 
 def _require_horizon(r: np.ndarray, T: int) -> None:

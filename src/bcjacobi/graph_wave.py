@@ -32,6 +32,11 @@ class Edge:
         _require_size("edge lattice interval count", self.n_seg)
 
 
+def _is_vertex(v) -> bool:
+    """An (id, boundary flag) pair: a str and a bool."""
+    return isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], str) and isinstance(v[1], bool)
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Discrete metric graph: vertices with boundary flags, oriented edges.
@@ -45,6 +50,10 @@ class GraphSpec:
     edges: tuple  # of Edge
 
     def __post_init__(self):
+        if not (isinstance(self.vertices, tuple) and all(map(_is_vertex, self.vertices))):
+            raise InvalidInputError("vertices must be a tuple of (str id, bool boundary) pairs")
+        if not (isinstance(self.edges, tuple) and all(isinstance(e, Edge) for e in self.edges)):
+            raise InvalidInputError("edges must be a tuple of Edge")
         ids = [v for v, _ in self.vertices]
         if not ids:
             raise InvalidInputError("a graph needs at least one vertex")
@@ -96,6 +105,7 @@ class GraphSpec:
     @staticmethod
     def star(arms: int, n_seg: int) -> "GraphSpec":
         """Star with `arms` edges of equal length around one internal vertex."""
+        _require_size("arms", arms)
         verts = [("c", False)] + [(f"b{i}", True) for i in range(arms)]
         edges = tuple(Edge(f"b{i}", "c", n_seg) for i in range(arms))
         return GraphSpec(vertices=tuple(verts), edges=edges)
@@ -171,6 +181,7 @@ def simulate(graph: GraphSpec, controls: dict, T: int) -> tuple:
     """
     _require_type(graph, GraphSpec, "graph")
     _require_size("T", T, low=0)
+    _require_type(controls, dict, "controls")
     ctr = {k: _as_finite(v, f"control for {k!r}") for k, v in controls.items()}
     for k, v in ctr.items():
         if k not in graph.boundary:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec, _as_finite, _require_size, _require_type
-from .discrete_wave import _as_response, _step_field, delta_control
-from .errors import InvalidInputError, SpecTooShortError
+from .core import JacobiSpec, _as_finite, _require_size
+from .discrete_wave import _as_response, _node1_response, _semi_infinite_field, delta_control
+from .errors import InvalidInputError
 from .moments import _reversed_hankel, truncated_moment_naive
 
 __all__ = [
@@ -41,32 +41,22 @@ class HeatField:
 
 def solve_heat(spec: JacobiSpec, f, T: int) -> HeatField:
     """Explicit stepping through time T on nodes 1..T (finite speed makes
-    the zero wall at n = T + 1 exact)."""
-    _require_type(spec, JacobiSpec, "spec")
+    the zero wall at n = T + 1 exact, and a block of size >= T suffices)."""
     f = np.atleast_1d(np.asarray(f))
     if np.iscomplexobj(f):
         raise InvalidInputError("the heat system takes a real control")
     f = _as_finite(f, "control")
-    if spec.n < T:
-        raise SpecTooShortError(f"block size {spec.n} < T = {T}")
-    return HeatField(v=_step_field(spec, f, T, T, order=1), f=f)
+    return HeatField(v=_semi_infinite_field(spec, f, T, order=1), f=f)
 
 
 def heat_response(spec: JacobiSpec, T: int) -> np.ndarray:
     """Moment-like response s_{t-1} = v^delta_{1,t}, t = 1..T.
 
     Closed paths of length t - 1 from node 1 reach depth 1 + (t-1)/2, so a
-    wall just beyond depth (T+1)//2 is exact and a block of that size
-    suffices; for a_0 = 1 the entries are the power moments of the block's
-    spectral measure.
+    block of size (T+1)//2 suffices; for a_0 = 1 the entries are the power
+    moments of the block's spectral measure.
     """
-    _require_type(spec, JacobiSpec, "spec")
-    _require_size("T", T)
-    depth = (T + 1) // 2
-    if spec.n < depth:
-        raise SpecTooShortError(f"response of length {T} needs block size >= {depth}")
-    v = _step_field(spec, delta_control(T), T, depth, order=1)
-    return v[1, 1 : T + 1].copy()  # a view would keep the whole field alive
+    return _node1_response(spec, T, order=1)
 
 
 def heat_control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
@@ -75,10 +65,7 @@ def heat_control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
     By time invariance V[n, s] = v^delta_{n, T-s}; used for the Gram identity
     S^T = (V^T)^* V^T.
     """
-    if _require_type(spec, JacobiSpec, "spec").n < T:
-        raise SpecTooShortError(f"control matrix at horizon {T} needs block size >= {T}")
-    v = _step_field(spec, delta_control(T), T, T, order=1)
-    return v[1 : T + 1, T:0:-1]
+    return _semi_infinite_field(spec, delta_control(T), T, order=1)[1 : T + 1, T:0:-1]
 
 
 def heat_connecting(s, T: int) -> np.ndarray:

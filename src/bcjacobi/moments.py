@@ -215,8 +215,10 @@ def truncated_moment_naive(s, N: int, extension=None):
     a_full = np.sqrt(d[1:] / d[:-1])
     b_full = np.concatenate([b_rec, np.zeros(N - b_rec.size)])
     if extension is not None:
-        ext_a = np.atleast_1d(np.asarray([p[0] for p in extension], dtype=float))
-        ext_b = np.atleast_1d(np.asarray([p[1] for p in extension], dtype=float))
+        ext = _as_finite(extension, "extension")
+        if ext.shape != (0,) and (ext.ndim != 2 or ext.shape[1] != 2):  # (0,) is an empty list of pairs
+            raise InvalidInputError(f"extension must be (a_k, b_k) pairs, got shape {ext.shape}")
+        ext_a, ext_b = ext.reshape(-1, 2).T
         a_full = np.concatenate([a_full, ext_a])
         b_full = np.concatenate([b_full, ext_b])
     spec = JacobiSpec(a0=1.0, a=a_full, b=b_full)

@@ -54,7 +54,10 @@ class DeBrangesElement:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_finite(self.coeffs, "coefficients", real=False))
+        coeffs = _as_finite(self.coeffs, "coefficients", real=False)
+        if coeffs.ndim != 1:
+            raise InvalidInputError(f"coefficients must be 1-D, got shape {coeffs.shape}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def T(self) -> int:

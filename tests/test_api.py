@@ -194,13 +194,20 @@ SIZE_ARGUMENTS = {
     "recursion_residual": lambda n: toda.recursion_residual(_MU, 0.1, n, 1e-3),
     "response_vector": lambda n: discrete_wave.response_vector(core.free_spec(3), n),
     "heat_response": lambda n: heat.heat_response(core.free_spec(3), n),
+    "solve_semi_infinite": lambda n: discrete_wave.solve_semi_infinite(core.free_spec(3), np.ones(2), n),
+    "solve_finite_dirichlet": lambda n: discrete_wave.solve_finite_dirichlet(core.free_spec(3), np.ones(2), n),
+    "solve_heat": lambda n: heat.solve_heat(core.free_spec(3), np.ones(2), n),
+    "control_matrix": lambda n: discrete_wave.control_matrix(core.free_spec(3), n),
+    "heat_control_matrix": lambda n: heat.heat_control_matrix(core.free_spec(3), n),
+    "GraphSpec.star": lambda n: graph_wave.GraphSpec.star(n, 3),
     "recover_matrix_continuous": lambda n: ct.recover_matrix_continuous(
         ct.response_function(core.free_spec(2), _GRID.doubled()), n, _GRID
     ),
 }
 
-# a polynomial degree or a highest moment index may be 0
-ZERO_IS_A_SIZE = {"chebyshev_values", "chebyshev_u", "moments_of_measure", "toda_moments", "recursion_residual"}
+# a polynomial degree, a highest moment index or a forward solve's number of steps may be 0
+ZERO_IS_A_SIZE = {"chebyshev_values", "chebyshev_u", "moments_of_measure", "toda_moments", "recursion_residual",
+                  "solve_semi_infinite", "solve_finite_dirichlet", "solve_heat"}
 
 
 @pytest.mark.parametrize("name", sorted(SIZE_ARGUMENTS))
@@ -208,7 +215,7 @@ def test_one_size_rule(name):
     """A size that is not a positive integer (a non-negative one where 0 is a size) is a BCError."""
     call = SIZE_ARGUMENTS[name]
     call(2)
-    for bad in (2.5, True) + (() if name in ZERO_IS_A_SIZE else (0,)):
+    for bad in (2.5, True, -1) + (() if name in ZERO_IS_A_SIZE else (0,)):
         with pytest.raises(errors.InvalidInputError, match="must be an integer"):
             call(bad)
 
@@ -223,6 +230,8 @@ _TYPED = {
     ct.StringSpec: (ct.StringSpec.uniform(3), _FREE),
     graph_wave.GraphSpec: (graph_wave.GraphSpec.path(2), {"edges": []}),
     weyl_debranges.DeBrangesElement: (_F, np.ones(3)),
+    np.random.Generator: (np.random.default_rng(0), np.random.RandomState(0)),
+    dict: ({}, [("in", np.zeros(3))]),
 }
 
 # each public function taking a structured argument, called with that argument
@@ -253,6 +262,8 @@ TYPE_ARGUMENTS = {
     "recursion_residual": (core.SpectralMeasure, lambda m: toda.recursion_residual(m, 0.1, 2, 1e-3)),
     "string_system": (ct.StringSpec, ct.string_system),
     "simulate": (graph_wave.GraphSpec, lambda g: graph_wave.simulate(g, {}, 2)),
+    "simulate[controls]": (dict, lambda c: graph_wave.simulate(graph_wave.GraphSpec.path(2), c, 2)),
+    "random_spec": (np.random.Generator, lambda rng: core.random_spec(3, rng)),
     "debranges_inner[F]": (weyl_debranges.DeBrangesElement, lambda F: weyl_debranges.debranges_inner(np.eye(3), F, _F)),
     "debranges_inner[G]": (weyl_debranges.DeBrangesElement, lambda G: weyl_debranges.debranges_inner(np.eye(3), _F, G)),
 }
@@ -365,10 +376,46 @@ def test_one_tolerance_rule(name):
             call(bad)
 
 
-def test_delta_control_takes_float_or_complex():
-    assert discrete_wave.delta_control(3).dtype == float
-    for dtype in (complex, np.complex128, np.dtype(complex), "complex128"):
-        assert discrete_wave.delta_control(3, dtype=dtype).dtype == complex
-    for bad in ("x", None, int, np.float32, np.ones(2)):
-        with pytest.raises(errors.InvalidInputError, match="dtype must be float or complex"):
-            discrete_wave.delta_control(3, dtype=bad)
+_MOMENTS = np.array([1.0, 0, 1, 0, 2])
+_PATH = (("a", True), ("b", True))
+# each malformed argument of a graph, a bump, an extension, a random block or a
+# de Branges element, with the message it is refused with; each used to end in
+# a TypeError, ValueError or AttributeError of Python's or numpy's own
+MALFORMED = {
+    "GraphSpec[vertex not a pair]": (lambda: graph_wave.GraphSpec(vertices=("a", "b"), edges=()), "vertices must be"),
+    "GraphSpec[edge not an Edge]": (lambda: graph_wave.GraphSpec(vertices=_PATH, edges=(("a", "b", 2),)),
+                                    "edges must be"),
+    "triangular_bump[string width]": (lambda: ct.triangular_bump(_GRID, width="x"), "width must be"),
+    "triangular_bump[array width]": (lambda: ct.triangular_bump(_GRID, width=np.ones(2)), "width must be"),
+    "truncated_moment_naive[string pair]": (
+        lambda: moments.truncated_moment_naive(_MOMENTS, 2, extension=[("x", 0.0)]), "extension must be"),
+    "truncated_moment_naive[flat]": (
+        lambda: moments.truncated_moment_naive(_MOMENTS, 2, extension=[1.0]), "extension must be"),
+    "random_spec[reversed range]": (
+        lambda: core.random_spec(3, np.random.default_rng(0), a_range=(2.0, 1.0)), "a_range must be"),
+    "random_spec[short range]": (
+        lambda: core.random_spec(3, np.random.default_rng(0), b_range=(1.0,)), "b_range must be"),
+    "DeBrangesElement[2-D]": (lambda: weyl_debranges.DeBrangesElement(np.ones((2, 2))), "coefficients must be 1-D"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_arguments_are_refused(name):
+    call, match = MALFORMED[name]
+    with pytest.raises(errors.InvalidInputError, match=match):
+        call()
+
+
+def test_one_forward_path():
+    """Every discrete forward solve, wave or heat, steps through `_step_field` from one
+    of two readers (the semi-infinite field and node 1's impulse response) or from the
+    finite Dirichlet solver; only the readers decide how long a block must be."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(bcjacobi.__file__).parent.glob("*.py")}
+    callers = sorted(f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, "_step_field"))
+    assert callers == [
+        "discrete_wave._node1_response", "discrete_wave._semi_infinite_field", "discrete_wave.solve_finite_dirichlet",
+    ]
+    assert list(_mentions(trees["heat"], "_step_field")) == []
+    too_short = sorted(f"{stem}.{func}" for stem, tree in trees.items()
+                       for func, name in _raises(tree) if name == "SpecTooShortError")
+    assert too_short == ["discrete_wave._node1_response", "discrete_wave._semi_infinite_field"]

@@ -81,6 +81,22 @@ def test_spec_too_short():
         solve_semi_infinite(free_spec(3), delta_control(5), 5)
 
 
+def test_semi_infinite_field_needs_a_block_of_size_T():
+    # the front reaches node T at time T and a_T only multiplies the zero wall, so
+    # a block of size T carries the field; the impulse stays float for complex blocks
+    rng = np.random.default_rng(4)
+    for T in (1, 2, 3, 7, 12):
+        spec = random_spec(T, rng, a0=float(rng.uniform(0.5, 2.0)))
+        cplx = JacobiSpec(spec.a0 + 0.5j, spec.a - 0.25j, spec.b + 0.5j, mode="complex")
+        delta = delta_control(T)
+        assert delta.dtype == float
+        for block in (spec, cplx):
+            u = solve_semi_infinite(block, delta, T).u
+            assert np.array_equal(u[1 : T + 1, 1:], control_matrix(block, T))
+    with pytest.raises(SpecTooShortError, match="needs block size >= 4"):
+        solve_semi_infinite(free_spec(3), delta_control(4), 4)
+
+
 def test_finite_speed_and_front():
     rng = np.random.default_rng(2)
     spec = random_spec(8, rng)
