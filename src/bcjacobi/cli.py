@@ -18,7 +18,6 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
-import scipy
 
 from . import continuous_time as ct
 from .core import JacobiSpec, _coeff_gap, _json_int, _json_number, _json_pair, free_spec, random_spec, spectral_measure
@@ -77,7 +76,10 @@ def _csv_lines(header: list, columns):
 
 
 def _plain_floats(x):
-    """A check metric (a number or a list of numbers) as JSON floats."""
+    """A check metric (a number, a list of numbers, or a dict of numbers and
+    None, as a figure with its bound and margin) as JSON floats."""
+    if isinstance(x, dict):
+        return {k: None if v is None else float(v) for k, v in x.items()}
     return [float(v) for v in x] if isinstance(x, list) else float(x)
 
 
@@ -127,7 +129,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     and `out_dir` is only made with the first file.
     The manifest's "timings" split the run's wall time into writing the
     files it lists (formatting included) and the rest; "versions" names the
-    python, numpy and scipy that produced them.
+    python and numpy that produced them.
     """
     start = perf_counter()
     command = _arg(config, "command", "str")
@@ -348,7 +350,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
         "files": files,
         "summary": summary,
         "timings": {"total_s": total_s, "write_s": write_s, "compute_s": total_s - write_s},
-        "versions": {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     _log.debug("run_scenario %s: timings %s", command, manifest["timings"])

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import (
     JacobiSpec, _as_finite, _finite_scalar, _hankel, _require_size, _require_type, _tridiagonal, eig_spectral_data,
@@ -418,13 +417,15 @@ def _top_eigenpairs(apply, n: int, k: int) -> tuple:
 
     The start vector is ones, so the result is the same bit for bit from call
     to call.  Each new vector is orthogonalized against all earlier ones
-    twice, and from step k on the tridiagonal's top k Ritz pairs are taken.
-    The run stops when every wanted Ritz estimate |beta_m y_{m,i}| is at the
-    apply's rounding level eps |theta|_max (below it the apply cannot tell
-    the residual from its own rounding), on an invariant subspace (beta_m =
-    0), or at m = n, where the Krylov space is the whole space; an unconverged
-    pair is never returned.  An invariant subspace of dimension below k (the
-    zero operator, say) is a breakdown: NotRealizableError.
+    twice, and from step k on the tridiagonal's top k Ritz pairs are taken
+    from its dense eigendecomposition.  The run stops when every wanted Ritz
+    estimate |beta_m y_{m,i}| is at the apply's rounding level eps
+    |theta|_max (below it the apply cannot tell the residual from its own
+    rounding), on an invariant subspace (beta_m = 0), or at m = n, where the
+    Krylov space is the whole space; an unconverged pair is never returned.
+    The returned pairs are refined by `_refine_ritz`.  An invariant subspace
+    of dimension below k (the zero operator, say) is a breakdown:
+    NotRealizableError.
     """
     Q = np.empty((n, min(n, 2 * k + 2)))  # the Lanczos vectors, grown by doubling
     q = np.full(n, 1.0 / math.sqrt(n))
@@ -445,12 +446,10 @@ def _top_eigenpairs(apply, n: int, k: int) -> tuple:
             raise NumericalFailureError("the connecting kernel overflows the float range")
         beta[m] = b = top * float(np.linalg.norm(x / top)) if top else 0.0  # x @ x overflows past 1e154
         if m + 1 >= k:
-            # stebz squares the entries: an exact power of two brings them near 1
-            e = math.frexp(max(np.max(np.abs(alpha[: m + 1])), np.max(beta[:m], initial=0.0)))[1]
-            theta, Y = eigh_tridiagonal(np.ldexp(alpha[: m + 1], -e), np.ldexp(beta[:m], -e),
-                                        select="i", select_range=(m + 1 - k, m))
-            theta = np.ldexp(theta, e)
+            theta, Y = np.linalg.eigh(_tridiagonal(beta[:m], alpha[: m + 1]))
+            theta, Y = theta[m + 1 - k :], Y[:, m + 1 - k :]
             if m + 1 == n or np.all(b * np.abs(Y[-1]) <= np.finfo(float).eps * np.max(np.abs(theta))):
+                theta, Y = _refine_ritz(alpha[: m + 1], beta[:m], theta, Y)
                 return theta[::-1], (V @ Y)[:, ::-1]
         elif b == 0.0:
             raise NotRealizableError(
@@ -458,6 +457,61 @@ def _top_eigenpairs(apply, n: int, k: int) -> tuple:
                 f"the data does not support rank {k}"
             )
         q = x / b
+
+
+def _sturm_below(a: np.ndarray, b2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """How many eigenvalues of the tridiagonal with diagonal a and squared
+    off-diagonal b2 lie below each x: the negative pivots of LDL^T of T - x I,
+    a zero or subnormal pivot counted as a tiny negative one."""
+    tiny = np.finfo(float).tiny
+    d = a[0] - x
+    below = (d < 0).astype(int)
+    for i in range(1, a.size):
+        d = (a[i] - x) - b2[i - 1] / np.where(np.abs(d) < tiny, -tiny, d)
+        below += d < 0
+    return below
+
+
+def _refine_ritz(alpha: np.ndarray, beta: np.ndarray, theta: np.ndarray, Y: np.ndarray) -> tuple:
+    """The top k eigenpairs (ascending) of the unreduced tridiagonal with
+    diagonal alpha and off-diagonal beta, from approximate ones (theta, Y)
+    (Parlett, The Symmetric Eigenvalue Problem, 1980).
+
+    An exact power of two first brings the entries near 1, so their squares
+    neither overflow nor underflow.  Each eigenvalue is bracketed by theta
+    +- 8 n eps ||T||, a backward-stable eigensolver's error, or by the
+    Gershgorin interval where the Sturm counts say that bracket misses it,
+    and cut down on Sturm counts, 64 points per bracket and pass, to 2 eps
+    of itself or eps of the matrix, whichever is larger.  Each vector then
+    takes one step of inverse iteration from its column of Y, and the k
+    vectors are orthonormalized, the top one first, as LAPACK's stein does
+    within a cluster.  A shift that is an eigenvalue to the last bit (an
+    exactly singular T - theta I) leaves Y as it is.
+    """
+    n, k = Y.shape
+    eps = np.finfo(float).eps
+    e = math.frexp(max(np.max(np.abs(alpha)), np.max(beta, initial=0.0)))[1]
+    a, b = np.ldexp(alpha, -e), np.ldexp(beta, -e)
+    b2 = b * b
+    radius = np.append(b, 0.0) + np.append(0.0, b)
+    norm = np.max(np.abs(a) + radius)
+    wanted = np.arange(n - k, n)  # eigenvalue i has i eigenvalues below it
+    t, w = np.ldexp(theta, -e), 8 * n * eps * norm
+    lo, hi = t - w, t + w
+    below = _sturm_below(a, b2, np.stack([lo, hi], axis=1))
+    lo = np.where(below[:, 0] <= wanted, lo, np.min(a - radius))
+    hi = np.where(below[:, 1] > wanted, hi, np.max(a + radius))
+    while np.any(hi - lo > np.maximum(eps * norm, 2.0 * eps * np.maximum(np.abs(lo), np.abs(hi)))):
+        x = np.linspace(lo, hi, 66, axis=1)
+        j = np.sum(_sturm_below(a, b2, x[:, 1:-1]) <= wanted[:, None], axis=1)  # inner points at or below it
+        lo, hi = x[np.arange(k), j], x[np.arange(k), j + 1]
+    theta = 0.5 * (lo + hi)
+    try:
+        Z = np.linalg.solve(_tridiagonal(b, a) - theta[:, None, None] * np.eye(n), Y.T[:, :, None])[:, :, 0].T
+    except np.linalg.LinAlgError:
+        Z = Y
+    Z, R = np.linalg.qr((Z * np.sign(np.sum(Z * Y, axis=0)) / np.linalg.norm(Z, axis=0))[:, ::-1])
+    return np.ldexp(theta, e), (Z * np.sign(np.diag(R)))[:, ::-1]
 
 
 def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid) -> tuple:

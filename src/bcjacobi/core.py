@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from math import frexp, ldexp
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import BCError, InvalidInputError, NumericalFailureError
 
@@ -136,10 +135,10 @@ class SpectralMeasure:
     atoms: tuple  # of (lambda, weight) pairs
 
     def __post_init__(self):
-        x = _as_finite(self.atoms, "atoms")
+        x = _as_finite(self.atoms, "atoms", ndim=2)
         if x.size == 0:
             raise InvalidInputError("empty measure")
-        if x.ndim != 2 or x.shape[1] != 2:
+        if x.shape[1] != 2:
             raise InvalidInputError("atoms must be (lambda, weight) pairs")
         lam, w = x.T
         if np.any(np.diff(lam) <= 0):
@@ -235,10 +234,7 @@ def eig_spectral_data(spec: JacobiSpec) -> SpectralData:
     """
     if _require_type(spec, JacobiSpec, "spec").mode != "real":
         raise BCError("eigen machinery is restricted to the self-adjoint (real) case")
-    if spec.n == 1:
-        lam = np.array([spec.b[0]])
-        return SpectralData(lam, np.ones((1, 1)), np.ones(1))
-    lam, vecs = eigh_tridiagonal(spec.b, spec.a)
+    lam, vecs = np.linalg.eigh(_tridiagonal(spec.a, spec.b))
     first = vecs[0, :]
     # In exact arithmetic phi^k_1 = 1 != 0; a vanishing first component is a
     # numerical failure, not a valid state.
@@ -272,9 +268,11 @@ def moments_of_measure(mu: SpectralMeasure, K: int) -> np.ndarray:
     return out
 
 
-def _as_numbers(x, what: str, real: bool = True) -> np.ndarray:
-    """Data as a float array of at least one dimension, or complex unless `real`;
-    strings, ragged lists and other non-numbers are refused."""
+def _as_numbers(x, what: str, real: bool = True, ndim: int = 1) -> np.ndarray:
+    """Data as a float array, or complex unless `real`, of `ndim` dimensions:
+    a sequence (a number is one of length 1) or, with ndim=2, a matrix (an
+    empty list is an empty one).  Strings, ragged lists, other non-numbers and
+    other shapes are refused."""
     try:
         x = np.atleast_1d(np.asarray(x))
         cplx = np.iscomplexobj(x)
@@ -283,21 +281,23 @@ def _as_numbers(x, what: str, real: bool = True) -> np.ndarray:
         raise InvalidInputError(f"{what} must be {'real ' if real else ''}numbers") from None
     if cplx and real:
         raise InvalidInputError(f"{what} must be real, got dtype {x.dtype}")
+    if y.ndim != ndim and y.shape != (0,):
+        raise InvalidInputError(f"{what} must be {ndim}-D, got shape {y.shape}")
     return y
 
 
-def _as_finite(x, what: str, real: bool = True) -> np.ndarray:
+def _as_finite(x, what: str, real: bool = True, ndim: int = 1) -> np.ndarray:
     """`_as_numbers`, refusing a non-finite entry as well."""
-    x = _as_numbers(x, what, real)
+    x = _as_numbers(x, what, real, ndim)
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{what} must be finite")
     return x
 
 
 def _finite_scalar(x, what: str) -> float:
-    """A real finite number as a float; an array, a complex or a non-finite value is refused."""
-    if np.ndim(x) != 0:
-        raise InvalidInputError(f"{what} must be a single number")
+    """A real finite number as a float; a bool, an array, a complex or a non-finite value is refused."""
+    if isinstance(x, (bool, np.bool_)) or np.ndim(x) != 0:
+        raise InvalidInputError(f"{what} must be a single number, got {type(x).__name__}")
     return float(_as_finite(x, what)[0])
 
 

@@ -277,7 +277,7 @@ def solve_krein(C: np.ndarray, r, lam, alpha, beta, T: int) -> np.ndarray:
     where y solves the three-term recurrence with y_0 = alpha, y_1 = beta
     (under the a_0 = 1 normalization).  A singular C raises `SingularBlockError`.
     """
-    C = _as_finite(C, "C", real=False)
+    C = _as_finite(C, "C", real=False, ndim=2)
     alpha, beta = (_as_lambda(x, scalar=True, what=name) for x, name in ((alpha, "alpha"), (beta, "beta")))
     if C.shape != (T, T):
         raise InvalidInputError("C must be the T x T connecting matrix")

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import (
     JacobiSpec, SpectralMeasure, _as_finite, _at_zero, _hankel, _require_size, _tolerance, spectral_measure,
@@ -175,9 +174,13 @@ def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
     B = _B_from_connecting(C)
     B = 0.5 * (B + B.T)  # symmetric up to rounding for realizable data
     try:
-        lam, F = eigh(B, CN)  # scipy normalizes f^T C f = 1
+        L = np.linalg.cholesky(CN)
     except np.linalg.LinAlgError:
-        raise NotRealizableError("moments not realizable: C^N is not positive definite")
+        raise NotRealizableError("moments not realizable: C^N is not positive definite") from None
+    # B f = lambda C f with C = L L^T is the symmetric L^-1 B L^-T g = lambda g,
+    # and f = L^-T g has f^T C f = g^T g = 1
+    lam, G = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, B).T))
+    F = np.linalg.solve(L.T, G)
     # alpha_k = (R f_k)_N = sum_s r_{N-1-s} f_s
     alpha = r[N - 1 :: -1] @ F
     weights = mass * alpha**2
@@ -215,8 +218,8 @@ def truncated_moment_naive(s, N: int, extension=None):
     a_full = np.sqrt(d[1:] / d[:-1])
     b_full = np.concatenate([b_rec, np.zeros(N - b_rec.size)])
     if extension is not None:
-        ext = _as_finite(extension, "extension")
-        if ext.shape != (0,) and (ext.ndim != 2 or ext.shape[1] != 2):  # (0,) is an empty list of pairs
+        ext = _as_finite(extension, "extension", ndim=2)
+        if ext.shape != (0,) and ext.shape[1] != 2:  # (0,) is an empty list of pairs
             raise InvalidInputError(f"extension must be (a_k, b_k) pairs, got shape {ext.shape}")
         ext_a, ext_b = ext.reshape(-1, 2).T
         a_full = np.concatenate([a_full, ext_a])

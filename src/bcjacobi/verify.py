@@ -70,6 +70,11 @@ def _result(name, passed, detail, t0, **metrics):
     return CheckResult(name, bool(passed), detail, time.perf_counter() - t0, metrics)
 
 
+def _bounded(value: float, bound: float) -> dict:
+    """A figure held to value <= bound, with its margin bound / value (None for an exact 0)."""
+    return {"value": value, "bound": bound, "margin": bound / value if value else None}
+
+
 def check_free_identity() -> CheckResult:
     """Criterion 1: free response is the delta and C^N = I to 1e-12, N <= 50."""
     t0 = time.perf_counter()
@@ -287,13 +292,16 @@ def check_toda(seed: int = 17) -> CheckResult:
             worst_trace = max(worst_trace, abs(np.sum(st.spec.b) - np.sum(spec0.b)),
                               abs(np.sum(oracle.b) - np.sum(spec0.b)))
         worst_res = max(worst_res, recursion_residual(mu0, 0.4, 2 * spec0.n - 2, 1e-4))
-    ok = (worst_closed <= 1e-10 and worst_oracle <= 1e-6 and worst_moment <= 1e-6
-          and worst_eig <= 1e-8 and worst_trace <= 1e-8 and worst_res <= 1e-6)
+    figures = {
+        "closed_form": _bounded(worst_closed, 1e-10), "oracle": _bounded(worst_oracle, 1e-6),
+        "moment_route": _bounded(worst_moment, 1e-6), "eigenvalues": _bounded(worst_eig, 1e-8),
+        "trace": _bounded(worst_trace, 1e-8), "recursion": _bounded(worst_res, 1e-6),
+    }
     return _result(
-        "toda", ok,
+        "toda", all(f["value"] <= f["bound"] for f in figures.values()),
         f"closed form {worst_closed:.2e}, oracle {worst_oracle:.2e}, moment route {worst_moment:.2e}, "
         f"eigenvalues {worst_eig:.2e}, trace {worst_trace:.2e}, recursion {worst_res:.2e}",
-        t0,
+        t0, **figures,
     )
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import bcjacobi
 from bcjacobi import continuous_time as ct
@@ -115,7 +114,8 @@ def test_one_structured_matrix_builder():
         "discrete_wave._connecting",
     }
     assert where("_tridiagonal", _callers) == {
-        "core.matrix", "toda.toda_qr_flow", "continuous_time.string_system",
+        "core.matrix", "core.eig_spectral_data", "toda.toda_qr_flow", "continuous_time.string_system",
+        "continuous_time._top_eigenpairs", "continuous_time._refine_ritz",
     }
 
 
@@ -132,33 +132,24 @@ def test_no_foreign_module_among_public_names():
 
 @pytest.fixture(scope="module")
 def cli_import_modules():
-    """The modules loaded by `import bcjacobi.cli` in a fresh interpreter."""
+    """The modules loaded by `import bcjacobi.cli, bcjacobi.verify` in a fresh interpreter."""
     src = str(Path(bcjacobi.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, bcjacobi.cli; print(*sys.modules, sep='\\n')"],
+        [sys.executable, "-c", "import sys, bcjacobi.cli, bcjacobi.verify; print(*sys.modules, sep='\\n')"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
 
-def test_import_does_not_load_scipy_signal(cli_import_modules):
-    """`scipy.signal` costs ~0.4 s to import; the FFT kernel apply uses numpy.fft."""
-    assert "bcjacobi" in cli_import_modules
-    assert "scipy.signal" not in cli_import_modules
-
-
-def test_cli_import_loads_only_scipy_linalg(cli_import_modules):
-    """`scipy.integrate` alone pulled in ~200 modules (optimize, special, fft, ...)
-    and ~0.25 s of every process's start, and `scipy.signal` ~0.4 s; no code of the
-    package needs them (the FFT kernel apply uses numpy.fft).  `scipy.sparse`
-    came in for ARPACK alone; the continuous-time inverse runs its own Lanczos."""
-    absent = ["scipy.integrate", "scipy.optimize", "scipy.special", "scipy.fft", "scipy.stats", "scipy.signal",
-              "scipy.sparse"]
-    loaded = [m for m in absent if m in cli_import_modules]
-    assert not loaded, loaded
-    assert sorted(p for p in scipy.__all__ if "scipy." + p in cli_import_modules) == ["linalg"]
+def test_cli_import_loads_no_scipy(cli_import_modules):
+    """numpy is the only runtime dependency: `scipy.linalg` alone was more than
+    half of every process's cold start (556 modules against 239 without it), and
+    the package's five calls into it each have a short numpy replacement."""
+    assert {"bcjacobi.cli", "bcjacobi.verify"} <= cli_import_modules
+    loaded = sorted(m for m in cli_import_modules if m.startswith("scipy"))
+    assert loaded == []
 
 
 _R = np.r_[1.0, np.zeros(11)]  # the free response, long enough for every size below 6
@@ -396,6 +387,16 @@ MALFORMED = {
     "random_spec[short range]": (
         lambda: core.random_spec(3, np.random.default_rng(0), b_range=(1.0,)), "b_range must be"),
     "DeBrangesElement[2-D]": (lambda: weyl_debranges.DeBrangesElement(np.ones((2, 2))), "coefficients must be 1-D"),
+    # a matrix where a sequence is meant, and a bool where a number is
+    "moments_to_response[2-D]": (lambda: moments.moments_to_response(np.ones((2, 2))), "moments must be 1-D"),
+    "response_to_moments[2-D]": (lambda: moments.response_to_moments(np.ones((2, 2))), "response must be 1-D"),
+    "connecting_from_response[2-D]": (
+        lambda: discrete_wave.connecting_from_response(np.ones((3, 3)), 2), "response must be 1-D"),
+    "invert_factorization[2-D]": (lambda: inverse_bc.invert_factorization(np.ones((3, 3)), 2), "response must be 1-D"),
+    "ResponseVector[2-D]": (lambda: discrete_wave.ResponseVector(np.ones((2, 2))), "response must be 1-D"),
+    "solve_krein[flat C]": (lambda: inverse_bc.solve_krein(np.ones(9), _R, 0.5, 0.0, 1.0, 3), "C must be 2-D"),
+    "TimeGrid[bool T]": (lambda: ct.TimeGrid(True, 40), "T must be a single number, got bool"),
+    "free_spec[bool a0]": (lambda: core.free_spec(3, a0=True), "a0 must be a single number, got bool"),
 }
 
 

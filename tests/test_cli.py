@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import bcjacobi
 from bcjacobi.cli import _csv_lines, _fmt, main, run_scenario
@@ -40,8 +39,7 @@ def test_manifest_records_timings_and_versions(tmp_path):
     assert set(timings) == {"total_s", "write_s", "compute_s"}
     assert 0 < timings["write_s"] <= timings["total_s"]
     assert timings["compute_s"] == timings["total_s"] - timings["write_s"]
-    assert manifest["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
-                                    "scipy": scipy.__version__}
+    assert manifest["versions"] == {"python": platform.python_version(), "numpy": np.__version__}
 
 
 
@@ -228,6 +226,32 @@ def test_verify_report_carries_metrics(tmp_path, capsys):
     metrics = report[0]["metrics"]
     assert set(metrics) == {"response_err", "connecting_err"}
     assert all(isinstance(v, float) and v <= 1e-12 for v in metrics.values())
+
+
+def test_verify_report_carries_toda_figures_with_bounds(tmp_path, capsys):
+    assert main(["verify", "--filter", "toda", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    figures = report[0]["metrics"]
+    assert set(figures) == {"closed_form", "oracle", "moment_route", "eigenvalues", "trace", "recursion"}
+    for f in figures.values():
+        assert set(f) == {"value", "bound", "margin"}
+        assert 0 < f["value"] <= f["bound"] and f["margin"] == f["bound"] / f["value"]
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "toda", "spec": "random", "N": 5, "times": [-1.0, 0.5], "seed": 3},
+    {"command": "contjacobi", "N": 3, "M": 200, "seed": 3},
+])
+def test_run_needs_no_scipy(tmp_path, config):
+    # numpy is the only runtime dependency: a scenario runs with scipy unimportable
+    src = str(Path(bcjacobi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = "import sys; sys.modules['scipy'] = None; from bcjacobi.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", code, "run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_python_m_bcjacobi_verify():

@@ -19,6 +19,7 @@ from bcjacobi.continuous_time import (
     _kernel_apply,
     _kernel_matrix,
     _node_kernels,
+    _refine_ritz,
     _simpson_weights,
     _simpson_convolution,
     _top_eigenpairs,
@@ -672,6 +673,21 @@ def test_lanczos_takes_the_whole_space_at_the_last_step():
     assert len(applies) == 12
     assert np.allclose(sig, d[::-1][:3], rtol=0, atol=10 * EPS)
     assert np.allclose(np.abs(U), np.eye(12)[:, ::-1][:, :3], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-600, 2.0**600])
+def test_refine_ritz_finds_the_top_pairs_from_a_start_that_misses(scale):
+    """Ritz values from zero and unit vectors still give the top k pairs: the
+    Sturm counts send each bracket back to the Gershgorin interval, and the
+    entries are rescaled where their squares would underflow or overflow."""
+    rng = np.random.default_rng(65)
+    alpha, beta = rng.uniform(-1, 1, 9) * scale, rng.uniform(0.1, 1, 8) * scale
+    T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    lam = np.linalg.eigvalsh(T)
+    theta, Z = _refine_ritz(alpha, beta, np.zeros(4), np.eye(9)[:, :4] + 0.1)
+    assert np.max(np.abs(theta - lam[-4:])) <= 4 * EPS * np.max(np.abs(lam))
+    assert np.max(np.abs(T @ Z - Z * theta)) <= 16 * EPS * np.max(np.abs(lam))
+    assert np.max(np.abs(Z.T @ Z - np.eye(4))) <= 8 * EPS
 
 
 def test_connecting_spectral_matches_extended_precision_outer_product():

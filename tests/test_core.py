@@ -142,6 +142,27 @@ def test_eigen_residual_random():
             assert res <= bound
 
 
+def test_eig_matches_scipy_eigh_tridiagonal():
+    """The dense eigh of the block against scipy's tridiagonal solver (dstemr):
+    both are backward stable, so eigenvalues agree within 8 N eps ||A||, and
+    unit eigenvectors (up to sign) and weights 1/omega = v_1^2 within
+    8 N eps ||A|| / gap, gap the distance to the nearest other eigenvalue."""
+    from scipy.linalg import eigh_tridiagonal
+
+    rng = np.random.default_rng(27)
+    for _ in range(100):
+        n = int(rng.integers(2, 31))
+        spec = random_spec(n, rng)
+        data = eig_spectral_data(spec)
+        lam, V = eigh_tridiagonal(spec.b, spec.a)
+        tol = 8 * n * np.finfo(float).eps * (np.max(np.abs(spec.b)) + 2 * np.max(spec.a))
+        gap = np.minimum(np.append(np.diff(lam), np.inf), np.append(np.inf, np.diff(lam)))
+        assert np.max(np.abs(data.eigenvalues - lam)) <= tol
+        U = data.phi_vectors / np.sqrt(data.omegas)
+        assert np.all(np.max(np.abs(np.abs(U) - np.abs(V)), axis=0) <= tol / gap)
+        assert np.all(np.abs(1.0 / data.omegas - V[0] ** 2) <= tol / gap)
+
+
 def test_eigenvectors_match_phi_recurrence():
     rng = np.random.default_rng(3)
     spec = random_spec(12, rng)

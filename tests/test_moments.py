@@ -16,6 +16,7 @@ from bcjacobi.errors import InvalidInputError, NotRealizableError, SingularBlock
 from bcjacobi.heat import heat_response
 from bcjacobi.inverse_bc import characterize, invert_factorization
 from bcjacobi.moments import (
+    _B_from_connecting,
     build_B,
     build_hankel_pair,
     indeterminacy_sequences,
@@ -205,6 +206,27 @@ def test_truncated_routes_agree():
         assert np.allclose(mu_sp.weights, mu_nv.weights, atol=1e-8)
         assert np.allclose(mu_sp.lambdas, mu.lambdas, atol=1e-8)
         assert np.allclose(mu_sp.weights, mu.weights, atol=1e-8)
+
+
+def test_truncated_spectral_matches_scipy_generalized_eigh():
+    """The Cholesky reduction against scipy's eigh(B, C^N), which normalizes
+    f^T C f = 1: atoms and weights agree within N eps cond(C^N), and the
+    weights carry the mass s_0, which they do only under that normalization."""
+    from scipy.linalg import eigh
+
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 4, 8, 12):
+        mu0 = spectral_measure(random_spec(n, rng, a_range=(0.7, 1.4), b_range=(-0.5, 0.5)))
+        s = 3.0 * moments_of_measure(mu0, 2 * n - 1)
+        r = moments_to_response(s / s[0])
+        C = connecting_from_response(np.append(r, 0.0), n + 1)
+        B = _B_from_connecting(C)
+        lam, F = eigh(0.5 * (B + B.T), C[1:, 1:])
+        mu = truncated_moment_spectral(s, n)
+        tol = n * np.finfo(float).eps * np.linalg.cond(C[1:, 1:])
+        assert np.max(np.abs(mu.lambdas - lam)) <= tol
+        assert np.max(np.abs(mu.weights - s[0] * (r[n - 1 :: -1] @ F) ** 2)) <= tol * s[0]
+        assert abs(np.sum(mu.weights) - s[0]) <= tol * s[0]
 
 
 def test_truncated_naive_last_diagonal_matches_longer_inversion():

@@ -9,6 +9,7 @@ from bcjacobi.core import (
     JacobiSpec,
     SpectralMeasure,
     _coeff_gap,
+    _tridiagonal,
     eig_spectral_data,
     free_spec,
     random_spec,
@@ -16,6 +17,7 @@ from bcjacobi.core import (
 )
 from bcjacobi.errors import InvalidInputError
 from bcjacobi.toda import (
+    _expm,
     moser_evolve,
     recursion_residual,
     toda_moments,
@@ -292,3 +294,22 @@ def test_flow_times_must_be_finite(t):
     ):
         with pytest.raises(InvalidInputError, match=r"\b[th] must be"):
             call()
+
+
+def test_expm_matches_scipy_on_the_flow_range():
+    """`_expm` against scipy's Pade expm on 1000 symmetric tridiagonals scaled
+    to ||X||_inf = 2, the largest step `toda_qr_flow` takes.  Each Horner
+    product sums at most three terms per entry, and the two squarings double
+    the error twice, so both routes sit a few eps from e^X; the bound is
+    32 eps relative to max |e^X| (the worst draw was 5 eps)."""
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(28)
+    worst = 0.0
+    for _ in range(1000):
+        n = int(rng.integers(1, 13))
+        X = _tridiagonal(rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n))
+        X *= 2.0 / np.max(np.sum(np.abs(X), axis=1))
+        E = expm(X)
+        worst = max(worst, np.max(np.abs(_expm(X) - E)) / np.max(np.abs(E)))
+    assert worst <= 32 * np.finfo(float).eps

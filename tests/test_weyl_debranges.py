@@ -11,6 +11,7 @@ from bcjacobi.errors import BCError, InvalidInputError, PoleError
 from bcjacobi.moments import lambda_matrix
 from bcjacobi.weyl_debranges import (
     DeBrangesElement,
+    _refined_solve,
     beta_sequences,
     debranges_inner,
     debranges_kernel,
@@ -248,9 +249,19 @@ def test_kernels_reject_singular_matrix():
 
 
 
+@pytest.mark.parametrize("A, rhs", [
+    (np.ones((3, 3)), np.ones(3)),  # real
+    (np.ones((3, 3)), np.ones(3) * 1j),  # real A, complex rhs: the stacked [Re, Im] route
+    (np.ones((3, 3)) * (1 + 1j), np.ones(3)),  # complex
+])
+def test_refined_solve_refuses_an_exactly_singular_matrix(A, rhs):
+    with pytest.raises(BCError, match="A is singular"):
+        _refined_solve(A, rhs, "A")
+
+
 @pytest.mark.parametrize("action", ["error", "default", "ignore"])
 def test_kernels_refuse_singular_matrix_under_any_warning_filter(action):
-    # the factorization's LinAlgWarning must neither replace the BCError (python -W error)
+    # a warning of the factorization must neither replace the BCError (python -W error)
     # nor stand in for it (printed or ignored, the solve would go on with a zero pivot)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter(action)
