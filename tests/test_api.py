@@ -152,6 +152,26 @@ def test_cli_import_loads_no_scipy(cli_import_modules):
     assert loaded == []
 
 
+def test_import_does_not_load_scipy_signal(cli_import_modules):
+    """`scipy.signal` costs ~0.4 s to import; the FFT kernel apply uses numpy.fft."""
+    assert "bcjacobi" in cli_import_modules
+    assert "scipy.signal" not in cli_import_modules
+
+
+def test_cli_import_loads_only_scipy_linalg(cli_import_modules):
+    """`scipy.integrate` alone pulled in ~200 modules (optimize, special, fft, ...)
+    and ~0.25 s of every process's start, and `scipy.signal` ~0.4 s; no code of the
+    package needs them (the FFT kernel apply uses numpy.fft).  `scipy.sparse`
+    came in for ARPACK alone; the continuous-time inverse runs its own Lanczos.
+    `scipy.linalg` was the last subpackage allowed, and its calls now have numpy
+    replacements, so no scipy subpackage is loaded at all."""
+    absent = ["scipy.integrate", "scipy.optimize", "scipy.special", "scipy.fft", "scipy.stats", "scipy.signal",
+              "scipy.sparse"]
+    loaded = [m for m in absent if m in cli_import_modules]
+    assert not loaded, loaded
+    assert sorted(m for m in cli_import_modules if m.startswith("scipy.")) == []
+
+
 _R = np.r_[1.0, np.zeros(11)]  # the free response, long enough for every size below 6
 _S = np.array([1.0, 0, 1, 0, 2, 0, 5, 0, 14, 0, 42, 0])  # Catalan moments of the free block
 _MU = core.spectral_measure(core.free_spec(3))
