@@ -46,33 +46,53 @@ def _fmt(x) -> str:
     return repr(float(np.real(x)))
 
 
-def _column_strings(col):
-    """One CSV column as strings, each exactly as `_fmt` formats it.
+# rows per CSV block: formatting a whole column at once would hold every
+# string of the file in memory, a block holds a few thousand rows' worth
+_BLOCK_ROWS = 4096
 
-    Integer, bool and float arrays convert once with `tolist`; `str` of a
-    Python int/bool and `repr` of a Python float are what `_fmt` returns for
-    the numpy scalars.  Everything else (complex arrays, extended-precision
-    floats, lists of mixed type) goes through `_fmt` value by value: a mixed
-    list must never pass through `np.asarray`, which would print an int as
-    `1.0` or turn every value into a string.
+
+def _column_strings(col) -> list:
+    """A block of one CSV column as strings, each exactly as `_fmt` formats it.
+
+    Integer, bool and float arrays (up to double precision) format each
+    distinct value once, `str` for integers and bools and `repr`, the
+    shortest round-trip decimal, for floats, and gather the strings by the
+    inverse index of `np.unique`.  Values are told apart by bit pattern, so
+    -0.0 and 0.0 keep their own strings and a NaN groups like any other value.
+    Everything else (complex arrays, extended-precision floats, lists of
+    mixed type) goes through `_fmt` value by value: a mixed list must never
+    pass through `np.asarray`, which would print an int as `1.0` or turn
+    every value into a string.
     """
-    if isinstance(col, np.ndarray):
-        if col.dtype.kind in "iub":
-            return map(str, col.tolist())
-        if col.dtype.kind == "f" and col.dtype.itemsize <= 8:
-            return map(repr, col.tolist())
-    return map(_fmt, col)
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else None
+    if kind in ("i", "u", "b") or (kind == "f" and col.itemsize <= 8):
+        bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+        strings = map(repr if kind == "f" else str, bits.view(col.dtype).tolist())
+        return np.array(list(strings), dtype=object)[inverse].tolist()
+    return list(map(_fmt, col))
 
 
 def _csv_lines(header: list, columns):
-    """Header line, then one line per row of the equal-length columns.
+    """Header line, then the rows of the equal-length columns in blocks of
+    `_BLOCK_ROWS` rows, one string per block.
 
-    Lazy, so a caller that writes the lines streams the rows instead of
-    holding every formatted value at once.
+    A block's cells and separators are interleaved by slice assignment into
+    one list, which is joined once, so no Python step runs per row.  Lazy, so
+    a caller that writes the lines holds one block of formatted values at a
+    time.
     """
+    columns = list(columns)
+    # a shorter column fails its block's slice assignment with ValueError
+    rows = max(map(len, columns), default=0)
     yield ",".join(header) + "\n"
-    for row in zip(*map(_column_strings, columns), strict=True):
-        yield ",".join(row) + "\n"
+    width = 2 * len(columns)  # a cell and the separator after it, per column
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = min(_BLOCK_ROWS, rows - start)
+        parts = [","] * (width * block)
+        parts[width - 1 :: width] = ["\n"] * block
+        for j, col in enumerate(columns):
+            parts[2 * j :: width] = _column_strings(col[start : start + block])
+        yield "".join(parts)
 
 
 def _plain_floats(x):

@@ -368,17 +368,24 @@ def _kernel_matrix(P: np.ndarray, M: int) -> np.ndarray:
     return np.multiply(K, 0.5, out=K)
 
 
-def _kernel_apply(seq: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_kernel_matrix(seq, M) @ x for x of length M + 1, by FFT in O(M log M).
+def _kernel_apply(seq: np.ndarray):
+    """x -> _kernel_matrix(seq, M) @ x for x of length M + 1, seq of length
+    2M + 1, by FFT in O(M log M); the two spectra of seq are taken once.
 
     The Hankel part is entries 2M..M of the linear convolution seq * x, the
     Toeplitz part entries M..2M of x convolved with `_mirrored(seq, M)`."""
-    M = x.size - 1
+    M = seq.size // 2
     n = 1 << (3 * M).bit_length()  # > 3M: neither convolution wraps around
-    X = np.fft.rfft(x, n)
-    hank = np.fft.irfft(np.fft.rfft(seq, n) * X, n)[2 * M : M - 1 : -1]
-    toep = np.fft.irfft(np.fft.rfft(_mirrored(seq, M), n) * X, n)[M : 2 * M + 1]
-    return 0.5 * (hank - toep)
+    hank_f = np.fft.rfft(seq, n)
+    toep_f = np.fft.rfft(_mirrored(seq, M), n)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        X = np.fft.rfft(x, n)
+        hank = np.fft.irfft(hank_f * X, n)[2 * M : M - 1 : -1]
+        toep = np.fft.irfft(toep_f * X, n)[M : 2 * M + 1]
+        return 0.5 * (hank - toep)
+
+    return apply
 
 
 # 60 times the sixth-order first-derivative weights at nodes 0, 1, 2 and 3
@@ -552,7 +559,8 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     P = np.concatenate([[0.0], _cumulative_simpson(r.values, grid.dt)])
     w = grid.simpson_weights
     sw = np.sqrt(w)
-    sig, U = _top_eigenpairs(lambda v: sw * _kernel_apply(P, sw * v), M + 1, N)
+    kernel = _kernel_apply(P)
+    sig, U = _top_eigenpairs(lambda v: sw * kernel(sw * v), M + 1, N)
     # Richardson estimate of P's error (order 4, step 2 dt against dt); T times
     # it bounds the norm of the kernel's quadrature perturbation
     P2 = np.concatenate([[0.0], _cumulative_simpson(r.values[::2], 2.0 * grid.dt)])
@@ -572,15 +580,15 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     def quad(x, y):
         return float(np.sum(w * x * y))
 
-    dr = _derivative(r.values, grid.dt)
+    kernel_dd = _kernel_apply(_derivative(r.values, grid.dt))
     f = [None] * (N + 1)
     f[1] = c_solve(r.values[M::-1])  # r(T - t_i)
     a_rec = np.zeros(max(N - 1, 0))
     b_rec = np.zeros(N)
     g_prev = None
     for n in range(1, N + 1):
-        g = _kernel_apply(P, w * f[n])
-        g_dd = _kernel_apply(dr, w * f[n])
+        g = kernel(w * f[n])
+        g_dd = kernel_dd(w * f[n])
         b_rec[n - 1] = -quad(g_dd, f[n])
         if n < N:
             h = -g_dd - b_rec[n - 1] * g

@@ -76,15 +76,13 @@ class JacobiSpec:
             raise InvalidInputError("degenerate N=0 block")
         if self.b.size != self.a.size + 1 and not (self.b.size == 1 and self.a.size == 0):
             raise InvalidInputError("need len(b) = len(a) + 1")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
-            raise InvalidInputError("coefficients must be finite")
         if self.mode == "real":
             object.__setattr__(self, "a0", _finite_scalar(self.a0, "a0"))
-            if self.a0 <= 0 or np.any(self.a <= 0):
+            if self.a0 <= 0 or (self.a <= 0).any():
                 raise InvalidInputError("real mode requires a0 > 0 and a_k > 0")
         else:
             object.__setattr__(self, "a0", complex(_as_lambda(self.a0, scalar=True, what="a0")))
-            if self.a0 == 0 or np.any(self.a == 0):
+            if self.a0 == 0 or (self.a == 0).any():
                 raise InvalidInputError("complex mode requires nonzero a0 and a_k")
 
     @property
@@ -274,9 +272,9 @@ def _as_numbers(x, what: str, real: bool = True, ndim: int = 1) -> np.ndarray:
     empty list is an empty one).  Strings, ragged lists, other non-numbers and
     other shapes are refused."""
     try:
-        x = np.atleast_1d(np.asarray(x))
-        cplx = np.iscomplexobj(x)
-        y = np.asarray(x, dtype=complex if cplx else float)
+        x = np.asarray(x)
+        cplx = x.dtype.kind == "c"
+        y = np.atleast_1d(x.astype(complex if cplx else float, copy=False))
     except (TypeError, ValueError):  # strings, None, ragged lists and other non-numbers
         raise InvalidInputError(f"{what} must be {'real ' if real else ''}numbers") from None
     if cplx and real:
@@ -289,7 +287,7 @@ def _as_numbers(x, what: str, real: bool = True, ndim: int = 1) -> np.ndarray:
 def _as_finite(x, what: str, real: bool = True, ndim: int = 1) -> np.ndarray:
     """`_as_numbers`, refusing a non-finite entry as well."""
     x = _as_numbers(x, what, real, ndim)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError(f"{what} must be finite")
     return x
 
@@ -308,7 +306,7 @@ def _as_lambda(lam, scalar: bool = False, what: str = "lambda") -> np.ndarray:
     x = np.asarray(lam)
     if x.dtype.kind not in "iufc" or (scalar and x.ndim):
         raise InvalidInputError(f"{what} must be {'a number' if scalar else 'numbers'}, got {lam!r}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidInputError(f"{what} must be finite, got {lam!r}")
     return x
 

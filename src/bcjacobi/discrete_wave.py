@@ -112,7 +112,7 @@ def _step_field(
             nxt += b_c * row[1 : n + 1]
             if order == 2 and t:
                 nxt -= u[t - 1, 1 : n + 1]
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         t = int(np.argmin(np.all(np.isfinite(u), axis=1)))
         raise NumericalFailureError(f"the field overflows the float range at t = {t} of T = {T}")
     return u.T

@@ -4,13 +4,14 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bcjacobi
-from bcjacobi.cli import _csv_lines, _fmt, main, run_scenario
+from bcjacobi.cli import _BLOCK_ROWS, _csv_lines, _fmt, main, run_scenario
 from bcjacobi.core import JacobiSpec, moments_of_measure, random_spec, spectral_measure
 from bcjacobi.discrete_wave import solve_semi_infinite
 from bcjacobi.errors import BCError
@@ -327,6 +328,47 @@ def test_csv_columns_of_every_kind_match_row_formatter():
     text = "".join(_csv_lines(header, columns)).encode()
     assert text == _row_csv(header, zip(*columns))
     assert text.decode().splitlines()[1] == "0,1,True,-0.0,inf,0.1,1.0+2.0j,0.25,x"
+
+
+def test_csv_blocks_match_row_formatter_across_boundaries():
+    rows = 3 * _BLOCK_ROWS + 7
+    rng = np.random.default_rng(27)
+    # NaNs of both signs and another payload, and both zeros, each a different bit pattern
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64).view(float)
+    floats = rng.choice(np.concatenate([nans, [-0.0, 0.0, 5e-324, 0.1, -1e4]]), rows)
+    cuts = np.arange(1, 4) * _BLOCK_ROWS
+    floats[cuts - 1], floats[cuts], floats[cuts + 1] = -0.0, 0.0, nans[1]
+    with np.errstate(invalid="ignore"):  # the signalling NaN
+        narrow = [floats.astype(np.float32), floats.astype(np.float16)]
+    strided = np.repeat(rng.standard_normal(rows)[:, None], 2, axis=1)[:, 0]  # not contiguous
+    columns = [
+        np.arange(rows) // 5 - 2000,
+        rng.integers(0, 3, rows).astype(np.uint8),
+        rng.random(rows) < 0.5,
+        floats,
+        *narrow,
+        strided,
+        np.where(rng.random(rows) < 0.5, 1.0, 1.0 - 2.0j),
+        [7 if k % 3 else "" for k in range(rows)],
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
+    lines = list(_csv_lines(header, columns))
+    assert len(lines) == 1 + 4  # the header, three full blocks and a block of 7 rows
+    assert "".join(lines).encode() == _row_csv(header, zip(*columns))
+
+
+def test_csv_writer_holds_one_block_of_strings(tmp_path):
+    rows = 200_000
+    columns = [np.arange(rows) // 400, np.arange(rows) % 400, np.random.default_rng(3).standard_normal(rows)]
+    with open(tmp_path / "field.csv", "w") as fh:
+        tracemalloc.start()
+        try:
+            fh.writelines(_csv_lines(["n", "t", "value"], columns))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a block of these rows peaks at 0.73 MB; formatting whole columns at once peaks at 34 MB
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("bad", [

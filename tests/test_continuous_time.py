@@ -632,7 +632,8 @@ def _recovery_operator(N, M, seed):
     r = response_function(spec, grid.doubled())
     P = np.concatenate([[0.0], cumulative_simpson(r.values, dx=grid.dt)])
     sw = np.sqrt(grid.simpson_weights)
-    return (lambda v: sw * _kernel_apply(P, sw * v)), sw[:, None] * _kernel_meshgrid(P, M) * sw
+    kernel = _kernel_apply(P)
+    return (lambda v: sw * kernel(sw * v)), sw[:, None] * _kernel_meshgrid(P, M) * sw
 
 
 @pytest.mark.parametrize("N, M, k, seed", [(2, 400, 2, 54), (4, 200, 4, 54), (6, 400, 6, 54), (6, 1600, 6, 54),
@@ -758,7 +759,7 @@ def test_kernel_apply_matches_dense_kernel():
     for M in (2, 3, 10, 41, 400):
         seq, x = rng.standard_normal(2 * M + 1), rng.standard_normal(M + 1)
         scale = np.max(np.abs(seq)) * np.sum(np.abs(x))  # bounds every |(K x)_i|
-        err = np.abs(_kernel_apply(seq, x) - _kernel_matrix(seq, M) @ x)
+        err = np.abs(_kernel_apply(seq)(x) - _kernel_matrix(seq, M) @ x)
         assert np.all(err <= (M + 1) * EPS * scale), M
 
 
