@@ -95,14 +95,6 @@ def _csv_lines(header: list, columns):
         yield "".join(parts)
 
 
-def _plain_floats(x):
-    """A check metric (a number, a list of numbers, or a dict of numbers and
-    None, as a figure with its bound and margin) as JSON floats."""
-    if isinstance(x, dict):
-        return {k: None if v is None else float(v) for k, v in x.items()}
-    return [float(v) for v in x] if isinstance(x, list) else float(x)
-
-
 # one JSON value of each kind; no kind admits a bool
 _IS = {
     "int": _json_int,
@@ -207,6 +199,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
             "a": [_fmt(x) for x in rep.a],
             "b": [_fmt(x) for x in rep.b],
             "determinants": [_fmt(x) for x in rep.determinants],
+            "scaled_pivots": [_fmt(x) for x in rep.scaled_pivots],
             "residual": rep.residual,
             "mode": rep.mode,
         }
@@ -420,8 +413,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report = [
-            {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed": r.elapsed,
-             "metrics": {k: _plain_floats(v) for k, v in r.metrics.items()}}
+            {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed": r.elapsed, "metrics": r.metrics}
             for r in results
         ]
         (out / "verify_report.json").write_text(json.dumps(report, indent=2))

@@ -234,10 +234,16 @@ def eig_spectral_data(spec: JacobiSpec) -> SpectralData:
         raise BCError("eigen machinery is restricted to the self-adjoint (real) case")
     lam, vecs = np.linalg.eigh(_tridiagonal(spec.a, spec.b))
     first = vecs[0, :]
-    # In exact arithmetic phi^k_1 = 1 != 0; a vanishing first component is a
-    # numerical failure, not a valid state.
-    if np.any(np.abs(first) < 1e-13 * np.max(np.abs(vecs), axis=0)):
-        raise NumericalFailureError("eigenvector first component vanished")
+    # In exact arithmetic phi^k_1 = 1 != 0, but a first component under 1e-13
+    # of its column's largest entry gives a weight v_1^2 that a dense
+    # eigensolver cannot resolve: a numerical failure, not a valid state.
+    largest = np.max(np.abs(vecs), axis=0)
+    vanished = np.abs(first) < 1e-13 * largest
+    if np.any(vanished):
+        raise NumericalFailureError(
+            f"eigenvector first component vanished in {np.count_nonzero(vanished)} of {first.size} modes: "
+            f"smallest ratio to the column's largest entry {np.min(np.abs(first) / largest):.1e} < 1e-13"
+        )
     phi = vecs / first
     omegas = np.sum(phi**2, axis=0)
     return SpectralData(lam, phi, omegas)

@@ -149,6 +149,18 @@ def _B_from_connecting(C: np.ndarray) -> np.ndarray:
     return B
 
 
+def _unit_mass_moments(s, N: int) -> tuple:
+    """(s / s_0, s_0) for the order-N truncated problem, which needs 2N - 1
+    finite moments with s_0 > 0."""
+    _require_size("N", N)
+    s = _as_finite(s, "moments")
+    if s.size < 2 * N - 1:
+        raise InvalidInputError(f"need at least 2N-1 = {2 * N - 1} moments")
+    if s[0] <= 0:
+        raise NotRealizableError("s_0 must be positive")
+    return s / s[0], s[0]
+
+
 def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
     """Measure of the order-N truncated problem via a generalized eigenproblem.
 
@@ -158,14 +170,7 @@ def truncated_moment_spectral(s, N: int) -> SpectralMeasure:
     assumed, which selects one member of the solution family.  The input is
     normalized by s_0 and the weights are scaled back at the end.
     """
-    _require_size("N", N)
-    s = _as_finite(s, "moments")
-    if s.size < 2 * N - 1:
-        raise InvalidInputError(f"need at least 2N-1 = {2 * N - 1} moments")
-    if s[0] <= 0:
-        raise NotRealizableError("s_0 must be positive")
-    mass = s[0]
-    s = s / mass
+    s, mass = _unit_mass_moments(s, N)
     if s.size < 2 * N:
         s = np.concatenate([s, [0.0]])
     r = moments_to_response(s[: 2 * N])
@@ -204,14 +209,7 @@ def truncated_moment_naive(s, N: int, extension=None):
 
     Returns (spec, measure); the measure weights carry the total mass s_0.
     """
-    _require_size("N", N)
-    s = _as_finite(s, "moments")
-    if s.size < 2 * N - 1:
-        raise InvalidInputError(f"need at least 2N-1 = {2 * N - 1} moments")
-    if s[0] <= 0:
-        raise NotRealizableError("s_0 must be positive")
-    mass = s[0]
-    sn = s / mass
+    sn, mass = _unit_mass_moments(s, N)
     verdict, b_rec, d = _admit(moments_to_response(sn[: 2 * N]), N)
     if not verdict.admissible:
         raise SingularBlockError(verdict.detail)

@@ -4,6 +4,10 @@ Prints one PASS/FAIL line per criterion; the underlying computations live in
 bcjacobi.verify so `bcjacobi verify` and this module certify the same thing.
 """
 
+import time
+
+import numpy as np
+
 from bcjacobi import verify
 
 
@@ -89,3 +93,23 @@ def test_criterion_11_string_trends():
 
 def test_criterion_12_graph_wave():
     _run(verify.check_graph_wave)
+
+
+def test_figure_rule_at_its_edges():
+    # a figure passes iff low <= value <= bound: the bound itself passes, the
+    # next float past it fails, and NaN fails whatever its bounds
+    def passes(value, bound, low=None):
+        return verify._result("edge", time.perf_counter(), f=verify._bounded(value, bound, low)).passed
+
+    assert passes(1e-12, 1e-12) and not passes(np.nextafter(1e-12, 1.0), 1e-12)
+    assert passes(0.0, 0.0) and not passes(5e-324, 0.0)
+    assert not passes(np.nan, 1e-12) and not passes(np.nan, np.inf, low=-np.inf)
+    assert passes(3.5, 4.5, low=3.5) and not passes(np.nextafter(3.5, 0.0), 4.5, low=3.5)
+    assert passes(4.5, 4.5, low=3.5) and not passes(np.nextafter(4.5, 5.0), 4.5, low=3.5)
+    # one figure out of bounds fails the check; detail and metrics read off the same figures
+    res = verify._result("edge", time.perf_counter(), exact_zero=verify._bounded(0, 0), over=verify._bounded(2, 1))
+    assert not res.passed and res.detail == "exact zero 0.00e+00, over 2.00e+00"
+    assert res.metrics == {
+        "exact_zero": {"value": 0.0, "bound": 0.0, "margin": None},
+        "over": {"value": 2.0, "bound": 1.0, "margin": 0.5},
+    }

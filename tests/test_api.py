@@ -96,6 +96,25 @@ def test_one_kernel_evaluator():
     assert callers == {"continuous_time._node_kernels"}
 
 
+def test_one_check_verdict():
+    """Every acceptance verdict is read off bounded figures: `verify._result`
+    alone builds a CheckResult, and each check returns `_result(name, t0, ...)`
+    with every figure a `_bounded` record, so no check states its own pass flag."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(bcjacobi.__file__).parent.glob("*.py")}
+    builders = {f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, "CheckResult")}
+    assert builders == {"verify._result"}
+    checks = [f for f in trees["verify"].body if isinstance(f, ast.FunctionDef) and f.name.startswith("check_")]
+    assert len(checks) == 12
+    for check in checks:
+        returns = [n.value for n in ast.walk(check) if isinstance(n, ast.Return)]
+        assert returns, check.name
+        for call in returns:
+            assert isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_result", check.name
+            assert len(call.args) == 2 and ast.unparse(call.args[1]) == "t0", check.name
+            assert all(kw.arg is None or getattr(getattr(kw.value, "func", None), "id", None) == "_bounded"
+                       for kw in call.keywords), check.name
+
+
 def test_one_structured_matrix_builder():
     """Every Hankel and Toeplitz matrix is a gather of `core._hankel`, the only
     `sliding_window_view` in the package, and every dense tridiagonal one comes

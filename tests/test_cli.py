@@ -16,6 +16,7 @@ from bcjacobi.core import JacobiSpec, moments_of_measure, random_spec, spectral_
 from bcjacobi.discrete_wave import solve_semi_infinite
 from bcjacobi.errors import BCError
 from bcjacobi.graph_wave import GraphSpec, simulate
+from bcjacobi.inverse_bc import invert_factorization
 from bcjacobi.toda import toda_qr_flow, toda_solve
 
 
@@ -36,6 +37,8 @@ def test_manifest_records_timings_and_versions(tmp_path):
     manifest = run_scenario(config, tmp_path)
     assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
     assert manifest["files"] == ["inversion.json", "metadata.json"]
+    pivots = invert_factorization(config["r"], config["T"]).scaled_pivots
+    assert json.loads((tmp_path / "inversion.json").read_text())["scaled_pivots"] == [_fmt(x) for x in pivots]
     timings = manifest["timings"]
     assert set(timings) == {"total_s", "write_s", "compute_s"}
     assert 0 < timings["write_s"] <= timings["total_s"]
@@ -226,7 +229,21 @@ def test_verify_report_carries_metrics(tmp_path, capsys):
     assert [r["name"] for r in report] == ["free-identity"]
     metrics = report[0]["metrics"]
     assert set(metrics) == {"response_err", "connecting_err"}
-    assert all(isinstance(v, float) and v <= 1e-12 for v in metrics.values())
+    assert all(f["value"] <= f["bound"] == 1e-12 for f in metrics.values())
+
+
+def test_verify_report_holds_every_check_to_its_figures(tmp_path, capsys):
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert len(report) == 12
+    for entry in report:
+        figures = entry["metrics"]
+        assert figures, entry["name"]
+        for f in figures.values():
+            assert set(f) - {"low"} == {"value", "bound", "margin"}
+            assert all(isinstance(f[k], float) for k in f if k != "margin")
+        within = all(f.get("low", -np.inf) <= f["value"] <= f["bound"] for f in figures.values())
+        assert entry["passed"] is within, entry["name"]
 
 
 def test_verify_report_carries_toda_figures_with_bounds(tmp_path, capsys):

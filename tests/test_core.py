@@ -15,7 +15,7 @@ from bcjacobi.core import (
     random_spec,
     spectral_measure,
 )
-from bcjacobi.errors import BCError, InvalidInputError
+from bcjacobi.errors import BCError, InvalidInputError, NumericalFailureError
 
 from indeterminacy_oracle import phi_alpha_star
 
@@ -126,6 +126,15 @@ def test_eig_free_three():
 def test_eig_rejects_complex_mode():
     spec = JacobiSpec(a0=1.0, a=[1.0 + 0.1j], b=[0.0, 0.0], mode="complex")
     with pytest.raises(BCError):
+        eig_spectral_data(spec)
+
+
+def test_eig_refusal_reports_the_unresolved_modes():
+    # far-localized modes of this valid block have first components near 5e-16
+    # of their largest entry: weights a dense eigensolver cannot resolve
+    spec = random_spec(60, np.random.default_rng(60))
+    pattern = r"vanished in [1-9]\d* of 60 modes: smallest ratio to the column's largest entry \d\.\de-\d+ < 1e-13$"
+    with pytest.raises(NumericalFailureError, match=pattern):
         eig_spectral_data(spec)
 
 
