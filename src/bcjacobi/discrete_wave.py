@@ -78,16 +78,20 @@ def _as_response(r, real: bool = False) -> np.ndarray:
 
 
 def _step_field(
-    spec: JacobiSpec, f: np.ndarray, T: int, n_active: int, order: int = 2
+    spec: JacobiSpec, f: np.ndarray, T: int, n_active: int, order: int = 2, *, node1: bool = False
 ) -> np.ndarray:
     """Run the recurrence on nodes 1..n_active with a zero wall at n_active+1.
 
     Returns u of shape (n_active + 2, T + 1), the transposed view of a
     time-major array; row 0 carries the control (f_t for t < T = len(f), 0 at
-    t = T).  order=2 is the wave recurrence; order=1 drops the u_{t-1} term
-    and gives the heat system v_{t+1} = A v_t, which is defined for real
-    blocks only.  Block and control are finite, so a non-finite field is an
-    overflow; it is checked once, at the end.
+    t = T).  With node1=True only three time rows are kept, rotating, and the
+    result is node 1's samples (u_{1,1}, ..., u_{1,T}).  order=2 is the wave
+    recurrence; order=1 drops the u_{t-1} term and gives the heat system
+    v_{t+1} = A v_t, which is defined for real blocks only.  Each step writes
+    its products into one scratch row.  Block and control are finite, so a
+    non-finite field is an overflow; a non-finite entry stays non-finite at its
+    node through the b_n u_n term, so the last row shows it, and the full field
+    is stepped again only to name the first step.
     """
     if order == 1 and spec.mode != "real":
         raise InvalidInputError("heat stepping is defined for real blocks")
@@ -96,26 +100,49 @@ def _step_field(
         raise InvalidInputError(f"control must have length T = {T}")
     dt = complex if (spec.mode == "complex" or np.iscomplexobj(f)) else float
     n = n_active
-    u = np.zeros((T + 1, n + 2), dtype=dt)  # each step writes one contiguous row
-    u[:T, 0] = f
     aa = np.concatenate([[spec.a0], spec.a]).astype(dt)  # aa[n] = a_n
     a_r = np.zeros(n, dtype=dt)
     a_r[: aa.size - 1] = aa[1 : n + 1]
     a_l = aa[0:n]
     b_c = spec.b[0:n].astype(dt)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            row, nxt = u[t], u[t + 1, 1 : n + 1]
-            # ((a_r u_{n+1} + a_l u_{n-1}) + b_c u_n) - u_{n,t-1}, the rounding order of the recurrence
-            np.multiply(a_r, row[2:], out=nxt)
-            nxt += a_l * row[:n]
-            nxt += b_c * row[1 : n + 1]
-            if order == 2 and t:
-                nxt -= u[t - 1, 1 : n + 1]
-    if not np.isfinite(u).all():
+    scratch = np.empty(n, dtype=dt)
+    node = np.empty(T, dtype=dt)
+
+    def cut(row: np.ndarray) -> tuple:
+        return row, row[:n], row[1 : n + 1], row[2:]  # the row and its u_{n-1}, u_n, u_{n+1}
+
+    def run(u: np.ndarray) -> np.ndarray:
+        # step t writes row t + 1 of u modulo its length, one contiguous time row; each
+        # row's views are cut once, and with three rows the row for t + 2 is the row of
+        # t - 1, so the ring only rotates its views
+        ring = len(u) == 3
+        prev, cur, nxt = cut(u[-1]), cut(u[0]), cut(u[1 % len(u)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(T):
+                row, left, mid, right = cur
+                new = nxt[2]
+                row[0] = f[t]
+                # ((a_r u_{n+1} + a_l u_{n-1}) + b_c u_n) - u_{n,t-1}, the rounding order of the recurrence
+                np.multiply(a_r, right, out=new)
+                np.multiply(a_l, left, out=scratch)
+                new += scratch
+                np.multiply(b_c, mid, out=scratch)
+                new += scratch
+                if order == 2 and t:
+                    new -= prev[2]
+                if node1:
+                    node[t] = new[0]
+                prev, cur, nxt = cur, nxt, prev if ring else cut(u[(t + 2) % len(u)])
+        return cur[0]
+
+    u = np.zeros((3 if node1 else T + 1, n + 2), dtype=dt)
+    if not np.isfinite(run(u)).all():
+        if node1:
+            u = np.zeros((T + 1, n + 2), dtype=dt)
+            run(u)
         t = int(np.argmin(np.all(np.isfinite(u), axis=1)))
         raise NumericalFailureError(f"the field overflows the float range at t = {t} of T = {T}")
-    return u.T
+    return node if node1 else u.T
 
 
 def _semi_infinite_field(spec: JacobiSpec, f: np.ndarray, T: int, order: int = 2) -> np.ndarray:
@@ -140,8 +167,7 @@ def _node1_response(spec: JacobiSpec, T: int, order: int = 2) -> np.ndarray:
     depth = (T + 1) // 2
     if spec.n < depth:
         raise SpecTooShortError(f"a response of length {T} needs block size >= {depth}, got {spec.n}")
-    # a copy, since a view of node 1 would keep the whole field alive
-    return _step_field(spec, delta_control(T), T, depth, order)[1, 1:].copy()
+    return _step_field(spec, delta_control(T), T, depth, order, node1=True)
 
 
 def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:

@@ -138,36 +138,64 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
     None when the sweep gets through).  `_admit` runs it for every verdict;
     only `moments.indeterminacy_sequences`, which cuts rather than refuses,
     calls it directly.  The caller checks the horizon.
+
+    The rows run on three preallocated arrays that rotate, and step k touches
+    only the live entries k..n-k-1 of u_k, the rest being zero; every entry
+    is computed in the order of the one-expression row update, so b, d, ds and
+    the refusal are those of a sweep over whole rows bit for bit.
     """
     m = r[: 2 * T] / r[0]
     n = m.size
-    # the refusal scale, the running column maxima of D C_T D: an O(T^2) assembly
-    # (one row recurrence, `_connecting`) and one pass over the triangle
-    C = reverse_order(_connecting(m, T))
-    diag = np.abs(np.diag(C)).astype(float)
-    diag[diag == 0] = 1.0
-    D = 1.0 / np.sqrt(diag)
-    tol = PIVOT_TOL * np.maximum.accumulate(np.max(np.abs(D[:, None] * np.triu(C) * D), axis=0))
+    diag, tol = _pivot_scale(m, T)
     d = np.empty(T, dtype=m.dtype)
     b = np.empty(min(T, n // 2), dtype=m.dtype)
-    prev, u = np.zeros_like(m), m  # t_{k-1} and s_k / d_{k-1}, with t_{-1} = 0 and d_{-1} = 1
+    # t_{k-1}, u_k = s_k / d_{k-1} (divided in place into t_k) and u_{k+1}, with
+    # t_{-1} = 0 and d_{-1} = 1; u_k is live on k..n-k-1 and zero outside
+    prev, cur, nxt = np.zeros((3, n), dtype=m.dtype)
+    cur[:] = m
     for k in range(T):
-        d[k] = u[k] * d[k - 1] if k else u[0]
+        d[k] = cur[k] * d[k - 1] if k else cur[0]
         if not abs(d[k] / diag[k]) > tol[k]:  # a NaN pivot refuses too
             refusal = (
                 f"leading block C_{k + 1} is not invertible "
                 f"(pivot {d[k] / diag[k]:.3e}, tolerance {tol[k]:.3e})"
             )
             return b[: min(k, b.size)], d[:k], d[:k] / diag[:k], refusal
-        cur = u / u[k]
+        live = cur[k : n - k]
+        np.divide(live, live[0], out=live)
         if k < b.size:
             b[k] = cur[k + 1] - prev[k]
         if k + 1 < T:
             lo, hi = k + 1, n - k - 1
-            u = np.zeros_like(m)
-            u[lo:hi] = cur[lo + 1 : hi + 1] - b[k] * cur[lo:hi] - prev[lo:hi] + cur[lo - 1 : hi - 1]
-            prev = cur
+            out = nxt[lo:hi]
+            np.multiply(b[k], cur[lo:hi], out=out)
+            np.subtract(cur[lo + 1 : hi + 1], out, out=out)
+            out -= prev[lo:hi]
+            out += cur[lo - 1 : hi - 1]
+            prev, cur, nxt = cur, nxt, prev
     return b, d, d / diag, None
+
+
+def _pivot_scale(m: np.ndarray, T: int):
+    """|(C_T)_kk| (1 where it vanishes) and the refusal tolerances, PIVOT_TOL times
+    the running column maxima of the triangle of D C_T D, D = diag^(-1/2), for
+    the reversed connecting matrix C_T of m.
+
+    One O(T^2) assembly (the row recurrence of `_connecting`), read reversed in
+    place, one triangle copy scaled in place: at most two T x T arrays are alive.
+    The diagonal is read off J C_T J and reversed after, since numpy's complex
+    modulus rounds differently on a negative stride.
+    """
+    JCJ = _connecting(m, T)
+    diag = np.abs(np.diag(JCJ))[::-1].astype(float)
+    diag[diag == 0] = 1.0
+    D = 1.0 / np.sqrt(diag)
+    S = np.triu(JCJ[::-1, ::-1])
+    del JCJ
+    S *= D[:, None]
+    S *= D
+    S = np.abs(S, out=None if np.iscomplexobj(S) else S)
+    return diag, PIVOT_TOL * np.maximum.accumulate(np.max(S, axis=0))
 
 
 def _leading_minors(r0, d: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ next float inside it (`np.nextafter`), so every figure is a closed interval.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -81,6 +82,13 @@ def _bounded(value: float, bound: float, low: float | None = None) -> dict:
     return figure
 
 
+def _worst(*values) -> float:
+    """The largest of the values, NaN if any is NaN: a running worst that a NaN
+    figure cannot skip (Python's `max` keeps its first argument when a later one
+    is NaN)."""
+    return math.nan if any(map(math.isnan, values)) else float(max(values))
+
+
 def _result(name: str, t0: float, **figures) -> CheckResult:
     """The check passes iff every figure lies within its bounds (NaN never does);
     the detail lists each figure's name and value."""
@@ -98,9 +106,9 @@ def check_free_identity() -> CheckResult:
         r = response_vector(spec, 2 * N - 1).r
         expect = np.zeros(2 * N - 1)
         expect[0] = 1.0
-        worst_r = max(worst_r, float(np.max(np.abs(r - expect))))
+        worst_r = _worst(worst_r, float(np.max(np.abs(r - expect))))
         C = connecting_from_response(r, N)
-        worst_c = max(worst_c, float(np.max(np.abs(C - np.eye(N)))))
+        worst_c = _worst(worst_c, float(np.max(np.abs(C - np.eye(N)))))
     return _result(
         "free-identity", t0, response_err=_bounded(worst_r, 1e-12), connecting_err=_bounded(worst_c, 1e-12),
     )
@@ -133,7 +141,7 @@ def check_discrete_roundtrip(seed: int = 20240) -> CheckResult:
             continue
         if rep.min_scaled_pivot < 1e-4:
             continue
-        worst = max(worst, rep.coeff_error)
+        worst = _worst(worst, rep.coeff_error)
         count += 1
     elapsed = time.perf_counter() - t0
     return _result(
@@ -154,12 +162,12 @@ def check_gram_identities(seed: int = 7) -> CheckResult:
         O = W @ np.eye(T)[::-1]
         C = connecting_from_response(response_vector(spec, 2 * T - 1), T)
         scale = max(1.0, float(np.max(np.abs(C))))
-        worst = max(worst, float(np.max(np.abs(C - O.T @ O))) / scale)
+        worst = _worst(worst, float(np.max(np.abs(C - O.T @ O))) / scale)
         spec1 = JacobiSpec(a0=1.0, a=spec.a, b=spec.b)  # heat section fixes a0 = 1
         V = heat_control_matrix(spec1, T)
         S = heat_connecting(heat_response(spec1, 2 * T - 1), T)
         scale_s = max(1.0, float(np.max(np.abs(S))))
-        worst = max(worst, float(np.max(np.abs(S - V.T @ V))) / scale_s)
+        worst = _worst(worst, float(np.max(np.abs(S - V.T @ V))) / scale_s)
     return _result("gram-identities", t0, worst=_bounded(worst, 1e-10))
 
 
@@ -178,12 +186,12 @@ def check_spectral_representations(seed: int = 11) -> CheckResult:
         r = response_vector(spec, 2 * T - 1, bc="dirichlet").r
         cheb = chebyshev_values(2 * T - 1, lam)  # cheb[t] holds T_t at the atoms
         scale_r = max(1.0, float(np.max(np.abs(r))))
-        worst = max(worst, float(np.max(np.abs(r - cheb[1 : 2 * T] @ w))) / scale_r)
+        worst = _worst(worst, float(np.max(np.abs(r - cheb[1 : 2 * T] @ w))) / scale_r)
         C = connecting_from_response(r, T)
         rows = cheb[T:0:-1]  # rows[l] = T_{T-l} at the atoms, l = 0..T-1
         C_spec = rows @ (w[:, None] * rows.T)
         scale_c = max(1.0, float(np.max(np.abs(C))))
-        worst = max(worst, float(np.max(np.abs(C - C_spec))) / scale_c)
+        worst = _worst(worst, float(np.max(np.abs(C - C_spec))) / scale_c)
     return _result("spectral-representations", t0, worst=_bounded(worst, 1e-10))
 
 
@@ -213,18 +221,18 @@ def check_moment_bridge(seed: int = 13) -> CheckResult:
         s = moments_of_measure(mu, 2 * N - 1)
         r = moments_to_response(s)
         scale_s = np.maximum(np.abs(s), 1.0)
-        worst_rt = max(worst_rt, float(np.max(np.abs(response_to_moments(r) - s) / scale_s)))
+        worst_rt = _worst(worst_rt, float(np.max(np.abs(response_to_moments(r) - s) / scale_s)))
         C = connecting_from_response(r, N)
         # the identity is exact; verify it in extended precision so the
         # verification arithmetic does not dominate the 1e-9 budget
         Lt = lambda_matrix_tilde(N).astype(np.longdouble)
         S0 = _reversed_hankel(s, N).astype(np.longdouble)
         prod = (Lt @ S0 @ Lt.T).astype(float)
-        worst_bridge = max(worst_bridge, float(np.max(np.abs(C - prod))))
+        worst_bridge = _worst(worst_bridge, float(np.max(np.abs(C - prod))))
         mu_sp = truncated_moment_spectral(s, N)
         _, mu_nv = truncated_moment_naive(s, N)
         for m_rec in (mu_sp, mu_nv):
-            worst_meas = max(
+            worst_meas = _worst(
                 worst_meas,
                 float(np.max(np.abs(m_rec.lambdas - lam))),
                 float(np.max(np.abs(m_rec.weights - w))),
@@ -265,7 +273,7 @@ def check_toda(seed: int = 17) -> CheckResult:
     worst_closed = 0.0
     for t in (0.0, 0.3, 1.0, 2.0, -1.5):
         st = toda_solve(free_spec(2), t)
-        worst_closed = max(
+        worst_closed = _worst(
             worst_closed,
             abs(st.spec.a[0] - 1.0 / np.cosh(2 * t)),
             abs(st.spec.b[0] - np.tanh(2 * t)),
@@ -282,14 +290,14 @@ def check_toda(seed: int = 17) -> CheckResult:
         eig0 = mu0.lambdas
         for t in times:
             st, oracle = toda_solve(spec0, t), toda_qr_flow(spec0, t)
-            worst_oracle = max(worst_oracle, _coeff_gap(st.spec, oracle))
+            worst_oracle = _worst(worst_oracle, _coeff_gap(st.spec, oracle))
             moment_spec, _ = truncated_moment_naive(toda_moments(mu0, t, 2 * spec0.n - 1), spec0.n)
-            worst_moment = max(worst_moment, _coeff_gap(st.spec, moment_spec))
+            worst_moment = _worst(worst_moment, _coeff_gap(st.spec, moment_spec))
             eig_t = eig_spectral_data(st.spec).eigenvalues
-            worst_eig = max(worst_eig, float(np.max(np.abs(eig_t - eig0))))
-            worst_trace = max(worst_trace, abs(np.sum(st.spec.b) - np.sum(spec0.b)),
-                              abs(np.sum(oracle.b) - np.sum(spec0.b)))
-        worst_res = max(worst_res, recursion_residual(mu0, 0.4, 2 * spec0.n - 2, 1e-4))
+            worst_eig = _worst(worst_eig, float(np.max(np.abs(eig_t - eig0))))
+            worst_trace = _worst(worst_trace, abs(np.sum(st.spec.b) - np.sum(spec0.b)),
+                                 abs(np.sum(oracle.b) - np.sum(spec0.b)))
+        worst_res = _worst(worst_res, recursion_residual(mu0, 0.4, 2 * spec0.n - 2, 1e-4))
     return _result(
         "toda", t0, closed_form=_bounded(worst_closed, 1e-10), oracle=_bounded(worst_oracle, 1e-6),
         moment_route=_bounded(worst_moment, 1e-6), eigenvalues=_bounded(worst_eig, 1e-8),
@@ -317,7 +325,7 @@ def check_weyl(seed: int = 23) -> CheckResult:
         r = response_vector(spec, 220, bc="dirichlet")
         ev = weyl_series(r, lam, tol=1e-10, coeff_bound=B)
         outside_D += not ev.in_domain_D
-        worst = max(worst, abs(ev.m_series - weyl_resolvent(spec, lam)))
+        worst = _worst(worst, abs(ev.m_series - weyl_resolvent(spec, lam)))
     return _result(
         "weyl", t0, m0_error=_bounded(m0_error, 0), outside_D=_bounded(outside_D, 0), worst=_bounded(worst, 1e-7),
     )
@@ -340,11 +348,11 @@ def check_debranges(seed: int = 29) -> CheckResult:
         z = 0.5 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         j = debranges_kernel(C_T, z, T)
         F = DeBrangesElement(rng.normal(size=T))
-        worst_rep = max(worst_rep, abs(debranges_inner(C_T, j, F) - F(z)))
+        worst_rep = _worst(worst_rep, abs(debranges_inner(C_T, j, F) - F(z)))
         phi_z_conj = np.conj(phi_eval(spec, z, T))
         for lam_val in rng.uniform(-2, 2, 3):
             direct = np.sum(phi_z_conj * phi_eval(spec, lam_val, T))
-            worst_ker = max(worst_ker, abs(j(lam_val) - direct))
+            worst_ker = _worst(worst_ker, abs(j(lam_val) - direct))
     return _result("debranges", t0, reproducing=_bounded(worst_rep, 1e-10), kernel=_bounded(worst_ker, 1e-9))
 
 
@@ -372,7 +380,7 @@ def check_continuous_time(seed: int = 31) -> CheckResult:
         grid = ct.TimeGrid(2.0, 800)
         r = ct.response_function(spec, grid.doubled())
         rec, _ = ct.recover_matrix_continuous(r, N, grid)
-        worst_rec = max(worst_rec, _coeff_gap(rec, spec))
+        worst_rec = _worst(worst_rec, _coeff_gap(rec, spec))
     return _result("continuous-time", t0, ratio=_bounded(ratio, 4.5, low=3.5), recovery=_bounded(worst_rec, 1e-3))
 
 
@@ -413,7 +421,7 @@ def check_graph_wave() -> CheckResult:
     worst_path = 0.0
     for t in range(1, T + 1):
         for n in range(0, min(n_seg + 1, T + 2)):
-            worst_path = max(worst_path, abs(fld.u[0][n, t] - wf.u[n, t - 1]))
+            worst_path = _worst(worst_path, abs(fld.u[0][n, t] - wf.u[n, t - 1]))
     e_tot = log[:, 3]  # rows are t = 1..T
     # 3-star: arms of 6 segments; center = slot n_seg of every edge
     arm = 6

@@ -5,6 +5,7 @@ bcjacobi.verify so `bcjacobi verify` and this module certify the same thing.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,6 +30,23 @@ def test_criterion_02_discrete_roundtrip():
     res = verify.check_discrete_roundtrip()
     print(f"\nACCEPTANCE {res.name}: {'PASS' if res.passed else 'FAIL'} ({res.detail})")
     assert res.passed
+
+
+def test_discrete_roundtrip_fails_on_one_nan_error(monkeypatch):
+    # a NaN coefficient error on one admitted draw fails the check: the running
+    # worst propagates it, where Python's max kept the last finite value
+    roundtrip, admitted = verify.roundtrip_report, []
+
+    def one_nan(spec, T):
+        rep = roundtrip(spec, T)
+        if rep.min_scaled_pivot < 1e-4:
+            return rep
+        admitted.append(T)
+        return replace(rep, coeff_error=np.nan) if len(admitted) == 3 else rep
+
+    monkeypatch.setattr(verify, "roundtrip_report", one_nan)
+    res = verify.check_discrete_roundtrip()
+    assert len(admitted) == 100 and not res.passed and np.isnan(res.metrics["worst"]["value"])
 
 
 def test_criterion_03_gram_identities():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import connecting_oracle
 import numpy as np
 import pytest
@@ -313,6 +315,37 @@ def test_overflowing_field_is_named_without_numpy_warnings():
     for respond in (response_vector, heat_response):
         with pytest.raises(NumericalFailureError, match="overflows the float range"):
             respond(block, 599)
+
+
+@pytest.mark.parametrize("order", [2, 1])
+def test_node1_overflow_names_the_fields_first_step(order):
+    # the front meets b_n = 1e200 at the deepest node and overflows there two steps
+    # later, too deep for node 1 to see by time T: the response still refuses, and
+    # names the first step at which the oracle's full field is non-finite
+    T = 21
+    depth = (T + 1) // 2
+    b = np.zeros(depth)
+    b[-1] = 1e200
+    block = JacobiSpec(a0=1.0, a=np.ones(depth - 1), b=b)
+    u = stepper_oracle.step_field(block, delta_control(T), T, depth, order)
+    t = int(np.argmin(np.all(np.isfinite(u), axis=0)))
+    assert 0 < t < T and np.isfinite(u[1]).all()
+    respond = response_vector if order == 2 else heat_response
+    with pytest.raises(NumericalFailureError, match=f"at t = {t} of T = {T}$"):
+        respond(block, T)
+
+
+def test_node1_responses_keep_three_time_rows():
+    # node 1's response steps three rotating time rows, not the whole field
+    # (T + 1) x ((T + 1) // 2 + 2): 64 MB for a wave response of length 4001
+    for respond, block, T in ((response_vector, free_spec(2001), 4001), (heat_response, free_spec(501), 1001)):
+        tracemalloc.start()
+        try:
+            respond(block, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, (respond.__name__, peak)
 
 
 @pytest.mark.parametrize("solve", [solve_semi_infinite, solve_finite_dirichlet])

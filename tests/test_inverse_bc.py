@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from bcjacobi.inverse_bc import (
 )
 
 import ldl_oracle
+import sweep_oracle
 from ldl_oracle import _equilibrate, _ldl_pivots
 
 
@@ -480,6 +482,46 @@ def test_sweep_cut_at_its_depth_equals_a_sweep_to_that_depth(draw):
     b_ref, d_ref, ds_ref, refusal = _chebyshev_sweep(r, depth)
     assert refusal is None
     assert np.array_equal(b, b_ref) and np.array_equal(d, d_ref) and np.array_equal(ds, ds_ref)
+
+
+@st.composite
+def sweep_inputs(draw, max_T=16):
+    """A horizon T and 2T - 1 or 2T response entries of a measure with 1..T + 1 atoms,
+    real or with complex weights; fewer than T atoms make a nested block singular."""
+    T = draw(st.integers(1, max_T))
+    k = draw(st.integers(1, T + 1))
+    floats = lambda lo, hi: np.array(draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k)))
+    lam, w = floats(-2.0, 2.0), floats(0.05, 1.0)
+    if draw(st.booleans()):
+        w = w * np.exp(1j * floats(-np.pi, np.pi))
+    r = chebyshev_values(2 * T - 1 + draw(st.integers(0, 1)), lam)[1:] @ w
+    return T, r
+
+
+@settings(max_examples=300)
+@given(sweep_inputs())
+def test_sweep_matches_whole_row_oracle_bit_for_bit(case):
+    # the rotating-row sweep against the whole-row sweep it replaced, refusals included
+    T, r = case
+    b, d, ds, refusal = _chebyshev_sweep(r, T)
+    b_ref, d_ref, ds_ref, refusal_ref = sweep_oracle.chebyshev_sweep(r, T)
+    for got, ref in ((b, b_ref), (d, d_ref), (ds, ds_ref)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert refusal == refusal_ref
+
+
+def test_characterize_keeps_at_most_two_connecting_sized_arrays():
+    # the refusal scale reads the connecting matrix reversed in place and scales one
+    # triangle copy in place; three T x T arrays were alive when it was copied reversed
+    T = 1600
+    r = response_vector(free_spec(T), 2 * T - 1)
+    tracemalloc.start()
+    try:
+        verdict = characterize(r, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.admissible and peak < 2.5 * 8 * T * T
 
 
 def _oracle_admits(r, T):
