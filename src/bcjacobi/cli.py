@@ -262,7 +262,6 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
     elif command == "weyl":
         lam = complex(*_arg(config, "lambda", "pair"))
-        tol = _arg(config, "tol", "number", 1e-10)
         result = {"lambda": [lam.real, lam.imag]}
         if "spec" in config:
             spec = _spec_from_config(config, rng)
@@ -273,7 +272,8 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
             r = np.asarray(_arg(config, "r", "number[]"), dtype=float)
         else:
             raise InvalidInputError("weyl config needs either 'spec' or 'r'")
-        ev = weyl_series(r, lam, tol=tol, coeff_bound=_arg(config, "coeff_bound", "number", None))
+        given = {key: _arg(config, key, "number") for key in ("tol", "coeff_bound") if key in config}
+        ev = weyl_series(r, lam, **given)
         result["m_series"] = [ev.m_series.real, ev.m_series.imag]
         result["z"] = [ev.z.real, ev.z.imag]
         result["truncation"] = ev.truncation
@@ -283,19 +283,12 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
 
     elif command == "string":
         N_values = _arg(config, "N_values", "int[]", low=2)
-        psi_cfg = dict(_arg(config, "psi", "dict", {"kind": "gauss", "center": 0.45, "sigma": 0.1}))
+        psi_cfg = dict(_arg(config, "psi", "dict", {"kind": "gauss"}))
         kind = psi_cfg.pop("kind", "gauss")
         psi, dpsi = ct.psi_preset(kind, **{key: _arg(psi_cfg, key, "number") for key in psi_cfg})
-        t_star = _arg(config, "field_time", "number", 0.5)
-        rows = []
-        for N in N_values:
-            grid = ct.TimeGrid(_arg(config, "T", "number", 1.0), _arg(config, "M", "int", max(1000, 8 * N)))
-            out = ct.corrected_response(N, grid, psi=psi, field_time=t_star)
-            rows.append(
-                (N, out["pair_raw"], abs(out["pair_raw"] - psi(0.0)),
-                 out["pair_corrected"], abs(out["pair_corrected"] - dpsi(0.0)),
-                 out["pair_field"], abs(out["pair_field"] - psi(t_star)))
-            )
+        given = {key: _arg(config, key, what) for key, what in (("field_time", "number"), ("T", "number"), ("M", "int"))
+                 if key in config}
+        rows = [(N, *ct._pairing_errors(N, psi, dpsi, **given)) for N in N_values]
         emit_csv(
             "string_pairings.csv",
             ["N", "raw", "raw_err", "corrected", "corrected_err", "field", "field_err"],
@@ -306,9 +299,7 @@ def run_scenario(config: dict, out_dir: Path) -> dict:
     elif command == "contjacobi":
         N = _arg(config, "N", "int", low=1)
         grid = ct.TimeGrid(_arg(config, "T", "number", 2.0), _arg(config, "M", "int", 800))
-        masses = rng.uniform(0.7, 1.3, N) / (N + 1)
-        lengths = rng.uniform(0.7, 1.3, N + 1) / (N + 1)
-        spec = ct.string_system(ct.StringSpec(masses=masses, lengths=lengths))["spec"]
+        spec = ct._random_string(N, rng)
         r = ct.response_function(spec, grid.doubled())
         rec, _ = ct.recover_matrix_continuous(r, N, grid)
         err = _coeff_gap(rec, spec)

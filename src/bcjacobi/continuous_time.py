@@ -583,7 +583,7 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
     kernel_dd = _kernel_apply(_derivative(r.values, grid.dt))
     f = [None] * (N + 1)
     f[1] = c_solve(r.values[M::-1])  # r(T - t_i)
-    a_rec = np.zeros(max(N - 1, 0))
+    a_rec = np.zeros(N - 1)
     b_rec = np.zeros(N)
     g_prev = None
     for n in range(1, N + 1):
@@ -601,8 +601,7 @@ def recover_matrix_continuous(r: ResponseFunctionSamples, N: int, grid: TimeGrid
             a_rec[n - 1] = np.sqrt(a_sq)
             f[n + 1] = v / a_rec[n - 1]
         g_prev = g
-    spec = JacobiSpec(a0=1.0, a=a_rec, b=b_rec) if N > 1 else JacobiSpec(a0=1.0, a=[], b=b_rec)
-    return spec, f[1:]
+    return JacobiSpec(a0=1.0, a=a_rec, b=b_rec), f[1:]
 
 
 def string_system(s: StringSpec) -> dict:
@@ -633,6 +632,14 @@ def string_system(s: StringSpec) -> dict:
         "gain": 1.0 / (l[0] * np.sqrt(m[0])),
         "inv_sqrt_m": inv_sqrt_m,
     }
+
+
+def _random_string(N: int, rng) -> JacobiSpec:
+    """Block of a random N-mass string, masses then lengths drawn from U(0.7, 1.3) / (N + 1):
+    its harmonic-like spectrum keeps the N sine modes observable, which close frequencies do not."""
+    masses = rng.uniform(0.7, 1.3, N) / (N + 1)
+    lengths = rng.uniform(0.7, 1.3, N + 1) / (N + 1)
+    return string_system(StringSpec(masses=masses, lengths=lengths))["spec"]
 
 
 def triangular_bump(grid: TimeGrid, width: float | None = None) -> np.ndarray:
@@ -769,7 +776,7 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
         if not 0.0 <= field_time <= grid.T:
             raise InvalidInputError(f"field_time must lie in [0, T] = [0, {grid.T}], got {field_time}")
     if psi is None:
-        psi, _ = gauss_test_function(0.45, 0.1)
+        psi, _ = psi_preset("gauss")
     modes = _UniformString(N)
     kernels = _GridKernels(modes.eigenvalues, grid.dt, grid.M + 1, modes.lam_lo)
     f = triangular_bump(grid)
@@ -805,3 +812,12 @@ def corrected_response(N: int, grid: TimeGrid, psi=None, field_time: float | Non
         out["field_values"] = field_vals
         out["field_x"] = xs
     return out
+
+
+def _pairing_errors(N: int, psi, dpsi, field_time: float = 0.5, T: float = 1.0, M: int | None = None) -> tuple:
+    """The delta-approximation experiment at N on [0, T], M steps (default max(1000, 8N)): the raw,
+    corrected and field pairings, each followed by its error against psi(0), psi'(0), psi(field_time)."""
+    grid = TimeGrid(T, max(1000, 8 * N) if M is None else M)
+    out = corrected_response(N, grid, psi=psi, field_time=field_time)
+    raw, corrected, field = out["pair_raw"], out["pair_corrected"], out["pair_field"]
+    return raw, abs(raw - psi(0.0)), corrected, abs(corrected - dpsi(0.0)), field, abs(field - psi(field_time))

@@ -74,7 +74,7 @@ class JacobiSpec:
             object.__setattr__(self, name, x)
         if self.b.size == 0:
             raise InvalidInputError("degenerate N=0 block")
-        if self.b.size != self.a.size + 1 and not (self.b.size == 1 and self.a.size == 0):
+        if self.b.size != self.a.size + 1:
             raise InvalidInputError("need len(b) = len(a) + 1")
         if self.mode == "real":
             object.__setattr__(self, "a0", _finite_scalar(self.a0, "a0"))
@@ -360,7 +360,7 @@ def _require_size(what: str, n: int, low: int = 1) -> None:
 def free_spec(n: int, a0: float = 1.0) -> JacobiSpec:
     """Free block: a_k = 1, b_k = 0."""
     _require_size("block size", n)
-    return JacobiSpec(a0=a0, a=np.ones(max(n - 1, 0)), b=np.zeros(n))
+    return JacobiSpec(a0=a0, a=np.ones(n - 1), b=np.zeros(n))
 
 
 def random_spec(
@@ -375,7 +375,7 @@ def random_spec(
     _require_type(rng, np.random.Generator, "rng")
     return JacobiSpec(
         a0=a0,
-        a=rng.uniform(*_interval(a_range, "a_range"), size=max(n - 1, 0)),
+        a=rng.uniform(*_interval(a_range, "a_range"), size=n - 1),
         b=rng.uniform(*_interval(b_range, "b_range"), size=n),
     )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec, _as_finite, _hankel, _require_size, _require_type
+from .core import JacobiSpec, _as_finite, _as_numbers, _hankel, _require_size, _require_type
 from .errors import InvalidInputError, NumericalFailureError, SpecTooShortError
 
 __all__ = [
@@ -251,7 +251,7 @@ def _connecting(r: np.ndarray, T: int) -> np.ndarray:
 
 def reverse_order(C: np.ndarray) -> np.ndarray:
     """Reverse both indices: C_T = J_T C^T J_T."""
-    C = np.asarray(C)
+    C = _as_numbers(C, "C", real=False, ndim=2)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise InvalidInputError("expected a square matrix")
     return C[::-1, ::-1].copy()

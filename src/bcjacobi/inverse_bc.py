@@ -144,35 +144,37 @@ def _chebyshev_sweep(r: np.ndarray, T: int):
     is computed in the order of the one-expression row update, so b, d, ds and
     the refusal are those of a sweep over whole rows bit for bit.
     """
-    m = r[: 2 * T] / r[0]
-    n = m.size
-    diag, tol = _pivot_scale(m, T)
-    d = np.empty(T, dtype=m.dtype)
-    b = np.empty(min(T, n // 2), dtype=m.dtype)
-    # t_{k-1}, u_k = s_k / d_{k-1} (divided in place into t_k) and u_{k+1}, with
-    # t_{-1} = 0 and d_{-1} = 1; u_k is live on k..n-k-1 and zero outside
-    prev, cur, nxt = np.zeros((3, n), dtype=m.dtype)
-    cur[:] = m
-    for k in range(T):
-        d[k] = cur[k] * d[k - 1] if k else cur[0]
-        if not abs(d[k] / diag[k]) > tol[k]:  # a NaN pivot refuses too
-            refusal = (
-                f"leading block C_{k + 1} is not invertible "
-                f"(pivot {d[k] / diag[k]:.3e}, tolerance {tol[k]:.3e})"
-            )
-            return b[: min(k, b.size)], d[:k], d[:k] / diag[:k], refusal
-        live = cur[k : n - k]
-        np.divide(live, live[0], out=live)
-        if k < b.size:
-            b[k] = cur[k + 1] - prev[k]
-        if k + 1 < T:
-            lo, hi = k + 1, n - k - 1
-            out = nxt[lo:hi]
-            np.multiply(b[k], cur[lo:hi], out=out)
-            np.subtract(cur[lo + 1 : hi + 1], out, out=out)
-            out -= prev[lo:hi]
-            out += cur[lo - 1 : hi - 1]
-            prev, cur, nxt = cur, nxt, prev
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        m = r[: 2 * T] / r[0]
+        n = m.size
+        diag, tol = _pivot_scale(m, T)
+        d = np.empty(T, dtype=m.dtype)
+        b = np.empty(min(T, n // 2), dtype=m.dtype)
+        # t_{k-1}, u_k = s_k / d_{k-1} (divided in place into t_k) and u_{k+1}, with
+        # t_{-1} = 0 and d_{-1} = 1; u_k is live on k..n-k-1 and zero outside
+        prev, cur, nxt = np.zeros((3, n), dtype=m.dtype)
+        cur[:] = m
+        for k in range(T):
+            d[k] = cur[k] * d[k - 1] if k else cur[0]
+            pivot = d[k] / diag[k]
+            if not tol[k] < abs(pivot) < np.inf:  # a NaN pivot or tolerance refuses too
+                # on finite data, a pivot or tolerance that is not finite is an overflow
+                overflowed = np.isfinite(m).all() and not np.isfinite([pivot, tol[k]]).all()
+                cause = "overflowed the float range" if overflowed else "is not invertible"
+                refusal = f"leading block C_{k + 1} {cause} (pivot {pivot:.3e}, tolerance {tol[k]:.3e})"
+                return b[: min(k, b.size)], d[:k], d[:k] / diag[:k], refusal
+            live = cur[k : n - k]
+            np.divide(live, live[0], out=live)
+            if k < b.size:
+                b[k] = cur[k + 1] - prev[k]
+            if k + 1 < T:
+                lo, hi = k + 1, n - k - 1
+                out = nxt[lo:hi]
+                np.multiply(b[k], cur[lo:hi], out=out)
+                np.subtract(cur[lo + 1 : hi + 1], out, out=out)
+                out -= prev[lo:hi]
+                out += cur[lo - 1 : hi - 1]
+                prev, cur, nxt = cur, nxt, prev
     return b, d, d / diag, None
 
 

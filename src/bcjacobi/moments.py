@@ -269,21 +269,22 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     return rows
 
 
-def _trend_label(values: np.ndarray) -> str:
-    """Heuristic {bounded-looking, growing} from the last 5 values.
+def _trend_label(*sequences) -> str:
+    """Heuristic {bounded-looking, growing}: bounded-looking iff the last 5
+    values of every sequence agree in modulus to 1e-3 (or one of them is 0).
 
-    Any non-finite value in the tail means the form already blew past float
+    Any non-finite value in a tail means the form already blew past float
     range, which is growth by definition.
     """
-    v = np.asarray(values, dtype=float)
-    tail = v[-5:]
-    if tail.size < 2 or np.any(~np.isfinite(tail)):
-        return "growing"
-    lo = np.min(np.abs(tail))
-    hi = np.max(np.abs(tail))
-    if lo == 0:
-        return "bounded-looking"
-    return "bounded-looking" if (hi - lo) / lo < 1e-3 else "growing"
+    for values in sequences:
+        tail = np.asarray(values, dtype=float)[-5:]
+        if tail.size < 2 or np.any(~np.isfinite(tail)):
+            return "growing"
+        lo = np.min(np.abs(tail))
+        hi = np.max(np.abs(tail))
+        if lo != 0 and not (hi - lo) / lo < 1e-3:
+            return "growing"
+    return "bounded-looking"
 
 
 def indeterminacy_sequences(s, N_max: int) -> dict:
@@ -325,16 +326,6 @@ def indeterminacy_sequences(s, N_max: int) -> dict:
         "M": gamma_form,
         "L": l_seq,
         "sweep_depth": depth,
-        "hamburger_trend": (
-            "bounded-looking"
-            if _trend_label(gamma_form) == "bounded-looking"
-            and _trend_label(delta_form) == "bounded-looking"
-            else "growing"
-        ),
-        "stieltjes_trend": (
-            "bounded-looking"
-            if _trend_label(gamma_form) == "bounded-looking"
-            and _trend_label(l_seq) == "bounded-looking"
-            else "growing"
-        ),
+        "hamburger_trend": _trend_label(gamma_form, delta_form),
+        "stieltjes_trend": _trend_label(gamma_form, l_seq),
     }

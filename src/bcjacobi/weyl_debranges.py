@@ -68,9 +68,16 @@ def joukowsky_z(lam) -> complex:
 
     The branch is fixed so that z lies in the closed unit disk, and in the
     lower half disk when lambda is in the upper half-plane; z + 1/z
-    reproduces lambda to machine precision.
+    reproduces lambda to machine precision.  For |lambda| > 2 it is
+    z = w / (1 + sqrt((1 - w)(1 + w))) with w = 2 / lambda = 1 / mu: the
+    principal root has real part >= 0, so nothing cancels or overflows and z
+    is within 2 ulps.  On the disk |lambda| <= 2, cut included, it is the
+    smaller root (lambda -+ sqrt(lambda^2 - 4)) / 2.
     """
     lam = complex(_as_lambda(lam, scalar=True))
+    if max(abs(lam.real), abs(lam.imag)) > 2.0 or abs(lam) > 2.0:  # abs(lam) alone can overflow
+        mu = lam / 2.0  # dividing by mu, not by lambda, keeps the complex division's scaling finite
+        return (1.0 / mu) / (1.0 + np.sqrt((mu - 1.0) / mu * ((mu + 1.0) / mu)))
     s = np.sqrt(lam * lam - 4.0 + 0j)
     z1 = (lam - s) / 2.0
     z2 = (lam + s) / 2.0

@@ -115,6 +115,21 @@ def test_one_check_verdict():
                        for kw in call.keywords), check.name
 
 
+def test_one_definition_of_each_continuous_experiment():
+    """The default test function is read from `continuous_time._PSI_PRESETS`, so
+    `gauss_test_function` has no direct caller (`psi_preset` calls it from that
+    table), and the random string of criterion 10 is drawn by one constructor,
+    `continuous_time._random_string`, the only caller of `string_system`."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(bcjacobi.__file__).parent.glob("*.py")}
+
+    def callers(name):
+        return {f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, name)}
+
+    assert callers("gauss_test_function") == set()
+    assert callers("string_system") == {"continuous_time._random_string"}
+    assert callers("_random_string") == {"cli.run_scenario", "verify.check_continuous_time"}
+
+
 def test_one_structured_matrix_builder():
     """Every Hankel and Toeplitz matrix is a gather of `core._hankel`, the only
     `sliding_window_view` in the package, and every dense tridiagonal one comes
@@ -436,6 +451,8 @@ MALFORMED = {
     "solve_krein[flat C]": (lambda: inverse_bc.solve_krein(np.ones(9), _R, 0.5, 0.0, 1.0, 3), "C must be 2-D"),
     "TimeGrid[bool T]": (lambda: ct.TimeGrid(True, 40), "T must be a single number, got bool"),
     "free_spec[bool a0]": (lambda: core.free_spec(3, a0=True), "a0 must be a single number, got bool"),
+    "reverse_order[ragged]": (lambda: discrete_wave.reverse_order([[1, 2], [3]]), "C must be numbers"),
+    "reverse_order[strings]": (lambda: discrete_wave.reverse_order([["a"]]), "C must be numbers"),
 }
 
 

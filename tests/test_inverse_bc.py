@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from bcjacobi.discrete_wave import (
     response_vector,
     reverse_order,
 )
-from bcjacobi.errors import InvalidInputError, SingularBlockError
+from bcjacobi.errors import InvalidInputError, NumericalFailureError, SingularBlockError
 from bcjacobi.inverse_bc import (
     PIVOT_TOL,
     _chebyshev_sweep,
@@ -378,6 +379,50 @@ def test_one_decision_on_hand_made_data(r, T, detail):
 def test_characterize_refuses_non_finite_entries(bad):
     res = characterize(np.array([1.0, bad, 1.0]), 2)
     assert not res.admissible and "not invertible" in res.detail
+
+
+@pytest.mark.parametrize("action", ["error", "default", "ignore"])
+@pytest.mark.parametrize("r, block", [
+    ([1.0, 1e80, 1e169, -1e241, 1e231], 3),  # was admitted, "C^T positive definite", pivot +inf
+    ([1.0, 1e200, 1e300, 1e300, 1e300], 2),
+    ([1.0, 0.0, 1e200, 0.0, 1e300], 3),
+])
+def test_an_overflowed_pivot_is_refused_under_any_warning_filter(r, block, action):
+    # a pivot of +-inf passed the test |pivot| > tol; numpy's overflow warning must
+    # neither end the call (python -W error) nor be all that is said of it
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        verdict = characterize(r, 3)
+        with pytest.raises(SingularBlockError) as refused:
+            invert_factorization(r, 3)
+    assert seen == []
+    assert not verdict.admissible and str(refused.value) == verdict.detail
+    assert verdict.detail.startswith(f"leading block C_{block} overflowed the float range")
+
+
+_HUGE = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]),
+                                          st.floats(-300.0, 300.0)))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6).flatmap(lambda T: st.tuples(st.just(T), st.lists(_HUGE, min_size=2 * T - 1,
+                                                                           max_size=2 * T - 1))))
+def test_verdict_and_inversion_agree_on_entries_up_to_1e300(case):
+    """characterize admits no pivot that is not finite; the inversion raises its
+    SingularBlockError, with its detail, exactly where it is inadmissible, and
+    on admissible data nothing but the re-simulation's NumericalFailureError."""
+    T, r = case
+    verdict = characterize(r, T)
+    if not verdict.admissible:
+        with pytest.raises(SingularBlockError) as refused:
+            invert_factorization(r, T)
+        assert str(refused.value) == verdict.detail
+        return
+    assert np.isfinite(verdict.diagnostics["scaled_pivots"]).all()
+    try:
+        invert_factorization(r, T)
+    except NumericalFailureError as exc:
+        assert "overflows the float range" in str(exc)
 
 
 def test_invert_horizon_one():

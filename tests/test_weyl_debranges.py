@@ -47,6 +47,28 @@ def test_joukowsky_inverse_identity():
             assert abs(z) <= 1 and z.imag < 0
 
 
+def test_joukowsky_root_matches_a_60_digit_reference():
+    """Within 4 eps of mpmath's small root, taken as 1 / (the large root), which does
+    not cancel: log-uniform |lambda| in [1e-3, 1e300] at random arguments, draws
+    just off the branch points +-2, +-2i, and the points where
+    (lambda - sqrt(lambda^2 - 4)) / 2 was off by 1.1e-9 (1e4) to 0.49 (-1e8 + 1e8 i)
+    or returned 0 (1e300)."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(41)
+    far = 10.0 ** rng.uniform(-3, 300, 1500) * np.exp(2j * np.pi * rng.uniform(size=1500))
+    near = rng.choice([2, -2, 2j, -2j], 500) + 10.0 ** rng.uniform(-12, 0, 500) * np.exp(
+        2j * np.pi * rng.uniform(size=500))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(60):
+        for lam in [*far, *near[np.abs(near) > 2], 50, 1e4, 1e6, 1e8, 1e8j, -1e8 + 1e8j, 1e12, 1e300]:
+            z, L = joukowsky_z(lam), mpmath.mpc(complex(lam))
+            s = mpmath.sqrt(L * L - 4)
+            ref = 1 / max((L - s) / 2, (L + s) / 2, key=abs)
+            assert abs(mpmath.mpc(complex(z)) - ref) <= 4 * eps * abs(ref), lam
+    assert weyl_resolvent(None, 2.5, kind="free") == -0.5  # m_0(5/2) stays exact
+    assert weyl_resolvent(None, 1e8, kind="free") == pytest.approx(-1e-8, rel=4 * eps)
+
+
 def test_resolvent_two_site():
     spec = JacobiSpec(a0=1.0, a=[1.0], b=[0.0, 0.0])
     for lam in (3.0, -2.5, 1.7j):
