@@ -642,6 +642,16 @@ def _random_string(N: int, rng) -> JacobiSpec:
     return string_system(StringSpec(masses=masses, lengths=lengths))["spec"]
 
 
+def _recovery_experiment(N: int, rng, T: float = 2.0, M: int = 800) -> tuple:
+    """Criterion 10's round trip: a random N-mass string drawn from `rng`, its response
+    sampled on the doubled grid of TimeGrid(T, M), and the block recovered from it.
+    Returns (true block, recovered block)."""
+    spec = _random_string(N, rng)
+    grid = TimeGrid(T, M)
+    rec, _ = recover_matrix_continuous(response_function(spec, grid.doubled()), N, grid)
+    return spec, rec
+
+
 def triangular_bump(grid: TimeGrid, width: float | None = None) -> np.ndarray:
     """Unit-integral triangular bump starting at t = 0 (default width 16 dt).
 

@@ -77,29 +77,21 @@ def _as_response(r, real: bool = False) -> np.ndarray:
     return _as_finite(r.r if isinstance(r, ResponseVector) else r, "response", real)
 
 
-def _step_field(
-    spec: JacobiSpec, f: np.ndarray, T: int, n_active: int, order: int = 2, *, node1: bool = False
-) -> np.ndarray:
-    """Run the recurrence on nodes 1..n_active with a zero wall at n_active+1.
+def _step_field(spec: JacobiSpec, f: np.ndarray, T: int, n: int, order: int, node1: bool) -> np.ndarray:
+    """Run the recurrence on nodes 1..n with a zero wall at n + 1 (see `_field`).
 
-    Returns u of shape (n_active + 2, T + 1), the transposed view of a
-    time-major array; row 0 carries the control (f_t for t < T = len(f), 0 at
-    t = T).  With node1=True only three time rows are kept, rotating, and the
-    result is node 1's samples (u_{1,1}, ..., u_{1,T}).  order=2 is the wave
+    Returns u of shape (n + 2, T + 1), the transposed view of a time-major
+    array; row 0 carries the control (f_t for t < T = len(f), 0 at t = T).
+    With node1=True only three time rows are kept, rotating, and the result
+    is node 1's samples (u_{1,1}, ..., u_{1,T}).  order=2 is the wave
     recurrence; order=1 drops the u_{t-1} term and gives the heat system
-    v_{t+1} = A v_t, which is defined for real blocks only.  Each step writes
-    its products into one scratch row.  Block and control are finite, so a
-    non-finite field is an overflow; a non-finite entry stays non-finite at its
-    node through the b_n u_n term, so the last row shows it, and the full field
-    is stepped again only to name the first step.
+    v_{t+1} = A v_t.  Each step writes its products into one scratch row.
+    Block and control are finite, so a non-finite field is an overflow; a
+    non-finite entry stays non-finite at its node through the b_n u_n term, so
+    the last row shows it, and the full field is stepped again only to name
+    the first step.
     """
-    if order == 1 and spec.mode != "real":
-        raise InvalidInputError("heat stepping is defined for real blocks")
-    f = np.atleast_1d(np.asarray(f))
-    if f.size != T:
-        raise InvalidInputError(f"control must have length T = {T}")
     dt = complex if (spec.mode == "complex" or np.iscomplexobj(f)) else float
-    n = n_active
     aa = np.concatenate([[spec.a0], spec.a]).astype(dt)  # aa[n] = a_n
     a_r = np.zeros(n, dtype=dt)
     a_r[: aa.size - 1] = aa[1 : n + 1]
@@ -145,29 +137,42 @@ def _step_field(
     return node if node1 else u.T
 
 
-def _semi_infinite_field(spec: JacobiSpec, f: np.ndarray, T: int, order: int = 2) -> np.ndarray:
-    """The semi-infinite field through time T: `_step_field` on nodes 1..T with the
-    wall at T + 1.  The front reaches node T at time T and a_T only ever multiplies
-    the zero wall, so the wall is exact and a block of size T suffices."""
-    _require_type(spec, JacobiSpec, "spec")
-    _require_size("T", T, low=0)
-    if spec.n < T:
-        raise SpecTooShortError(f"a field through time {T} needs block size >= {T}, got {spec.n}")
-    return _step_field(spec, f, T, T, order)
+def _field(
+    spec: JacobiSpec, f, T: int, bc: str = "semi_infinite", order: int = 2, node1: bool = False
+) -> np.ndarray:
+    """The lattice driven by the control f (len(f) = T) through time T, stepped by
+    `_step_field` with its wall where the boundary condition `bc` puts it.
 
-
-def _node1_response(spec: JacobiSpec, T: int, order: int = 2) -> np.ndarray:
-    """Node 1's response (u_{1,1}, ..., u_{1,T}) to the unit impulse.
-
-    Its entries only involve coefficients with index <= (T+1)//2, so a wall just
-    beyond that depth is exact and a block of that size suffices.
+    "semi_infinite": the front reaches node T at time T and a_T only ever
+    multiplies the zero wall, so a wall at T + 1 is exact and a block of size T
+    suffices.  Node 1's samples (node1=True) only involve coefficients with
+    index <= (T+1)//2, so there a wall just beyond that depth is exact.
+    "dirichlet": a hard zero at N + 1, whose reflections are part of the
+    answer, so the whole block is stepped; its node-1 response is defined for
+    real blocks.  order=1 (heat) is defined for real blocks.
     """
     _require_type(spec, JacobiSpec, "spec")
-    _require_size("T", T)
-    depth = (T + 1) // 2
-    if spec.n < depth:
-        raise SpecTooShortError(f"a response of length {T} needs block size >= {depth}, got {spec.n}")
-    return _step_field(spec, delta_control(T), T, depth, order, node1=True)
+    _require_size("T", T, low=0)
+    if order == 1 and spec.mode != "real":
+        raise InvalidInputError("heat stepping is defined for real blocks")
+    f = np.atleast_1d(np.asarray(f))
+    if f.size != T:
+        raise InvalidInputError(f"control must have length T = {T}")
+    if bc == "dirichlet":
+        if node1 and spec.mode != "real":
+            raise InvalidInputError("dirichlet responses are defined for real mode")
+        n = spec.n
+    elif bc != "semi_infinite":
+        raise InvalidInputError(f"unknown boundary condition {bc!r}")
+    elif node1:
+        n = (T + 1) // 2
+        if spec.n < n:
+            raise SpecTooShortError(f"a response of length {T} needs block size >= {n}, got {spec.n}")
+    else:
+        n = T
+        if spec.n < n:
+            raise SpecTooShortError(f"a field through time {T} needs block size >= {T}, got {spec.n}")
+    return _step_field(spec, f, T, n, order, node1)
 
 
 def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
@@ -177,32 +182,23 @@ def solve_semi_infinite(spec: JacobiSpec, f, T: int) -> WaveField:
     exact for t <= T by finite speed; the block needs size >= T.
     """
     f = _as_finite(f, "control", real=False)
-    return WaveField(u=_semi_infinite_field(spec, f, T), f=f)
+    return WaveField(u=_field(spec, f, T), f=f)
 
 
 def solve_finite_dirichlet(spec: JacobiSpec, f, T: int) -> WaveField:
     """Forward solve on nodes 1..N with a hard zero at n = N + 1."""
-    _require_type(spec, JacobiSpec, "spec")
-    _require_size("T", T, low=0)
     f = _as_finite(f, "control", real=False)
-    return WaveField(u=_step_field(spec, f, T, spec.n), f=f)
+    return WaveField(u=_field(spec, f, T, "dirichlet"), f=f)
 
 
 def response_vector(spec: JacobiSpec, T: int, bc: str = "semi_infinite") -> ResponseVector:
     """Response vector r_{t-1} = u^delta_{1,t}, t = 1..T.
 
-    For the semi-infinite system a block of size (T+1)//2 suffices (see
-    `_node1_response`).  For the Dirichlet system the reflections off n = N + 1
-    are part of the answer and the full block is used.
+    For the semi-infinite system a block of size (T+1)//2 suffices.  For the
+    Dirichlet system the reflections off n = N + 1 are part of the answer and
+    the full block is used (see `_field`).
     """
-    if bc == "semi_infinite":
-        r = _node1_response(spec, T)
-    elif bc == "dirichlet":
-        if _require_type(spec, JacobiSpec, "spec").mode != "real":
-            raise InvalidInputError("dirichlet responses are defined for real mode")
-        r = solve_finite_dirichlet(spec, delta_control(T), T).u[1, 1:].copy()
-    else:
-        raise InvalidInputError(f"unknown boundary condition {bc!r}")
+    r = _field(spec, delta_control(T), T, bc, node1=True)
     return ResponseVector(r=r, mode=spec.mode)
 
 
@@ -214,7 +210,7 @@ def control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
     The diagonal is prod_{k<n} a_k.  Assembled from one delta forward solve;
     the columns are time slices by time invariance.
     """
-    return np.triu(_semi_infinite_field(spec, delta_control(T), T)[1 : T + 1, 1:])
+    return np.triu(_field(spec, delta_control(T), T)[1 : T + 1, 1:])
 
 
 def _require_horizon(r: np.ndarray, T: int) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JacobiSpec, _as_finite, _require_size
-from .discrete_wave import _as_response, _node1_response, _semi_infinite_field, delta_control
+from .discrete_wave import _as_response, _field, delta_control
 from .errors import InvalidInputError
 from .moments import _reversed_hankel, truncated_moment_naive
 
@@ -46,7 +46,7 @@ def solve_heat(spec: JacobiSpec, f, T: int) -> HeatField:
     if np.iscomplexobj(f):
         raise InvalidInputError("the heat system takes a real control")
     f = _as_finite(f, "control")
-    return HeatField(v=_semi_infinite_field(spec, f, T, order=1), f=f)
+    return HeatField(v=_field(spec, f, T, order=1), f=f)
 
 
 def heat_response(spec: JacobiSpec, T: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def heat_response(spec: JacobiSpec, T: int) -> np.ndarray:
     block of size (T+1)//2 suffices; for a_0 = 1 the entries are the power
     moments of the block's spectral measure.
     """
-    return _node1_response(spec, T, order=1)
+    return _field(spec, delta_control(T), T, order=1, node1=True)
 
 
 def heat_control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
@@ -65,7 +65,7 @@ def heat_control_matrix(spec: JacobiSpec, T: int) -> np.ndarray:
     By time invariance V[n, s] = v^delta_{n, T-s}; used for the Gram identity
     S^T = (V^T)^* V^T.
     """
-    return _semi_infinite_field(spec, delta_control(T), T, order=1)[1 : T + 1, T:0:-1]
+    return _field(spec, delta_control(T), T, order=1)[1 : T + 1, T:0:-1]
 
 
 def heat_connecting(s, T: int) -> np.ndarray:

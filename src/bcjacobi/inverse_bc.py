@@ -270,7 +270,7 @@ def invert_factorization(r, T: int) -> InversionReport:
         mode=r.mode, a_sq=a_sq if r.mode == "complex" else None,
         scaled_pivots=verdict.diagnostics["scaled_pivots"],
     )
-    resim = response_vector(rep.recovered, 2 * T - 1, bc="semi_infinite").r
+    resim = response_vector(rep.recovered, 2 * T - 1).r
     residual = float(np.max(np.abs(resim - used)) / max(np.max(np.abs(used)), 1e-300))
     return replace(rep, residual=residual)
 
@@ -405,7 +405,7 @@ def roundtrip_report(spec: JacobiSpec, T: int) -> InversionReport:
     Compares the recoverable coefficients a_1..a_{T-1} and b_1..b_{T-1}
     (complex mode compares a_k^2, the quantity the data determines).
     """
-    r = response_vector(spec, 2 * T - 1, bc="semi_infinite")
+    r = response_vector(spec, 2 * T - 1)
     rep = invert_factorization(r, T)
     a_true = spec.a[: T - 1]
     b_true = spec.b[: T - 1]

@@ -72,13 +72,15 @@ def joukowsky_z(lam) -> complex:
     z = w / (1 + sqrt((1 - w)(1 + w))) with w = 2 / lambda = 1 / mu: the
     principal root has real part >= 0, so nothing cancels or overflows and z
     is within 2 ulps.  On the disk |lambda| <= 2, cut included, it is the
-    smaller root (lambda -+ sqrt(lambda^2 - 4)) / 2.
+    smaller root (lambda -+ sqrt((lambda - 2)(lambda + 2))) / 2: the factored
+    radicand does not cancel near the branch points +-2, as lambda^2 - 4 does.
     """
     lam = complex(_as_lambda(lam, scalar=True))
     if max(abs(lam.real), abs(lam.imag)) > 2.0 or abs(lam) > 2.0:  # abs(lam) alone can overflow
         mu = lam / 2.0  # dividing by mu, not by lambda, keeps the complex division's scaling finite
         return (1.0 / mu) / (1.0 + np.sqrt((mu - 1.0) / mu * ((mu + 1.0) / mu)))
-    s = np.sqrt(lam * lam - 4.0 + 0j)
+    # + 0j turns a -0 imaginary part into +0, which fixes the branch on the cut
+    s = np.sqrt((lam - 2.0) * (lam + 2.0) + 0j)
     z1 = (lam - s) / 2.0
     z2 = (lam + s) / 2.0
     return z1 if abs(z1) <= abs(z2) else z2

@@ -41,14 +41,21 @@ def _raises(node, func=None):
         yield from _raises(child, func)
 
 
-def test_every_raise_names_a_bcerror():
+@pytest.fixture(scope="module")
+def trees():
+    """Each package module's parsed source, by module name, parsed once for this file."""
+    paths = sorted(Path(bcjacobi.__file__).parent.glob("*.py"))
+    return {path.stem: ast.parse(path.read_text()) for path in paths}
+
+
+def test_every_raise_names_a_bcerror(trees):
     """One error path: each `raise` in the package names a BCError subclass."""
     offenders = []
-    for path in sorted(Path(bcjacobi.__file__).parent.glob("*.py")):
-        for func, name in _raises(ast.parse(path.read_text())):
+    for stem, tree in trees.items():
+        for func, name in _raises(tree):
             cls = getattr(errors, name, None) or getattr(builtins, name, None)
             if not (isinstance(cls, type) and issubclass(cls, errors.BCError)):
-                offenders.append(f"{path.name}:{func}: raise {name}")
+                offenders.append(f"{stem}.py:{func}: raise {name}")
     assert offenders == []
 
 
@@ -74,33 +81,24 @@ def _mentions(node, name):
     return _enclosing(node, lambda n: name in (getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None)))
 
 
-def test_one_admissibility_decision():
+def test_one_admissibility_decision(trees):
     """Every verdict on a discrete response comes from `inverse_bc._admit`: only it
     and `indeterminacy_sequences`, which cuts rather than refuses, run the sweep."""
-    callers = sorted(
-        f"{path.stem}.{func}"
-        for path in Path(bcjacobi.__file__).parent.glob("*.py")
-        for func in _callers(ast.parse(path.read_text()), "_chebyshev_sweep")
-    )
+    callers = sorted(f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, "_chebyshev_sweep"))
     assert callers == ["inverse_bc._admit", "moments.indeterminacy_sequences"]
 
 
-def test_one_kernel_evaluator():
+def test_one_kernel_evaluator(trees):
     """Every continuous-time kernel table is taken at exact nodes by
     `continuous_time._node_kernels`, the only caller of `wave_kernel`."""
-    callers = {
-        f"{path.stem}.{func}"
-        for path in Path(bcjacobi.__file__).parent.glob("*.py")
-        for func in _callers(ast.parse(path.read_text()), "wave_kernel")
-    }
+    callers = {f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, "wave_kernel")}
     assert callers == {"continuous_time._node_kernels"}
 
 
-def test_one_check_verdict():
+def test_one_check_verdict(trees):
     """Every acceptance verdict is read off bounded figures: `verify._result`
     alone builds a CheckResult, and each check returns `_result(name, t0, ...)`
     with every figure a `_bounded` record, so no check states its own pass flag."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in Path(bcjacobi.__file__).parent.glob("*.py")}
     builders = {f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, "CheckResult")}
     assert builders == {"verify._result"}
     checks = [f for f in trees["verify"].body if isinstance(f, ast.FunctionDef) and f.name.startswith("check_")]
@@ -115,27 +113,27 @@ def test_one_check_verdict():
                        for kw in call.keywords), check.name
 
 
-def test_one_definition_of_each_continuous_experiment():
+def test_one_definition_of_each_continuous_experiment(trees):
     """The default test function is read from `continuous_time._PSI_PRESETS`, so
     `gauss_test_function` has no direct caller (`psi_preset` calls it from that
     table), and the random string of criterion 10 is drawn by one constructor,
-    `continuous_time._random_string`, the only caller of `string_system`."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in Path(bcjacobi.__file__).parent.glob("*.py")}
+    `continuous_time._random_string`, the only caller of `string_system`, which only
+    criterion 10's round trip `continuous_time._recovery_experiment` calls."""
 
     def callers(name):
         return {f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, name)}
 
     assert callers("gauss_test_function") == set()
     assert callers("string_system") == {"continuous_time._random_string"}
-    assert callers("_random_string") == {"cli.run_scenario", "verify.check_continuous_time"}
+    assert callers("_random_string") == {"continuous_time._recovery_experiment"}
+    assert callers("_recovery_experiment") == {"cli.run_scenario", "verify.check_continuous_time"}
 
 
-def test_one_structured_matrix_builder():
+def test_one_structured_matrix_builder(trees):
     """Every Hankel and Toeplitz matrix is a gather of `core._hankel`, the only
     `sliding_window_view` in the package, and every dense tridiagonal one comes
     from `core._tridiagonal`; scipy's hankel and toeplitz and numpy's writable
     `as_strided` views are not used."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in Path(bcjacobi.__file__).parent.glob("*.py")}
 
     def where(name, find):
         return {f"{stem}.{func}" for stem, tree in trees.items() for func in find(tree, name)}
@@ -463,16 +461,33 @@ def test_malformed_arguments_are_refused(name):
         call()
 
 
-def test_one_forward_path():
-    """Every discrete forward solve, wave or heat, steps through `_step_field` from one
-    of two readers (the semi-infinite field and node 1's impulse response) or from the
-    finite Dirichlet solver; only the readers decide how long a block must be."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in Path(bcjacobi.__file__).parent.glob("*.py")}
+def test_one_forward_path(trees):
+    """Every discrete forward solve, wave or heat, field or node-1 response, steps
+    through `_step_field` from one entry, `discrete_wave._field`, which alone decides
+    where the wall sits and how long a block must be."""
     callers = sorted(f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, "_step_field"))
-    assert callers == [
-        "discrete_wave._node1_response", "discrete_wave._semi_infinite_field", "discrete_wave.solve_finite_dirichlet",
-    ]
+    assert callers == ["discrete_wave._field"]
     assert list(_mentions(trees["heat"], "_step_field")) == []
     too_short = sorted(f"{stem}.{func}" for stem, tree in trees.items()
                        for func, name in _raises(tree) if name == "SpecTooShortError")
-    assert too_short == ["discrete_wave._node1_response", "discrete_wave._semi_infinite_field"]
+    assert too_short == ["discrete_wave._field", "discrete_wave._field"]
+
+
+def test_one_boundary_condition_vocabulary(trees):
+    """The boundary-condition names and their refusal are spelled in `discrete_wave`
+    alone.  Elsewhere a caller that wants the Dirichlet response passes
+    `bc="dirichlet"` to `response_vector`; nothing restates the semi-infinite default,
+    compares against a name or keeps a table of them."""
+    words = ("semi_infinite", "dirichlet", "unknown boundary condition")
+    passed = {id(kw.value) for tree in trees.values() for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "response_vector"
+              for kw in call.keywords if kw.arg == "bc"}
+    spelled = {
+        (stem, word) for stem, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in passed
+        for word in words if word in node.value
+    }
+    assert spelled == {("discrete_wave", word) for word in words}
+    outside = {ast.unparse(kw) for stem, tree in trees.items() if stem != "discrete_wave" for call in ast.walk(tree)
+               if isinstance(call, ast.Call) for kw in call.keywords if id(kw.value) in passed}
+    assert outside == {"bc='dirichlet'"}

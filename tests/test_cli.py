@@ -510,6 +510,14 @@ def test_malformed_config_exits_2_without_output(tmp_path, capsys, config):
     _assert_rejected(config, tmp_path, capsys)
 
 
+def test_forward_scenario_refuses_an_unknown_boundary_condition_with_the_librarys_message(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "forward", **FREE, "T": 3, "bc": "x"}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: unknown boundary condition 'x'\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe", b"[1, 2]", b"3"],
                          ids=["missing", "invalid-json", "not-utf8", "json-list", "json-number"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, content):

@@ -348,6 +348,35 @@ def test_node1_responses_keep_three_time_rows():
         assert peak < 1e6, (respond.__name__, peak)
 
 
+def test_dirichlet_response_keeps_three_time_rows():
+    # the Dirichlet response steps the whole block on three rotating time rows, not
+    # the (T + 1) x (N + 2) field: 2.6 MB for N = 400 at length 799
+    block = free_spec(400)
+    tracemalloc.start()
+    try:
+        response_vector(block, 799, bc="dirichlet")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
+def test_dirichlet_response_is_node1_of_the_dirichlet_field():
+    # byte for byte, signed zeros included: blocks with all-zero b (exact zeros in the
+    # response), with negative b and with b of either sign
+    rng = np.random.default_rng(6)
+    zeros = 0
+    for k in range(600):
+        N, T = int(rng.integers(1, 13)), int(rng.integers(1, 41))
+        b = (np.zeros(N), -rng.uniform(0.0, 2.0, N), rng.uniform(-2.0, 2.0, N))[k % 3]
+        spec = JacobiSpec(a0=rng.uniform(0.5, 2.0), a=rng.uniform(0.5, 2.0, N - 1), b=b)
+        r = response_vector(spec, T, bc="dirichlet").r
+        u = solve_finite_dirichlet(spec, delta_control(T), T).u
+        assert r.dtype == u.dtype and r.tobytes() == u[1, 1:].tobytes(), (k, N, T)
+        zeros += int(np.sum(r == 0))
+    assert zeros > 1000
+
+
 @pytest.mark.parametrize("solve", [solve_semi_infinite, solve_finite_dirichlet])
 def test_forward_solvers_refuse_malformed_controls(solve):
     for f, match in (([1.0, np.nan], "finite"), (["1", "a"], "numbers")):

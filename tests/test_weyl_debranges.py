@@ -69,6 +69,36 @@ def test_joukowsky_root_matches_a_60_digit_reference():
     assert weyl_resolvent(None, 1e8, kind="free") == pytest.approx(-1e-8, rel=4 * eps)
 
 
+def test_joukowsky_root_on_the_disk():
+    """For |lambda| <= 2 the root takes sqrt((lambda - 2)(lambda + 2)), which does not
+    cancel near +-2: just off the branch points it is within 2 eps of a 60-digit
+    reference, where sqrt(lambda^2 - 4) was 17.9 eps off (381 eps at
+    1.9999999 + 1e-10i).  On the cut [-2, 2] it is within 2 eps (absolute) of the
+    reference and keeps the branch of that formula: every zero keeps its sign and every
+    value its half-plane, for a real lambda and for one with +0 or -0 imaginary part."""
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+
+    def unfactored(lam):  # the root as it was, the reference for the branch on the cut
+        lam = complex(lam)
+        s = np.sqrt(lam * lam - 4.0 + 0j)
+        z1, z2 = (lam - s) / 2.0, (lam + s) / 2.0
+        return z1 if abs(z1) <= abs(z2) else z2
+
+    with mpmath.workdps(60):
+        for lam in (2 + 1e-9j, 2 - 1e-9j, -2 + 1e-9j, -2 - 1e-9j, 1.9999999 + 1e-10j, 1.5 + 2e-9j, 1e-9j):
+            L = mpmath.mpc(lam)
+            s = mpmath.sqrt(L * L - 4)
+            ref = 1 / max((L - s) / 2, (L + s) / 2, key=abs)
+            assert abs(mpmath.mpc(complex(joukowsky_z(lam))) - ref) <= 2 * eps * abs(ref), lam
+        x = np.r_[-2.0, -0.0, 0.0, 2.0, np.random.default_rng(42).uniform(-2, 2, 3000)]
+        for lam in (*x, *(complex(v, 0.0) for v in x), *(complex(v, -0.0) for v in x)):
+            z, branch = joukowsky_z(lam), unfactored(lam)
+            assert np.array_equal(np.signbit([z.real, z.imag]), np.signbit([branch.real, branch.imag])), lam
+            L = mpmath.mpf(complex(lam).real)
+            assert abs(mpmath.mpc(complex(z)) - (L - 1j * mpmath.sqrt(4 - L * L)) / 2) <= 2 * eps, lam
+
+
 def test_resolvent_two_site():
     spec = JacobiSpec(a0=1.0, a=[1.0], b=[0.0, 0.0])
     for lam in (3.0, -2.5, 1.7j):
