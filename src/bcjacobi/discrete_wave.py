@@ -226,14 +226,17 @@ def connecting_from_response(r, T: int) -> np.ndarray:
     Needs at least 2T - 1 response entries.  The prefactor is taken from
     r_0 = a_0 (it is 1 under the usual normalization).  The sums run
     sequentially, so C^N is bit for bit the trailing N x N block of C^T.
+    The result is the reversed view C^T = J C_T J of the matrix `_connecting`
+    builds, not C-contiguous; copy it where a contiguous array is needed.
     """
-    return _connecting(_as_response(r), T)
+    return _connecting(_as_response(r), T)[::-1, ::-1]
 
 
 def _connecting(r: np.ndarray, T: int) -> np.ndarray:
-    """`connecting_from_response` on entries already coerced, which may be non-finite."""
+    """The reversed connecting matrix C_T = J C^T J, whose leading blocks are the
+    nested blocks C_1, ..., C_T, on entries already coerced, which may be non-finite."""
     _require_horizon(r, T)
-    # J C J is the running sum down each diagonal of the Hankel matrix H[k, j] = r_{k+j}:
+    # C_T is the running sum down each diagonal of the Hankel matrix H[k, j] = r_{k+j}:
     # each row is the row above, shifted one column, plus its own Hankel row, and both
     # triangles run the same chains, so the result is symmetric without a mirror.  The sums
     # run sequentially (error ~ T eps), not pairwise like np.sum, which trades some accuracy
@@ -242,7 +245,22 @@ def _connecting(r: np.ndarray, T: int) -> np.ndarray:
     R = _hankel(r, T, T).copy()
     for prev, row in zip(R[:-1, :-1], R[1:, 1:]):
         np.add(prev, row, out=row)
-    return r[0] * R[::-1, ::-1]
+    return r[0] * R
+
+
+def _nested_blocks(r, T: int, real: bool = False) -> np.ndarray:
+    """C_T of the response r (coerced as in `connecting_from_response`, real only
+    if `real`), for the readers of its leading blocks C_1, ..., C_T.
+
+    A C_T that overflows the float range raises `NumericalFailureError` under any
+    warning filter, before it reaches a linear-algebra routine.
+    """
+    r = _as_response(r, real)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        C = _connecting(r, T)
+    if not np.isfinite(C).all():
+        raise NumericalFailureError(f"the connecting matrix C_{T} overflowed the float range")
+    return C
 
 
 def reverse_order(C: np.ndarray) -> np.ndarray:

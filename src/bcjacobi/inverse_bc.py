@@ -26,12 +26,11 @@ from .discrete_wave import (
     ResponseVector,
     _as_response,
     _connecting,
+    _nested_blocks,
     _require_horizon,
-    connecting_from_response,
     response_vector,
-    reverse_order,
 )
-from .errors import InvalidInputError, SingularBlockError
+from .errors import InvalidInputError, NumericalFailureError, SingularBlockError
 
 _log = logging.getLogger(__name__)
 
@@ -183,17 +182,14 @@ def _pivot_scale(m: np.ndarray, T: int):
     the running column maxima of the triangle of D C_T D, D = diag^(-1/2), for
     the reversed connecting matrix C_T of m.
 
-    One O(T^2) assembly (the row recurrence of `_connecting`), read reversed in
-    place, one triangle copy scaled in place: at most two T x T arrays are alive.
-    The diagonal is read off J C_T J and reversed after, since numpy's complex
-    modulus rounds differently on a negative stride.
+    One O(T^2) assembly (the row recurrence of `_connecting`), read as built
+    into one triangle copy that is scaled in place: at most two T x T arrays
+    are alive.
     """
-    JCJ = _connecting(m, T)
-    diag = np.abs(np.diag(JCJ))[::-1].astype(float)
+    S = np.triu(_connecting(m, T))
+    diag = np.abs(np.diag(S)).astype(float)
     diag[diag == 0] = 1.0
     D = 1.0 / np.sqrt(diag)
-    S = np.triu(JCJ[::-1, ::-1])
-    del JCJ
     S *= D[:, None]
     S *= D
     S = np.abs(S, out=None if np.iscomplexobj(S) else S)
@@ -344,8 +340,9 @@ def nested_min_singular_values(r, T: int) -> np.ndarray:
     it.  A real block is symmetric, so its smallest singular value is its
     smallest |eigenvalue| (`eigvalsh`); a complex block is complex-symmetric
     but not Hermitian, so it takes the singular values themselves (`svd`).
+    A C_T that overflows the float range raises `NumericalFailureError`.
     """
-    C = reverse_order(connecting_from_response(r, T))
+    C = _nested_blocks(r, T)
     if np.iscomplexobj(C):
         return np.array([np.linalg.svd(C[:k, :k], compute_uv=False)[-1] for k in range(1, T + 1)])
     return np.array([np.min(np.abs(ev)) for ev in _leading_eigvalsh(C)])
@@ -381,7 +378,9 @@ def schrodinger_even_entries(odd_entries, T: int) -> np.ndarray:
 
     r_{2m} appears only in the corner of C_{m+1} (reversed ordering), so
     det C^{m+1} = 1 is linear in it: r_{2m} = 1 + c^t C_m^{-1} c - sum_{k<m} r_{2k}.
-    Returns the full response (r_0, ..., r_{2T-2}) with r_0 = 1.
+    Returns the full response (r_0, ..., r_{2T-2}) with r_0 = 1.  A singular
+    block C_m raises `SingularBlockError`; an implied entry or a C_{m+1} that
+    overflows the float range raises `NumericalFailureError`.
     """
     _require_size("T", T)
     odd = _as_finite(odd_entries, "odd entries")
@@ -391,11 +390,17 @@ def schrodinger_even_entries(odd_entries, T: int) -> np.ndarray:
     r[0] = 1.0
     r[1::2] = odd[: T - 1]
     for m in range(1, T):
-        C = reverse_order(connecting_from_response(r, m + 1))
+        C = _nested_blocks(r, m + 1)
         c = C[:m, m]
         corner_known = np.sum(r[0 : 2 * m : 2])  # r_0 + r_2 + ... + r_{2m-2}
-        x = np.linalg.solve(C[:m, :m], c)
-        r[2 * m] = 1.0 + float(c @ x) - corner_known
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+            try:
+                x = np.linalg.solve(C[:m, :m], c)
+            except np.linalg.LinAlgError as exc:
+                raise SingularBlockError(f"nested block C_{m} is singular") from exc
+            r[2 * m] = 1.0 + float(c @ x) - corner_known
+        if not np.isfinite(r[2 * m]):
+            raise NumericalFailureError(f"implied entry r_{2 * m} overflowed the float range")
     return r
 
 

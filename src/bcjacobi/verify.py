@@ -34,10 +34,10 @@ from .core import (
     spectral_measure,
 )
 from .discrete_wave import (
+    _nested_blocks,
     connecting_from_response,
     control_matrix,
     response_vector,
-    reverse_order,
     solve_semi_infinite,
 )
 from .errors import SingularBlockError
@@ -344,7 +344,7 @@ def check_debranges() -> CheckResult:
         # from the spectrum or for wide connecting-matrix gradings
         spec = random_spec(T, rng, a_range=(0.85, 1.2), b_range=(-0.5, 0.5))
         r = response_vector(spec, 2 * T - 1)
-        C_T = reverse_order(connecting_from_response(r, T))
+        C_T = _nested_blocks(r, T)
         z = 0.5 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         j = debranges_kernel(C_T, z, T)
         F = DeBrangesElement(rng.normal(size=T))

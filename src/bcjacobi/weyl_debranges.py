@@ -16,7 +16,7 @@ from .core import (
     JacobiSpec, _as_finite, _as_lambda, _finite_scalar, _require_type, _tolerance, chebyshev_values,
     eig_spectral_data,
 )
-from .discrete_wave import _as_response, connecting_from_response, reverse_order
+from .discrete_wave import _as_response, _nested_blocks
 from .errors import BCError, InvalidInputError, PoleError
 from .inverse_bc import _leading_eigvalsh
 
@@ -92,10 +92,13 @@ def in_domain_D(lam, B: float) -> bool:
     With R = 3B + 1, D is the part of the upper half-plane outside the
     Joukowsky image of the circle |z| = 1/R (an ellipse with semi-axes
     R + 1/R and R - 1/R); equivalently |z(lambda)| < 1/R and Im lambda > 0.
+    B bounds |a_k| and |b_k|, so a negative B is refused.
     """
     lam = complex(_as_lambda(lam, scalar=True))
-    R = 3.0 * _finite_scalar(B, "B") + 1.0
-    return lam.imag > 0 and abs(joukowsky_z(lam)) < 1.0 / R
+    B = _finite_scalar(B, "B")
+    if B < 0:
+        raise InvalidInputError(f"B bounds |a_k| and |b_k|, so it must be >= 0, got {B}")
+    return bool(lam.imag > 0 and abs(joukowsky_z(lam)) < 1.0 / (3.0 * B + 1.0))
 
 
 def weyl_resolvent(spec: JacobiSpec | None, lam, kind: str = "finite") -> complex:
@@ -224,7 +227,8 @@ def beta_sequences(r, N_max: int):
     one dense eigensolve per nested block, since the extreme eigenvalues of a
     block do not follow from those of the block before it.  The response must
     be real: a complex one gives complex-symmetric blocks, which are not
-    Hermitian and whose eigenvalues need not be real.
+    Hermitian and whose eigenvalues need not be real.  A C_{N_max} that
+    overflows the float range raises `NumericalFailureError`.
     """
-    evs = _leading_eigvalsh(reverse_order(connecting_from_response(_as_response(r, real=True), N_max)))
+    evs = _leading_eigvalsh(_nested_blocks(r, N_max, real=True))
     return np.array([ev[0] for ev in evs]), np.array([ev[-1] for ev in evs])

@@ -8,9 +8,10 @@ same order of operations, so its b, d, ds and refusal must agree with this bit
 for bit.
 """
 
+import connecting_oracle
 import numpy as np
 
-from bcjacobi.discrete_wave import _connecting, reverse_order
+from bcjacobi.discrete_wave import reverse_order
 from bcjacobi.inverse_bc import PIVOT_TOL
 
 
@@ -44,9 +45,9 @@ def chebyshev_sweep(r: np.ndarray, T: int):
     """
     m = r[: 2 * T] / r[0]
     n = m.size
-    # the refusal scale, the running column maxima of D C_T D: an O(T^2) assembly
-    # (one row recurrence, `_connecting`) and one pass over the triangle
-    C = reverse_order(_connecting(m, T))
+    # the refusal scale, the running column maxima of D C_T D: a reversed copy of the
+    # diagonal-by-diagonal oracle's C^T and one pass over the triangle
+    C = reverse_order(connecting_oracle.connecting(m, T))
     diag = np.abs(np.diag(C)).astype(float)
     diag[diag == 0] = 1.0
     D = 1.0 / np.sqrt(diag)

@@ -151,6 +151,28 @@ def test_one_structured_matrix_builder(trees):
     }
 
 
+def test_one_connecting_orientation(trees):
+    """`discrete_wave` alone knows the connecting matrix's orientation: `_connecting`
+    builds C_T = J C^T J, `connecting_from_response` returns its reversed view C^T,
+    the sweep's refusal scale reads C_T as built, and every reader of the nested
+    blocks takes C_T from `_nested_blocks`; no module flips it back."""
+
+    def callers(name):
+        return {f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, name)}
+
+    assert callers("reverse_order") == set()
+    assert callers("_connecting") == {
+        "discrete_wave.connecting_from_response", "discrete_wave._nested_blocks", "inverse_bc._pivot_scale",
+    }
+    assert callers("_nested_blocks") == {
+        "inverse_bc.nested_min_singular_values", "inverse_bc.schrodinger_even_entries",
+        "weyl_debranges.beta_sequences", "verify.check_debranges",
+    }
+    for stem in ("inverse_bc", "weyl_debranges", "verify"):
+        slices = [ast.unparse(n.slice) for n in ast.walk(trees[stem]) if isinstance(n, ast.Subscript)]
+        assert "::-1, ::-1" not in slices, stem
+
+
 def test_no_foreign_module_among_public_names():
     """A module imported by the package for its own use is not part of its API."""
     foreign = [

@@ -438,6 +438,8 @@ MALFORMED = {
     "graph-empty": {"command": "graph", "graph": {"vertices": [], "edges": []}, "T": 3},
     # values that used to run silently wrong
     "forward-bc-unknown": {"command": "forward", **FREE, "T": 3, "bc": "nonsense"},
+    "weyl-coeff_bound-negative": {"command": "weyl", "lambda": [3.0, 1.0], "r": [1.0] + [0.0] * 39,
+                                  "coeff_bound": -1},
     "N-float": {"command": "response", "spec": "free", "N": 2.7, "T": 3},
     "N-string": {"command": "response", "spec": "free", "N": "3", "T": 3},
     "N-bool": {"command": "roundtrip", "N": True},
@@ -516,6 +518,16 @@ def test_forward_scenario_refuses_an_unknown_boundary_condition_with_the_library
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: unknown boundary condition 'x'\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("imag, inside", [(1.0, True), (-1.0, False)])
+def test_weyl_scenario_writes_the_domain_flag(tmp_path, imag, inside):
+    # in the upper half-plane the flag was a numpy bool, which json cannot write
+    cfg = tmp_path / "cfg.json"
+    config = {"command": "weyl", "lambda": [3.0, imag], "r": [1.0] + [0.0] * 39, "coeff_bound": 0.1}
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "weyl.json").read_text())["in_domain_D"] is inside
 
 
 @pytest.mark.parametrize("content", [None, b"{not json", b"\xff\xfe", b"[1, 2]", b"3"],

@@ -468,11 +468,12 @@ ENTRY = st.floats(-1e3, 1e3) | st.sampled_from([np.inf, -np.inf, np.nan, 1.7e308
 
 
 @st.composite
-def responses(draw, max_T=60):
-    """A horizon T and 2T-1 to 2T+2 real or complex entries, some of them +-inf, NaN or near the float limit."""
+def responses(draw, max_T=60, entry=ENTRY):
+    """A horizon T and 2T-1 to 2T+2 real or complex entries drawn from `entry`,
+    by default some of them +-inf, NaN or near the float limit."""
     T = draw(st.integers(1, max_T))
     n = 2 * T - 1 + draw(st.integers(0, 3))  # entries past r_{2T-2} must be ignored
-    part = lambda: draw(st.lists(ENTRY, min_size=n, max_size=n))
+    part = lambda: draw(st.lists(entry, min_size=n, max_size=n))
     if not draw(st.booleans()):
         return T, np.array(part())
     r = np.empty(n, dtype=complex)
@@ -506,11 +507,22 @@ def _flags_raised(build, r, T) -> bool:
 def test_connecting_matches_diagonal_oracle(case):
     T, r = case
     with np.errstate(all="ignore"):  # inf - inf, 0 * inf and overflow are part of the draw
-        C, ref = _connecting(r, T), connecting_oracle.connecting(r, T)
+        C, ref = _connecting(r, T)[::-1, ::-1], connecting_oracle.connecting(r, T)
     assert C.dtype == r.dtype
     assert np.array_equal(C, ref, equal_nan=True)
     # sums past a diagonal's end (and entries past r_{2T-2}) raise no floating-point flag of their own
     assert _flags_raised(_connecting, r, T) == _flags_raised(connecting_oracle.connecting, r, T)
+
+
+@settings(max_examples=150)
+@given(responses(entry=st.floats(-1e3, 1e3)))
+@example((400, np.random.default_rng(401).standard_normal(799) * (1 + 1j)))
+def test_public_connecting_is_the_diagonal_oracle_bit_for_bit(case):
+    # C^T is returned as the reversed view of the C_T that `_connecting` builds
+    T, r = case
+    C, ref = connecting_from_response(r, T), connecting_oracle.connecting(r, T)
+    assert C.dtype == ref.dtype == r.dtype
+    assert np.ascontiguousarray(C).tobytes() == ref.tobytes()
 
 
 @st.composite

@@ -29,6 +29,7 @@ from bcjacobi.inverse_bc import (
     schrodinger_even_entries,
     solve_krein,
 )
+from bcjacobi.weyl_debranges import beta_sequences
 
 import ldl_oracle
 import sweep_oracle
@@ -293,6 +294,23 @@ def test_schrodinger_even_entries_refuses_malformed_odd_entries(odd, message):
     # a float cast used to end in a bare TypeError or ValueError
     with pytest.raises(InvalidInputError, match=message):
         schrodinger_even_entries(odd, 3)
+
+
+def test_schrodinger_even_entries_names_a_singular_block():
+    # r_3 = 1e8 makes r_4 ~ 1e16, and C_3, of determinant 1 in exact arithmetic, is
+    # singular in floats; numpy's LinAlgError escaped
+    with pytest.raises(SingularBlockError, match="nested block C_3 is singular"):
+        schrodinger_even_entries([1.0, 1e8, 1.0], 4)
+
+
+@pytest.mark.parametrize("action", ["error", "default", "ignore"])
+def test_schrodinger_even_entries_refuses_an_overflowed_entry_under_any_warning_filter(action):
+    # r_2 = 1 + r_1^2 - r_0 overflows: it was refused as a non-finite response by the next build
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(NumericalFailureError, match="implied entry r_2 overflowed the float range"):
+            schrodinger_even_entries([1e200] * 3, 4)
+    assert seen == []
 
 
 def test_perturbed_response_fails_characterization():
@@ -630,6 +648,23 @@ def test_characterize_pivots_equal_inversion_pivots(mode):
         ds = invert_factorization(r, n).scaled_pivots
         assert np.array_equal(diag["scaled_pivots"], ds)
         assert diag["min_scaled_pivot"] == np.min(np.abs(ds)) > 0
+
+
+_OVERFLOWING = [1e308, 1.0, 1e308, 1.0, 1e308]
+
+
+@pytest.mark.parametrize("action", ["error", "default", "ignore"])
+@pytest.mark.parametrize("read", [
+    lambda: nested_min_singular_values(_OVERFLOWING, 3),  # was LinAlgError: eigenvalues did not converge
+    lambda: nested_min_singular_values(np.array(_OVERFLOWING, dtype=complex), 3),  # was NaN
+    lambda: beta_sequences(_OVERFLOWING, 3),
+], ids=["real", "complex", "beta_sequences"])
+def test_an_overflowed_connecting_matrix_is_refused_under_any_warning_filter(read, action):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(NumericalFailureError, match="connecting matrix C_3 overflowed the float range"):
+            read()
+    assert seen == []
 
 
 def test_characterize_runs_no_eigensolver(monkeypatch):

@@ -179,6 +179,22 @@ def test_domain_D_flag():
     assert not in_domain_D(lam_in.conjugate(), B)  # lower half-plane
 
 
+def test_domain_D_flag_is_a_python_bool():
+    # in the upper half-plane it was a numpy bool, which json cannot write
+    for lam in (3.0 + 1.0j, 3.0 - 1.0j, 2.5 + 0.1j):
+        assert type(in_domain_D(lam, 0.1)) is bool
+
+
+@pytest.mark.parametrize("call", [
+    lambda: in_domain_D(3.0 + 1.0j, -1 / 3),  # R = 3B + 1 = 0 ended in ZeroDivisionError
+    lambda: in_domain_D(3.0 + 1.0j, -1.0),  # read silently as outside D
+    lambda: weyl_series(np.eye(1, 40).ravel(), 3.0 + 1.0j, coeff_bound=-1),
+], ids=["minus-one-third", "minus-one", "weyl_series"])
+def test_a_negative_coefficient_bound_is_refused(call):
+    with pytest.raises(InvalidInputError, match="B bounds"):
+        call()
+
+
 def test_kernel_free_identity_solve():
     from bcjacobi.core import chebyshev_values
 
