@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    JacobiSpec, _as_finite, _finite_scalar, _hankel, _require_size, _require_type, _tridiagonal, eig_spectral_data,
+    JacobiSpec, _as_finite, _finite_scalar, _hankel, _require_finite, _require_size, _require_type, _tridiagonal,
+    eig_spectral_data,
 )
-from .errors import InvalidInputError, NotRealizableError, NumericalFailureError
+from .errors import InvalidInputError, NotRealizableError
 
 __all__ = [
     "TimeGrid",
@@ -296,13 +297,6 @@ def _simpson_convolution(f: np.ndarray, k: np.ndarray, dt: float) -> np.ndarray:
     return c
 
 
-def _require_finite(x: np.ndarray, what: str) -> np.ndarray:
-    """x, refused where a sinh mode (a negative eigenvalue) has overflowed the float range into it."""
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailureError(f"{what} overflows the float range")
-    return x
-
-
 def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
     """Spectral solution u(t) = sum_k h_k(t) phi^k of u_tt = -A u + f(t) e_1.
 
@@ -327,12 +321,15 @@ def solve_second_order(spec: JacobiSpec, f, grid: TimeGrid) -> Trajectory:
 
 
 def response_function(spec: JacobiSpec, grid: TimeGrid) -> ResponseFunctionSamples:
-    """Samples of r(t) = sum_k (1/omega_k) S_k(t) at the grid nodes j dt."""
+    """Samples of r(t) = sum_k (1/omega_k) S_k(t) at the grid nodes j dt.
+
+    Samples past the float range (a sinh mode of a negative eigenvalue) raise
+    NumericalFailureError."""
     _require_type(grid, TimeGrid, "grid")
     data = eig_spectral_data(spec)
-    with np.errstate(over="ignore", invalid="ignore"):  # ResponseFunctionSamples refuses what overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
         vals = _GridKernels(data.eigenvalues, grid.dt, grid.M + 1).sum_modes(1.0 / data.omegas)
-    return ResponseFunctionSamples(values=vals, grid=grid)
+    return ResponseFunctionSamples(values=_require_finite(vals, "the response function"), grid=grid)
 
 
 def _require_doubled(r: ResponseFunctionSamples, grid: TimeGrid) -> None:
@@ -448,9 +445,7 @@ def _top_eigenpairs(apply, n: int, k: int) -> tuple:
         h2 = V.T @ x
         x -= V @ h2
         alpha[m] = h[m] + h2[m]
-        top = float(np.max(np.abs(x)))
-        if not np.isfinite(top):
-            raise NumericalFailureError("the connecting kernel overflows the float range")
+        top = float(_require_finite(np.max(np.abs(x)), "the connecting kernel"))
         beta[m] = b = top * float(np.linalg.norm(x / top)) if top else 0.0  # x @ x overflows past 1e154
         if m + 1 >= k:
             theta, Y = np.linalg.eigh(_tridiagonal(beta[:m], alpha[: m + 1]))

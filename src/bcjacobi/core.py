@@ -189,15 +189,18 @@ def chebyshev_values(t_max: int, lam) -> np.ndarray:
     """Array [T_0(lam), ..., T_{t_max}(lam)] by forward recurrence.
 
     lam may be a scalar or an ndarray; the leading axis of the result indexes t.
+    Values past the float range raise `NumericalFailureError` under any
+    warning filter.
     """
     _require_size("t", t_max, low=0)
     lam = _as_lambda(lam)
     out = np.zeros((t_max + 1,) + lam.shape, dtype=np.result_type(lam.dtype, float))
     if t_max >= 1:
         out[1] = 1.0
-    for t in range(1, t_max):
-        out[t + 1] = lam * out[t] - out[t - 1]
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        for t in range(1, t_max):
+            out[t + 1] = lam * out[t] - out[t - 1]
+    return _require_finite(out, f"the table T_0(lambda), ..., T_{t_max}(lambda)")
 
 
 def phi_eval(spec: JacobiSpec, lam, n_max: int) -> np.ndarray:
@@ -206,7 +209,8 @@ def phi_eval(spec: JacobiSpec, lam, n_max: int) -> np.ndarray:
     phi_0 = 0, phi_1 = 1, a_n phi_{n+1} = (lambda - b_n) phi_n - a_{n-1} phi_{n-1}.
     phi_n is a polynomial in lambda of degree n - 1.  For n_max = N + 1 the
     trailing coefficient a_N is taken as 1; the roots of phi_{N+1} are
-    unaffected by that scaling.
+    unaffected by that scaling.  Values past the float range raise
+    `NumericalFailureError` under any warning filter.
     """
     _require_type(spec, JacobiSpec, "spec")
     _require_size("n_max", n_max)
@@ -217,11 +221,12 @@ def phi_eval(spec: JacobiSpec, lam, n_max: int) -> np.ndarray:
     phi = np.zeros(n_max + 1, dtype=dt)
     phi[1] = 1.0
     a = spec.a
-    for k in range(1, n_max):
-        ak = a[k - 1] if k - 1 < a.size else 1.0
-        akm1 = a[k - 2] if k >= 2 else spec.a0  # a_0 multiplies phi_0 = 0
-        phi[k + 1] = ((lam - spec.b[k - 1]) * phi[k] - akm1 * phi[k - 1]) / ak
-    return phi[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        for k in range(1, n_max):
+            ak = a[k - 1] if k - 1 < a.size else 1.0
+            akm1 = a[k - 2] if k >= 2 else spec.a0  # a_0 multiplies phi_0 = 0
+            phi[k + 1] = ((lam - spec.b[k - 1]) * phi[k] - akm1 * phi[k - 1]) / ak
+    return _require_finite(phi[1:], f"the solution phi_1, ..., phi_{n_max}")
 
 
 def eig_spectral_data(spec: JacobiSpec) -> SpectralData:
@@ -259,17 +264,20 @@ def moments_of_measure(mu: SpectralMeasure, K: int) -> np.ndarray:
     """Power moments s_k = sum_j w_j lambda_j^k for k = 0..K.
 
     Accumulated in extended precision: the inverse use of moments is
-    ill-conditioned enough that the last float64 digits of s_k matter.
+    ill-conditioned enough that the last float64 digits of s_k matter.  A
+    moment past the float range raises `NumericalFailureError` under any
+    warning filter.
     """
     _require_size("K", K, low=0)
     lam = mu.lambdas.astype(np.longdouble)
     w = mu.weights.astype(np.longdouble)
     powers = np.ones_like(lam)
     out = np.empty(K + 1)
-    for k in range(K + 1):
-        out[k] = float(np.sum(w * powers))
-        powers = powers * lam
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        for k in range(K + 1):
+            out[k] = float(np.sum(w * powers))
+            powers = powers * lam
+    return _require_finite(out, "the moment sequence")
 
 
 def _as_numbers(x, what: str, real: bool = True, ndim: int = 1) -> np.ndarray:
@@ -295,6 +303,16 @@ def _as_finite(x, what: str, real: bool = True, ndim: int = 1) -> np.ndarray:
     x = _as_numbers(x, what, real, ndim)
     if not np.isfinite(x).all():
         raise InvalidInputError(f"{what} must be finite")
+    return x
+
+
+def _require_finite(x, what: str):
+    """x, a result computed from finite data, refused where it has left the float range.
+
+    The package's one rule for what it computes; `_as_finite` is the one for what comes in.
+    """
+    if not np.all(np.isfinite(x)):
+        raise NumericalFailureError(f"{what} overflows the float range")
     return x
 
 

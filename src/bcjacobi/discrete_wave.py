@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiSpec, _as_finite, _as_numbers, _hankel, _require_size, _require_type
+from .core import JacobiSpec, _as_finite, _as_numbers, _hankel, _require_finite, _require_size, _require_type
 from .errors import InvalidInputError, NumericalFailureError, SpecTooShortError
 
 __all__ = [
@@ -226,10 +226,12 @@ def connecting_from_response(r, T: int) -> np.ndarray:
     Needs at least 2T - 1 response entries.  The prefactor is taken from
     r_0 = a_0 (it is 1 under the usual normalization).  The sums run
     sequentially, so C^N is bit for bit the trailing N x N block of C^T.
-    The result is the reversed view C^T = J C_T J of the matrix `_connecting`
-    builds, not C-contiguous; copy it where a contiguous array is needed.
+    The result is the reversed view C^T = J C_T J of the matrix `_nested_blocks`
+    reads, not C-contiguous; copy it where a contiguous array is needed.  A
+    matrix that overflows the float range raises `NumericalFailureError` under
+    any warning filter.
     """
-    return _connecting(_as_response(r), T)[::-1, ::-1]
+    return _nested_blocks(r, T)[::-1, ::-1]
 
 
 def _connecting(r: np.ndarray, T: int) -> np.ndarray:
@@ -248,19 +250,15 @@ def _connecting(r: np.ndarray, T: int) -> np.ndarray:
     return r[0] * R
 
 
-def _nested_blocks(r, T: int, real: bool = False) -> np.ndarray:
-    """C_T of the response r (coerced as in `connecting_from_response`, real only
-    if `real`), for the readers of its leading blocks C_1, ..., C_T.
+def _nested_blocks(r, T: int) -> np.ndarray:
+    """C_T of the response r, a ResponseVector or raw real or complex entries,
+    for `connecting_from_response` and the readers of its leading blocks C_1, ..., C_T.
 
     A C_T that overflows the float range raises `NumericalFailureError` under any
     warning filter, before it reaches a linear-algebra routine.
     """
-    r = _as_response(r, real)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
-        C = _connecting(r, T)
-    if not np.isfinite(C).all():
-        raise NumericalFailureError(f"the connecting matrix C_{T} overflowed the float range")
-    return C
+        return _require_finite(_connecting(_as_response(r), T), f"the connecting matrix C_{T}")
 
 
 def reverse_order(C: np.ndarray) -> np.ndarray:

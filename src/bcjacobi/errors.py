@@ -27,7 +27,8 @@ class NotRealizableError(BCError):
 
 
 class NumericalFailureError(BCError):
-    """A numerically degenerate state that is impossible in exact arithmetic."""
+    """A numerically degenerate state that is impossible in exact arithmetic,
+    such as a result computed from finite data that leaves the float range."""
 
 
 class PoleError(BCError):

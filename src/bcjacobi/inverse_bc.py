@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import (
-    JacobiSpec, _as_finite, _as_lambda, _as_numbers, _hankel, _require_size, _tolerance, chebyshev_values,
+    JacobiSpec, _as_finite, _as_lambda, _as_numbers, _hankel, _require_finite, _require_size, _tolerance,
+    chebyshev_values,
 )
 from .discrete_wave import (
     ResponseVector,
@@ -30,7 +31,7 @@ from .discrete_wave import (
     _require_horizon,
     response_vector,
 )
-from .errors import InvalidInputError, NumericalFailureError, SingularBlockError
+from .errors import InvalidInputError, SingularBlockError
 
 _log = logging.getLogger(__name__)
 
@@ -398,9 +399,7 @@ def schrodinger_even_entries(odd_entries, T: int) -> np.ndarray:
                 x = np.linalg.solve(C[:m, :m], c)
             except np.linalg.LinAlgError as exc:
                 raise SingularBlockError(f"nested block C_{m} is singular") from exc
-            r[2 * m] = 1.0 + float(c @ x) - corner_known
-        if not np.isfinite(r[2 * m]):
-            raise NumericalFailureError(f"implied entry r_{2 * m} overflowed the float range")
+            r[2 * m] = _require_finite(1.0 + float(c @ x) - corner_known, f"implied entry r_{2 * m}")
     return r
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    JacobiSpec, SpectralMeasure, _as_finite, _at_zero, _hankel, _require_size, _tolerance, spectral_measure,
+    JacobiSpec, SpectralMeasure, _as_finite, _at_zero, _hankel, _require_finite, _require_size, _tolerance,
+    spectral_measure,
 )
 from .discrete_wave import connecting_from_response, _as_response
 from .errors import InvalidInputError, NotRealizableError, SingularBlockError
@@ -42,12 +43,22 @@ class HankelPair:
     ordering 'reversed' puts the highest moment top-left, (S^N)_{ij} =
     s_{2N-i-j+m}, matching the connecting-matrix index order; 'classical' is
     S_N = J_N S^N J_N with (S_N)_{ij} = s_{i+j-2+m}.  Both are stored with
-    the flag so a silent transposition cannot slip through.
+    the flag so a silent transposition cannot slip through: any other flag,
+    and matrices that are not two finite real square ones of one shape, are
+    refused.
     """
 
     s0: np.ndarray
     s1: np.ndarray
     ordering: str = "reversed"
+
+    def __post_init__(self):
+        if self.ordering not in ("reversed", "classical"):
+            raise InvalidInputError(f"unknown ordering {self.ordering!r}")
+        for name in ("s0", "s1"):
+            object.__setattr__(self, name, _as_finite(getattr(self, name), name, ndim=2))
+        if self.s0.ndim != 2 or self.s0.shape != self.s1.shape or self.s0.shape[0] != self.s0.shape[1]:
+            raise InvalidInputError(f"need two square matrices of one shape, got {self.s0.shape} and {self.s1.shape}")
 
     def flipped(self) -> "HankelPair":
         J = slice(None, None, -1)
@@ -84,19 +95,24 @@ def moments_to_response(s) -> np.ndarray:
 
     The row sums cancel catastrophically (terms of size binom * |lambda|^k
     collapse to |T_t| <= t when the support stays in [-2, 2]), so the exact
-    integer matrix is applied in extended precision before rounding back.
+    integer matrix is applied in extended precision before rounding back.  An
+    r past the float range raises `NumericalFailureError` under any warning
+    filter.
     """
     s = _as_finite(s, "moments")
     if s.size == 0:
         raise InvalidInputError("empty moment sequence")
     L = lambda_matrix(s.size).astype(np.longdouble)
-    return (L @ s.astype(np.longdouble)).astype(float)
+    with np.errstate(over="ignore"):  # an overflow is refused, not warned
+        return _require_finite((L @ s.astype(np.longdouble)).astype(float), "the response vector Lambda s")
 
 
 def response_to_moments(r) -> np.ndarray:
     """s = Lambda^{-1} r by unit-triangular forward substitution.
 
     Extended precision for the same cancellation reason as the forward map.
+    An s past the float range raises `NumericalFailureError` under any
+    warning filter.
     """
     r = _as_response(r, real=True)
     if r.size == 0:
@@ -107,7 +123,8 @@ def response_to_moments(r) -> np.ndarray:
     rw = r.astype(np.longdouble)
     for t in range(n):
         s[t] = (rw[t] - L[t, :t] @ s[:t]) / L[t, t]
-    return s.astype(float)
+    with np.errstate(over="ignore"):  # an overflow is refused, not warned
+        return _require_finite(s.astype(float), "the moment vector Lambda^-1 r")
 
 
 def _reversed_hankel(s: np.ndarray, N: int) -> np.ndarray:
@@ -131,14 +148,17 @@ def build_B(r, N: int) -> np.ndarray:
 
     Built from one response vector; entries of C^{N+1} beyond index 2N - 1 are
     annihilated by the shift/embedding trimming, so a response of length 2N
-    suffices (a zero pad is inserted when r_{2N} is absent).
+    suffices (a zero pad is inserted when r_{2N} is absent).  A C^{N+1} or a
+    B^N past the float range raises `NumericalFailureError` under any warning
+    filter.
     """
     _require_size("N", N)
     r = _as_response(r, real=True)
     if r.size < 2 * N:
         raise InvalidInputError(f"need at least 2N = {2 * N} response entries")
     C = connecting_from_response(r if r.size > 2 * N else np.append(r, 0.0), N + 1)
-    return _B_from_connecting(C)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        return _require_finite(_B_from_connecting(C), f"B^{N}")
 
 
 def _B_from_connecting(C: np.ndarray) -> np.ndarray:
@@ -229,7 +249,7 @@ def truncated_moment_naive(s, N: int, extension=None):
 
 def _verdict(M: np.ndarray, tol: float) -> tuple:
     """Smallest eigenvalue of a symmetric matrix and its verdict {pass, degenerate, fail}."""
-    emin = float(np.linalg.eigvalsh(M)[0])
+    emin = float(_require_finite(np.linalg.eigvalsh(M)[0], "the smallest Hankel eigenvalue"))
     scale = max(1.0, float(np.max(np.abs(M))))
     if emin > tol * scale:
         return emin, "pass"
@@ -244,7 +264,8 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     but not indefinite matrix (finitely supported measures reach this state
     once N exceeds the number of atoms); 'fail' requires a genuinely negative
     eigenvalue.  Each matrix is built once at N_max; S^N is its trailing
-    N x N block.
+    N x N block.  An S^N_0 - S^N_1 or a smallest eigenvalue past the float
+    range raises `NumericalFailureError` under any warning filter.
     """
     if kind not in ("hamburger", "stieltjes", "hausdorff"):
         raise InvalidInputError(f"unknown kind {kind!r}")
@@ -258,7 +279,8 @@ def solvability(s, kind: str, N_max: int, tol: float = 1e-10) -> list[dict]:
     if kind != "hamburger":
         mats["S1"] = _reversed_hankel(s[1:], N_max)
         if kind == "hausdorff":
-            mats["S0-S1"] = mats["S0"] - mats["S1"]
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+                mats["S0-S1"] = _require_finite(mats["S0"] - mats["S1"], "S^N_0 - S^N_1")
     rows = []
     for N in range(1, N_max + 1):
         row = {"N": N}

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    JacobiSpec, _as_finite, _as_lambda, _finite_scalar, _require_type, _tolerance, chebyshev_values,
-    eig_spectral_data,
+    JacobiSpec, _as_finite, _as_lambda, _finite_scalar, _require_finite, _require_type, _tolerance,
+    chebyshev_values, eig_spectral_data,
 )
 from .discrete_wave import _as_response, _nested_blocks
 from .errors import BCError, InvalidInputError, PoleError
@@ -183,40 +183,49 @@ def debranges_kernel(C_T: np.ndarray, z, T: int) -> DeBrangesElement:
     One step of iterative refinement keeps the residual at rounding level, so
     the reproducing property holds to near machine precision even for
     moderately ill-conditioned C_T.  The kernel function is
-    J_z(lambda) = sum_k T_k(lambda) j_k.
+    J_z(lambda) = sum_k T_k(lambda) j_k.  A right-hand side or a solution past
+    the float range raises `NumericalFailureError` under any warning filter.
     """
     C_T = _as_finite(C_T, "C_T", real=False, ndim=2)
     if C_T.shape != (T, T):
         raise InvalidInputError("C_T must be T x T")
     rhs = np.conj(chebyshev_values(T, complex(_as_lambda(z, scalar=True)))[1:])
-    return DeBrangesElement(coeffs=_refined_solve(C_T, rhs, "C_T"))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        j = _require_finite(_refined_solve(C_T, rhs, "C_T"), "the solution of C_T j = (T_1(z), ..., T_T(z))^*")
+    return DeBrangesElement(coeffs=j)
 
 
 def debranges_kernel_hankel(S_T: np.ndarray, z, T: int) -> np.ndarray:
     """Monomial-basis kernel: solve S_T f = (1, z, ..., z^{T-1})^*.
 
     S_T is the classical Hankel matrix; the solution relates to the Chebyshev
-    form by f = Lambda_T^t j, and J_z(lambda) = sum_k f_k lambda^k.
+    form by f = Lambda_T^t j, and J_z(lambda) = sum_k f_k lambda^k.  A
+    right-hand side or a solution past the float range raises
+    `NumericalFailureError` under any warning filter.
     """
     S_T = _as_finite(S_T, "S_T", real=False, ndim=2)
     if S_T.shape != (T, T):
         raise InvalidInputError("S_T must be T x T")
     zc = np.conj(complex(_as_lambda(z, scalar=True)))
-    return _refined_solve(S_T, zc ** np.arange(T), "S_T")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        f = _refined_solve(S_T, zc ** np.arange(T), "S_T")  # a non-finite right-hand side leaves f non-finite
+    return _require_finite(f, "the solution of S_T f = (1, z, ..., z^(T-1))^*")
 
 
 def debranges_inner(C_T: np.ndarray, F: DeBrangesElement, G: DeBrangesElement):
     """[F, G] = (C_T f, g), conjugate-linear in the first slot.
 
     Equals the quadrature sum w_k conj(F(lambda_k)) G(lambda_k) against the
-    associated spectral measure.
+    associated spectral measure.  A product past the float range raises
+    `NumericalFailureError` under any warning filter.
     """
     C_T = _as_finite(C_T, "C_T", real=False, ndim=2)
     _require_type(F, DeBrangesElement, "F")
     _require_type(G, DeBrangesElement, "G")
     if F.T != G.T or C_T.shape != (F.T, F.T):
         raise InvalidInputError("dimension mismatch")
-    return np.vdot(C_T @ F.coeffs, G.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned
+        return _require_finite(np.vdot(C_T @ F.coeffs, G.coeffs), "the inner product")
 
 
 def beta_sequences(r, N_max: int):
@@ -230,5 +239,5 @@ def beta_sequences(r, N_max: int):
     Hermitian and whose eigenvalues need not be real.  A C_{N_max} that
     overflows the float range raises `NumericalFailureError`.
     """
-    evs = _leading_eigvalsh(_nested_blocks(r, N_max, real=True))
+    evs = _leading_eigvalsh(_nested_blocks(_as_response(r, real=True), N_max))
     return np.array([ev[0] for ev in evs]), np.array([ev[-1] for ev in evs])

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,24 +154,78 @@ def test_one_structured_matrix_builder(trees):
 
 def test_one_connecting_orientation(trees):
     """`discrete_wave` alone knows the connecting matrix's orientation: `_connecting`
-    builds C_T = J C^T J, `connecting_from_response` returns its reversed view C^T,
-    the sweep's refusal scale reads C_T as built, and every reader of the nested
-    blocks takes C_T from `_nested_blocks`; no module flips it back."""
+    builds C_T = J C^T J, `_nested_blocks` checks it, `connecting_from_response`
+    returns the reversed view C^T of the checked matrix, the sweep's refusal scale
+    reads C_T as built, and every reader of the nested blocks takes C_T from
+    `_nested_blocks`; no module flips it back."""
 
     def callers(name):
         return {f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, name)}
 
     assert callers("reverse_order") == set()
-    assert callers("_connecting") == {
-        "discrete_wave.connecting_from_response", "discrete_wave._nested_blocks", "inverse_bc._pivot_scale",
-    }
+    assert callers("_connecting") == {"discrete_wave._nested_blocks", "inverse_bc._pivot_scale"}
     assert callers("_nested_blocks") == {
-        "inverse_bc.nested_min_singular_values", "inverse_bc.schrodinger_even_entries",
-        "weyl_debranges.beta_sequences", "verify.check_debranges",
+        "discrete_wave.connecting_from_response", "inverse_bc.nested_min_singular_values",
+        "inverse_bc.schrodinger_even_entries", "weyl_debranges.beta_sequences", "verify.check_debranges",
     }
     for stem in ("inverse_bc", "weyl_debranges", "verify"):
         slices = [ast.unparse(n.slice) for n in ast.walk(trees[stem]) if isinstance(n, ast.Subscript)]
         assert "::-1, ::-1" not in slices, stem
+
+
+def test_one_overflow_rule(trees):
+    """`core` holds both finiteness rules, each written once: `_as_finite` for what
+    comes in and `_require_finite` for what the package computes.  No other function
+    builds a "float range" NumericalFailureError except `_step_field`, whose message
+    names the step; and the public connecting matrix is read through the checked
+    `_nested_blocks`, so `_connecting` has only it and the sweep's scale as callers."""
+
+    def says_float_range(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "NumericalFailureError"
+                and any("float range" in ast.unparse(arg) for arg in node.args))
+
+    raisers = {f"{stem}.{func}" for stem, tree in trees.items() for func in _enclosing(tree, says_float_range)}
+    assert raisers == {"core._require_finite", "discrete_wave._step_field"}
+    defs = {f"{stem}.{node.name}" for stem, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in ("_as_finite", "_require_finite")}
+    assert defs == {"core._as_finite", "core._require_finite"}
+    callers = {f"{stem}.{func}" for stem, tree in trees.items() for func in _callers(tree, "_connecting")}
+    assert callers == {"discrete_wave._nested_blocks", "inverse_bc._pivot_scale"}
+
+
+_OVERFLOWED = {
+    "connecting_from_response": lambda: discrete_wave.connecting_from_response([1e308, 1, 1e308, 1, 1e308], 3),
+    "connecting_from_response-complex": lambda: discrete_wave.connecting_from_response(
+        np.array([1e308, 1, 1e308, 1, 1e308], dtype=complex), 3),
+    "build_B-connecting": lambda: moments.build_B([1e308, 1, 1e308, 1, 1e308, 1], 2),
+    "build_B-sum": lambda: moments.build_B([1, 1e308, 0, 0], 2),  # C^3 is finite, B^2[0, 0] = 2e308
+    "moments_to_response": lambda: moments.moments_to_response([1, 0, 1e308, 0, 1e308]),
+    "response_to_moments": lambda: moments.response_to_moments([1, 1e308, 1e308, 1e308, 1e308]),
+    "truncated_moment_spectral": lambda: moments.truncated_moment_spectral([1, 0, 1e308, 0, 1e308], 3),
+    "solvability-hausdorff": lambda: moments.solvability([1e308, -1e308, 1e308, -1e308], "hausdorff", 2),
+    "solvability-stieltjes": lambda: moments.solvability([1e308, -1e308, 1e308, -1e308], "stieltjes", 2),
+    "response_function": lambda: ct.response_function(core.JacobiSpec(1.0, [], [-1e6]), ct.TimeGrid(1.0, 4)),
+    "debranges_kernel": lambda: weyl_debranges.debranges_kernel(np.eye(300), 1e3, 300),
+    "debranges_kernel_hankel": lambda: weyl_debranges.debranges_kernel_hankel(np.eye(300), 1e3, 300),
+    "debranges_inner": lambda: weyl_debranges.debranges_inner(
+        np.eye(2) * 1e308, weyl_debranges.DeBrangesElement([1e308, 1]), weyl_debranges.DeBrangesElement([1e308, 1])),
+    "chebyshev_values": lambda: core.chebyshev_values(300, 1e3),
+    "moments_of_measure": lambda: core.moments_of_measure(core.SpectralMeasure(((1e200, 1.0),)), 3),
+    "phi_eval": lambda: core.phi_eval(core.JacobiSpec(1.0, [1e-300], [0, 0]), 1e300, 3),
+}
+
+
+@pytest.mark.parametrize("action", ["error", "default", "ignore"])
+@pytest.mark.parametrize("name", sorted(_OVERFLOWED))
+def test_an_overflowed_result_is_refused_under_any_warning_filter(name, action):
+    """Finite data whose result leaves the float range is refused by the one rule,
+    `NumericalFailureError`, with no numpy warning under any filter: never returned
+    as inf or NaN, and never refused as if the input were malformed."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(errors.NumericalFailureError, match="overflows the float range$"):
+            _OVERFLOWED[name]()
+    assert seen == []
 
 
 def test_no_foreign_module_among_public_names():

@@ -308,7 +308,7 @@ def test_schrodinger_even_entries_refuses_an_overflowed_entry_under_any_warning_
     # r_2 = 1 + r_1^2 - r_0 overflows: it was refused as a non-finite response by the next build
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter(action)
-        with pytest.raises(NumericalFailureError, match="implied entry r_2 overflowed the float range"):
+        with pytest.raises(NumericalFailureError, match="implied entry r_2 overflows the float range"):
             schrodinger_even_entries([1e200] * 3, 4)
     assert seen == []
 
@@ -662,7 +662,7 @@ _OVERFLOWING = [1e308, 1.0, 1e308, 1.0, 1e308]
 def test_an_overflowed_connecting_matrix_is_refused_under_any_warning_filter(read, action):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter(action)
-        with pytest.raises(NumericalFailureError, match="connecting matrix C_3 overflowed the float range"):
+        with pytest.raises(NumericalFailureError, match="connecting matrix C_3 overflows the float range"):
             read()
     assert seen == []
 

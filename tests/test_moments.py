@@ -16,6 +16,7 @@ from bcjacobi.errors import InvalidInputError, NotRealizableError, SingularBlock
 from bcjacobi.heat import heat_response
 from bcjacobi.inverse_bc import characterize, invert_factorization
 from bcjacobi.moments import (
+    HankelPair,
     _B_from_connecting,
     build_B,
     build_hankel_pair,
@@ -102,6 +103,30 @@ def test_hankel_pair_orderings():
     for i in range(3):
         for j in range(3):
             assert pair.s0[i, j] == s[4 - i - j]
+
+
+def test_hankel_pair_round_trip():
+    # flipping twice restores the reversed pair bit for bit, flag included
+    pair = build_hankel_pair(np.random.default_rng(34).normal(size=9), 4)
+    back = pair.flipped().flipped()
+    assert pair.flipped().ordering == "classical" and back.ordering == "reversed"
+    assert np.array_equal(back.s0, pair.s0) and np.array_equal(back.s1, pair.s1)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((np.eye(2), np.eye(2)), {"ordering": "classicl"}, "unknown ordering 'classicl'"),  # flipped() made it "reversed"
+    (("x", None), {}, "s0 must be real numbers"),
+    ((np.eye(2), None), {}, "s1 must be 2-D"),
+    ((np.eye(2), [[1.0, np.nan], [0.0, 1.0]]), {}, "s1 must be finite"),
+    ((np.eye(2), np.eye(2) * 1j), {}, "s1 must be real"),
+    ((np.ones(2), np.ones(2)), {}, "s0 must be 2-D"),
+    (([], []), {}, "square matrices of one shape"),
+    ((np.ones((2, 3)), np.ones((2, 3))), {}, "square matrices of one shape"),
+    ((np.eye(2), np.eye(3)), {}, "square matrices of one shape"),
+], ids=["ordering", "string", "none", "nan", "complex", "1-D", "empty", "not-square", "shapes-differ"])
+def test_hankel_pair_refuses_what_it_cannot_hold(args, kwargs, message):
+    with pytest.raises(InvalidInputError, match=message):
+        HankelPair(*args, **kwargs)
 
 
 def test_hankel_pair_matches_index_form():
